@@ -10,9 +10,13 @@ the tangent-space isomorphism is the block operator
     [       -dg*           xi  ]
 
 assembled here as a dense matrix.  All tangent inner products are taken
-in (v_x, H) coordinates with the Frobenius product on the matrix part;
-the matrix rows of the assembled Jacobian live in the full orthonormal
-basis of the symmetric matrices.
+in (v_x, H) coordinates with the Frobenius product on the matrix part.
+Every block is sliced from :func:`constraint_stack`, built once per
+assembly: A[i] = apply_dg(x, e_i) and its rotation P^T A[i] P into the
+eigenbasis of G(z).  Rows are the m residual components, then the
+unrotated ``sym_to_vec`` coordinates of the matrix residual (the layout
+of :meth:`KktResidual.as_vec`); columns are the m primal unit
+directions, then the tangent pairs (k, l) of :func:`tangent_pairs`.
 """
 
 from dataclasses import dataclass
@@ -23,19 +27,18 @@ import numpy as np
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
+    SQRT2,
     frob_inner,
     make_ied,
     normal_project_pi2,
     nsd_part,
     project_psd,
     psd_part,
-    stratum_differential,
     sym,
     sym_to_vec,
+    tangent_matrix,
     tangent_pairs,
 )
-
-_SQRT2 = np.sqrt(2.0)
 
 
 def big_g(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
@@ -77,6 +80,30 @@ def residual(
     return KktResidual(f1=f1, f2=sym(f2), g_matrix=big, ied=ied)
 
 
+def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED):
+    """The constraint derivative at ``x`` as a stack, plain and rotated.
+
+    Returns ``(a, at)``: ``a[i] = apply_dg(x, e_i)`` for the m unit
+    vectors (shape m x n x n, from m ``apply_dg`` calls) and
+    ``at[i] = P^T a[i] P`` in the eigenbasis P of ``ied``, symmetrized.
+    """
+    m, n = problem.m, ied.n
+    a = np.zeros((m, n, n))
+    for i, e in enumerate(np.eye(m)):
+        a[i] = problem.apply_dg(x, e)
+    at = ied.basis.T @ a @ ied.basis
+    return a, 0.5 * (at + at.transpose(0, 2, 1))
+
+
+def hess_lagrangian_matrix(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
+    """Hess_xx L at ``z`` as an m x m matrix, from m ``apply_hess_lagrangian`` calls."""
+    m = problem.m
+    hess = np.zeros((m, m))
+    for i, e in enumerate(np.eye(m)):
+        hess[:, i] = problem.apply_hess_lagrangian(z.x, z.y, e)
+    return hess
+
+
 # ---------------------------------------------------------------------------
 # tangent coordinates
 # ---------------------------------------------------------------------------
@@ -108,22 +135,13 @@ class TangentFrame:
 
     def matrix_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
         """Tangent matrix with the given orthonormal-basis coefficients."""
-        n = self.ied.n
-        ht = np.zeros((n, n))
-        k, l = self.pairs[:, 0], self.pairs[:, 1]
-        off = k != l
-        ht[k[off], l[off]] = coeffs[off] / _SQRT2
-        ht[l[off], k[off]] = ht[k[off], l[off]]
-        diag = ~off
-        ht[k[diag], k[diag]] = coeffs[diag]
-        return sym(self.ied.basis @ ht @ self.ied.basis.T)
+        return tangent_matrix(self.ied, coeffs)
 
     def coeffs_from_matrix(self, h: np.ndarray) -> np.ndarray:
         """Coefficients of the tangent component of ``h``."""
         ht = self.ied.basis.T @ h @ self.ied.basis
         k, l = self.pairs[:, 0], self.pairs[:, 1]
-        vals = ht[k, l] * np.where(k == l, 1.0, _SQRT2)
-        return vals
+        return ht[k, l] * np.where(k == l, 1.0, SQRT2)
 
     def to_coords(self, v_x: np.ndarray, v_y: np.ndarray):
         """phi_z: ambient (v_x, v_y) -> (v_x, H)."""
@@ -148,10 +166,6 @@ class TangentVector:
     frame: TangentFrame
     v_x: np.ndarray
     coeffs: np.ndarray
-
-    @property
-    def signature(self) -> tuple:
-        return (self.frame.ied.n, self.frame.ied.p, self.frame.ied.q)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -208,34 +222,36 @@ class AssembledJacobian:
 def assemble_dF(
     problem: NlsdpProblem, z: PrimalDualPoint, frame: TangentFrame
 ) -> AssembledJacobian:
-    """Assemble the block operator column by column.
+    """Assemble the block operator from the constraint stack at ``z``.
 
     A coordinate direction (v_x, H) maps to
-    (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).
+    (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  With
+    C = sym_to_vec(a) and w = 1 on diagonal pairs, sqrt(2) off them:
+
+        [ Hess L - C^T C     w * at[:, k, l]               ]
+        [      -C            sym_to_vec(P (xi o E_kl) P^T)  ]
     """
     ied = frame.ied
-    m, n = problem.m, ied.n
-    n_sym = n * (n + 1) // 2
-    cols = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        dg_e = problem.apply_dg(z.x, e)
-        top = problem.apply_hess_lagrangian(z.x, z.y, e) - problem.adjoint_dg(
-            z.x, dg_e
-        )
-        bottom = sym_to_vec(-dg_e)
-        cols.append(np.concatenate([top, bottom]))
-    for idx in range(frame.dim_tangent):
-        coeffs = np.zeros(frame.dim_tangent)
-        coeffs[idx] = 1.0
-        h = frame.matrix_from_coeffs(coeffs)
-        top = problem.adjoint_dg(z.x, h)
-        bottom = sym_to_vec(stratum_differential(ied, h))
-        cols.append(np.concatenate([top, bottom]))
-    matrix = (
-        np.stack(cols, axis=1) if cols else np.zeros((m + n_sym, 0))
-    )
+    m = problem.m
+    a, at = constraint_stack(problem, z.x, ied)
+    k, l = frame.pairs.T
+    w = np.where(k == l, 1.0, SQRT2)
+    iu, ju = np.triu_indices(ied.n)
+    c_mat = sym_to_vec(a).T
+    matrix = np.empty((m + iu.size, m + frame.dim_tangent))
+    matrix[:m, :m] = hess_lagrangian_matrix(problem, z) - c_mat.T @ c_mat
+    matrix[m:, :m] = -c_mat
+    matrix[:m, m:] = at[:, k, l] * w
+    # entry ((i, j), (k, l)) of the xi block is
+    # s_ij w_kl/2 xi_kl (P_ik P_jl + P_il P_jk), filled in place
+    rows_i = ied.basis[iu] * np.where(iu == ju, 1.0, SQRT2)[:, None]
+    rows_j = ied.basis[ju]
+    block = matrix[m:, m:]
+    np.multiply(rows_i[:, k], rows_j[:, l], out=block)
+    swapped = rows_i[:, l]
+    swapped *= rows_j[:, k]
+    block += swapped
+    block *= 0.5 * w * ied.xi[k, l]
     return AssembledJacobian(matrix=matrix, frame=frame)
 
 

@@ -1,7 +1,10 @@
 """Numeric evaluation of problem-level regularity conditions.
 
 All checks work at an arbitrary primal-dual point through the
-eigenstructure of G(z) = g(x) + y.  The weak pair (W-SOC, W-SRCQ) is
+eigenstructure of G(z) = g(x) + y, in eigenbasis coordinates: they
+slice the rotated stack P^T apply_dg(x, e_i) P of :func:`constraint_stack`
+by the blocks of :func:`pair_mask`.  Rotation is an isometry, so span
+margins equal those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
 equivalent to injectivity of the on-stratum differential of the KKT
 residual, which is what the cross-validation in the tests exploits.
 SONC and SRCQ have no finite certificate here and are evaluated by
@@ -13,13 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import assemble_dF, big_g, residual, tangent_coords
+from .kkt import (
+    assemble_dF,
+    big_g,
+    constraint_stack,
+    hess_lagrangian_matrix,
+    residual,
+    tangent_coords,
+)
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
     frob,
     make_ied,
     nsd_part,
+    pair_mask,
     sym,
     sym_to_vec,
     vec_to_sym,
@@ -51,34 +62,11 @@ def _ied_at(problem, z, ied, zero_tol=None) -> IED:
 
 
 def _constraint_rows(problem, z, ied, include_bb: bool):
-    """Rows of the linear map v -> selected blocks of P^T (dg* v) P."""
-    m, n = problem.m, ied.n
-    p, q = ied.p, ied.q
-    r = n - q
-    rows = []
-    basis = ied.basis
-    images = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        images.append(basis.T @ problem.apply_dg(z.x, e) @ basis)
-    for k in range(n):
-        for l in range(k, n):
-            k_beta = p <= k < r
-            l_beta = p <= l < r
-            k_gamma = k >= r
-            l_gamma = l >= r
-            pick = (
-                (include_bb and k_beta and l_beta)
-                or (k_beta and l_gamma)
-                or (l_beta and k_gamma)
-                or (k_gamma and l_gamma)
-            )
-            if pick:
-                rows.append([img[k, l] for img in images])
-    if not rows:
-        return np.zeros((0, m))
-    return np.asarray(rows)
+    """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
+    at = constraint_stack(problem, z.x, ied)[1]
+    iu, ju = np.triu_indices(ied.n)
+    pick = pair_mask(ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
+    return at[:, iu[pick], ju[pick]].T
 
 
 def _null_space(mat, rank_tol=None):
@@ -110,33 +98,21 @@ def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
 
     The form is <v, Hess_xx L v> plus the curvature term
     2 sum_{i in alpha, j in gamma} (-lam_j / lam_i) [P^T (dg* v) P]_ij^2,
-    assembled bilinearly.
+    assembled bilinearly from the alpha-gamma block of the rotated
+    constraint stack.
     """
-    k = basis.shape[1]
-    if k == 0:
+    if basis.shape[1] == 0:
         return np.zeros((0, 0))
     p, q, n = ied.p, ied.q, ied.n
     r = n - q
-    lam = ied.eigenvalues
-    weights = None
+    out = basis.T @ hess_lagrangian_matrix(problem, z) @ basis
     if p and q:
-        weights = -lam[r:][None, :] / lam[:p][:, None]
-    hess_cols = np.stack(
-        [problem.apply_hess_lagrangian(z.x, z.y, basis[:, a]) for a in range(k)],
-        axis=1,
-    )
-    out = basis.T @ hess_cols
-    if weights is not None:
-        blocks = [
-            (ied.basis.T @ problem.apply_dg(z.x, basis[:, a]) @ ied.basis)[:p, r:]
-            for a in range(k)
-        ]
-        for a in range(k):
-            for b in range(a, k):
-                curv = 2.0 * float(np.sum(weights * blocks[a] * blocks[b]))
-                out[a, b] += curv
-                if b != a:
-                    out[b, a] += curv
+        lam = ied.eigenvalues
+        root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
+        at = constraint_stack(problem, z.x, ied)[1]
+        scaled = np.einsum("ia,ijk,jk->ajk", basis, at[:, :p, r:], root)
+        flat = scaled.reshape(basis.shape[1], -1)
+        out += 2.0 * (flat @ flat.T)
     return sym(out)
 
 
@@ -174,40 +150,15 @@ def check_ssosc(
 
 
 def _span_check(problem, z, ied, include_bb, margin_tol):
-    """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n."""
-    m, n = problem.m, ied.n
-    p, q = ied.p, ied.q
-    r = n - q
+    """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
+
+    In eigenbasis coordinates the second set is spanned by unit vectors.
+    """
+    n = ied.n
     n_sym = n * (n + 1) // 2
-    cols = []
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        cols.append(sym_to_vec(problem.apply_dg(z.x, e)))
-    basis = ied.basis
-    for k in range(n):
-        for l in range(k, n):
-            k_beta = p <= k < r
-            l_beta = p <= l < r
-            k_gamma = k >= r
-            l_gamma = l >= r
-            drop = (
-                ((not include_bb) and k_beta and l_beta)
-                or (k_beta and l_gamma)
-                or (l_beta and k_gamma)
-                or (k_gamma and l_gamma)
-            )
-            if drop:
-                continue
-            e = np.zeros((n, n))
-            if k == l:
-                e[k, k] = 1.0
-            else:
-                e[k, l] = e[l, k] = 1.0 / np.sqrt(2.0)
-            cols.append(sym_to_vec(sym(basis @ e @ basis.T)))
-    if not cols:
-        return ConditionResult(FAILS, 0.0)
-    stacked = np.stack(cols, axis=1)
+    blocks = ("aa", "ab", "ag", "bb") if include_bb else ("aa", "ab", "ag")
+    free = np.eye(n_sym)[:, pair_mask(ied, blocks)]
+    stacked = np.hstack([sym_to_vec(constraint_stack(problem, z.x, ied)[1]).T, free])
     if stacked.shape[1] < n_sym:
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -265,44 +216,33 @@ def check_sonc_heuristic(
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(seed)
-    p, q, n = ied.p, ied.q, ied.n
-    r = n - q
+    p, r = ied.p, ied.n - ied.q
     form = quad_form_matrix(problem, z, ied, basis)
-    worst = np.inf
-    kept = 0
-    for _ in range(samples):
-        coeff = rng.standard_normal(basis.shape[1])
-        norm = float(np.linalg.norm(coeff))
-        if norm == 0.0:
-            continue
-        coeff /= norm
-        d = basis @ coeff
-        image = ied.basis.T @ problem.apply_dg(z.x, d) @ ied.basis
-        bb = image[p:r, p:r]
-        if bb.size:
-            eigs = np.linalg.eigvalsh(sym(bb))
-            if np.min(eigs) < -1e-10 * max(1.0, float(np.max(np.abs(eigs)))):
-                continue
-        kept += 1
-        worst = min(worst, float(coeff @ form @ coeff))
-    if kept == 0:
+    at_bb = constraint_stack(problem, z.x, ied)[1][:, p:r, p:r]
+    coeffs = rng.standard_normal((samples, basis.shape[1]))
+    norms = np.linalg.norm(coeffs, axis=1)
+    coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
+    if r > p:
+        # beta-beta image of each sample direction d = basis @ coeff
+        bb = np.tensordot(coeffs @ basis.T, at_bb, axes=1)
+        eigs = np.linalg.eigvalsh(0.5 * (bb + np.swapaxes(bb, 1, 2)))
+        scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
+        coeffs = coeffs[np.min(eigs, axis=1) >= -1e-10 * scale]
+    if coeffs.shape[0] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
+    worst = float(np.min(np.einsum("si,ij,sj->s", coeffs, form, coeffs)))
     verdict = HEURISTIC_HOLDS if worst >= -margin_tol else HEURISTIC_FAILS
     return ConditionResult(verdict, worst)
 
 
-def _project_polar_cone(ied, d):
-    """Projection onto {P D P^T : D_aa = D_ab = D_ag = 0, D_bb NSD}."""
-    p, q, n = ied.p, ied.q, ied.n
-    r = n - q
-    dt = ied.basis.T @ d @ ied.basis
-    out = np.zeros((n, n))
-    if r - p:
-        out[p:r, p:r] = nsd_part(sym(dt[p:r, p:r]))
-        out[p:r, r:] = dt[p:r, r:]
-        out[r:, p:r] = dt[r:, p:r]
-    out[r:, r:] = dt[r:, r:]
-    return sym(ied.basis @ out @ ied.basis.T)
+def _project_polar_cone(ied, dt):
+    """Projection onto {D : D_aa = D_ab = D_ag = 0, D_bb NSD}, D in the eigenbasis."""
+    p, r = ied.p, ied.n - ied.q
+    out = np.zeros_like(dt)
+    out[p:, p:] = dt[p:, p:]
+    if r > p:
+        out[p:r, p:r] = nsd_part(dt[p:r, p:r])
+    return out
 
 
 def check_srcq_heuristic(
@@ -331,14 +271,10 @@ def check_srcq_heuristic(
     res = residual(problem, z, ied.zero_tol)
     if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
-    m, n = problem.m, ied.n
-    n_sym = n * (n + 1) // 2
-    rows = np.zeros((m, n_sym))
-    for i in range(m):
-        e = np.zeros(m)
-        e[i] = 1.0
-        rows[i] = sym_to_vec(problem.apply_dg(z.x, e))
-    null = _null_space(rows, rank_tol)
+    # everything below lives in eigenbasis coordinates, where the
+    # polar cone is a block mask and frob norms are unchanged
+    n = ied.n
+    null = _null_space(sym_to_vec(constraint_stack(problem, z.x, ied)[1]), rank_tol)
 
     def project_null(mat):
         vec = sym_to_vec(mat)
@@ -347,7 +283,8 @@ def check_srcq_heuristic(
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(restarts):
-        d = _project_polar_cone(ied, sym(rng.standard_normal((n, n))))
+        start = ied.basis.T @ rng.standard_normal((n, n)) @ ied.basis
+        d = _project_polar_cone(ied, sym(start))
         norm = frob(d)
         if norm == 0.0:
             continue

@@ -12,7 +12,8 @@ zero by combining three moves, all housed in the descent step
   and merit decreases are available in closed form;
 * an eigenvalue correction that snaps near-zero eigenvalues of G(z) to
   exact zeros, moving the iterate onto a lower-dimensional stratum, and
-  is accepted only when it does not increase the merit.
+  is accepted only when the step from the corrected point strictly
+  decreases the merit.
 
 Progress is measured by the directional-stationarity proxy
 s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
@@ -433,7 +434,7 @@ def sgn_solve(
 
     Each outer iteration stops if the stationarity measure is within
     tolerance, otherwise corrects the iterate, takes the descent step
-    from the corrected point if that does not increase the merit, and
+    from the corrected point if that strictly decreases the merit, and
     from the uncorrected point otherwise.  The merit sequence is
     nonincreasing by construction.  Terminates with ``converged``,
     ``max-iter``, or ``stalled`` when no candidate makes progress; no
@@ -462,7 +463,7 @@ def sgn_solve(
         if material:
             z_hat = correct(z, ied, config.delta)
             outcome = slmn(problem, z_hat, config)
-            if outcome.res.phi <= state.res.phi:
+            if outcome.res.phi < state.res.phi:
                 corrected = True
             else:
                 outcome = slmn(problem, z, config, state)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InertiaViolation, NumericalError, TangencyViolation
 
-_SQRT2 = np.sqrt(2.0)
+SQRT2 = np.sqrt(2.0)
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -84,17 +84,20 @@ def unpack_sym(flat: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def sym_to_vec(a: np.ndarray) -> np.ndarray:
-    """Isometric coordinates of a symmetric matrix (upper triangle, sqrt2 off-diag)."""
-    n = a.shape[0]
+    """Isometric coordinates of a symmetric matrix (upper triangle, sqrt2 off-diag).
+
+    Acts on the last two axes, so it maps stacks of matrices too.
+    """
+    n = a.shape[-1]
     iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, _SQRT2)
-    return a[iu, ju] * scale
+    scale = np.where(iu == ju, 1.0, SQRT2)
+    return a[..., iu, ju] * scale
 
 
 def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`sym_to_vec`."""
     iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, _SQRT2)
+    scale = np.where(iu == ju, 1.0, SQRT2)
     a = np.zeros((n, n))
     a[iu, ju] = np.asarray(v, dtype=float) / scale
     a[ju, iu] = a[iu, ju]
@@ -262,6 +265,16 @@ def nsd_part(a: np.ndarray) -> np.ndarray:
     return sym(basis @ (np.minimum(lam, 0.0)[:, None] * basis.T))
 
 
+def _xi_product(ied: IED, h: np.ndarray, beta_map) -> np.ndarray:
+    """P (xi o P^T h P) P^T with ``beta_map`` applied to the beta-beta block."""
+    p, r = ied.p, ied.n - ied.q
+    ht = ied.basis.T @ h @ ied.basis
+    out = ied.xi * ht
+    if r > p:
+        out[p:r, p:r] = beta_map(ht[p:r, p:r])
+    return sym(ied.basis @ out @ ied.basis.T)
+
+
 def proj_dir_derivative(ied: IED, h: np.ndarray) -> np.ndarray:
     """Directional derivative of the PSD projector at ``ied.matrix`` along ``h``.
 
@@ -269,19 +282,7 @@ def proj_dir_derivative(ied: IED, h: np.ndarray) -> np.ndarray:
     direction passes through an inner PSD projection, which is what makes
     the projector merely B-differentiable off the strata.
     """
-    p, q, n = ied.p, ied.q, ied.n
-    r = n - q
-    ht = ied.basis.T @ h @ ied.basis
-    out = np.zeros((n, n))
-    out[:p, :r] = ht[:p, :r]
-    out[:r, :p] = ht[:r, :p]
-    if q:
-        block = ied.xi[:p, r:] * ht[:p, r:]
-        out[:p, r:] = block
-        out[r:, :p] = block.T
-    if r - p:
-        out[p:r, p:r] = psd_part(ht[p:r, p:r])
-    return sym(ied.basis @ out @ ied.basis.T)
+    return _xi_product(ied, h, psd_part)
 
 
 def stratum_differential(ied: IED, h: np.ndarray) -> np.ndarray:
@@ -291,24 +292,17 @@ def stratum_differential(ied: IED, h: np.ndarray) -> np.ndarray:
     has to vanish (up to 1e-10 relative), otherwise a
     :class:`TangencyViolation` is raised with the measured norm.
     """
-    p, q, n = ied.p, ied.q, ied.n
-    r = n - q
-    ht = ied.basis.T @ h @ ied.basis
-    bb = frob(ht[p:r, p:r])
-    if bb > 1e-10 * frob(h):
-        raise TangencyViolation(
-            f"direction is not tangent to the stratum: |beta block| = {bb:.3e}",
-            beta_block_norm=bb,
-        )
-    out = np.zeros((n, n))
-    out[:p, :r] = ht[:p, :r]
-    out[:r, :p] = ht[:r, :p]
-    if q:
-        block = ied.xi[:p, r:] * ht[:p, r:]
-        out[:p, r:] = block
-        out[r:, :p] = block.T
-    out[p:r, p:r] = 0.0
-    return sym(ied.basis @ out @ ied.basis.T)
+
+    def vanishing(block):
+        bb = frob(block)
+        if bb > 1e-10 * frob(h):
+            raise TangencyViolation(
+                f"direction is not tangent to the stratum: |beta block| = {bb:.3e}",
+                beta_block_norm=bb,
+            )
+        return 0.0
+
+    return _xi_product(ied, h, vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +315,49 @@ def stratum_dimension(n: int, p: int, q: int) -> int:
     return n * r - r * (r - 1) // 2
 
 
+def pair_mask(ied: IED, blocks) -> np.ndarray:
+    """Mask of the pairs in ``np.triu_indices(n)`` order joining ``blocks``.
+
+    ``blocks`` names block pairs such as ``("bb", "bg", "gg")`` with
+    a = alpha, b = beta, g = gamma, earlier block first.
+    """
+    block = np.repeat([0, 1, 2], [ied.p, ied.n_beta, ied.q])
+    iu, ju = np.triu_indices(ied.n)
+    codes = [3 * "abg".index(b[0]) + "abg".index(b[1]) for b in blocks]
+    return np.isin(3 * block[iu] + block[ju], codes)
+
+
 def tangent_pairs(ied: IED) -> np.ndarray:
     """Index pairs (k, l), k <= l, not both in beta, in upper-triangle order."""
-    n, p, q = ied.n, ied.p, ied.q
-    r = n - q
-    iu, ju = np.triu_indices(n)
-    i_beta = (iu >= p) & (iu < r)
-    j_beta = (ju >= p) & (ju < r)
-    keep = ~(i_beta & j_beta)
+    iu, ju = np.triu_indices(ied.n)
+    keep = ~pair_mask(ied, ("bb",))
     return np.stack([iu[keep], ju[keep]], axis=1)
+
+
+def tangent_matrix(ied: IED, coeffs: np.ndarray) -> np.ndarray:
+    """Tangent matrix P (sum_t c_t E_t) P^T from tangent-basis coefficients.
+
+    E_kk = e_k e_k^T and E_kl = (e_k e_l^T + e_l e_k^T)/sqrt(2) for k < l,
+    over :func:`tangent_pairs`.  Leading axes of ``coeffs`` are batch
+    axes: coefficients of shape (..., T) give matrices of shape (..., n, n).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    k, l = tangent_pairs(ied).T
+    ht = np.zeros(coeffs.shape[:-1] + (ied.n, ied.n))
+    ht[..., k, l] = coeffs / np.where(k == l, 1.0, SQRT2)
+    ht[..., l, k] = ht[..., k, l]
+    out = ied.basis @ ht @ ied.basis.T
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def tangent_basis(ied: IED) -> list:
     """Orthonormal basis of the tangent space at ``ied.matrix``.
 
-    Elements are P E_kl P^T with E_kk = e_k e_k^T and
-    E_kl = (e_k e_l^T + e_l e_k^T)/sqrt(2) for k < l, skipping pairs with
-    both indices in beta.
+    Elements are P E_kl P^T for the pairs of :func:`tangent_pairs`, with
+    E_kl as in :func:`tangent_matrix`.
     """
-    basis = []
-    p_mat = ied.basis
-    for k, l in tangent_pairs(ied):
-        e = np.zeros((ied.n, ied.n))
-        if k == l:
-            e[k, k] = 1.0
-        else:
-            e[k, l] = e[l, k] = 1.0 / _SQRT2
-        basis.append(sym(p_mat @ e @ p_mat.T))
-    return basis
+    dim = tangent_pairs(ied).shape[0]
+    return list(tangent_matrix(ied, np.eye(dim)))
 
 
 def normal_project_pi2(ied: IED, h: np.ndarray) -> np.ndarray:

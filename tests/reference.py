@@ -1,0 +1,125 @@
+"""Slow reference implementations the vectorised library code must match.
+
+These are the straightforward constructions: the stratum Jacobian built
+column by column through ``adjoint_dg`` and ``stratum_differential``,
+and the regularity quantities built by explicit loops over matrix
+entries in the eigenbasis.  They share no code with the library's
+constraint stack, so agreement is evidence for both.
+"""
+
+import numpy as np
+
+from sgnsdp.kkt import AssembledJacobian
+from sgnsdp.regularity import _definite_margin, _null_space
+from sgnsdp.spectral import stratum_differential, sym, sym_to_vec
+
+
+def _unit(size, i):
+    e = np.zeros(size)
+    e[i] = 1.0
+    return e
+
+
+def _blocks(ied, k):
+    """(is_beta, is_gamma) for index ``k`` of the IED."""
+    r = ied.n - ied.q
+    return ied.p <= k < r, k >= r
+
+
+def assemble_dF_by_columns(problem, z, frame) -> AssembledJacobian:
+    """The Jacobian one column at a time through the problem callbacks."""
+    ied = frame.ied
+    m, n = problem.m, ied.n
+    n_sym = n * (n + 1) // 2
+    cols = []
+    for i in range(m):
+        dg_e = problem.apply_dg(z.x, _unit(m, i))
+        top = problem.apply_hess_lagrangian(z.x, z.y, _unit(m, i)) - problem.adjoint_dg(
+            z.x, dg_e
+        )
+        cols.append(np.concatenate([top, sym_to_vec(-dg_e)]))
+    for idx in range(frame.dim_tangent):
+        h = frame.matrix_from_coeffs(_unit(frame.dim_tangent, idx))
+        top = problem.adjoint_dg(z.x, h)
+        cols.append(np.concatenate([top, sym_to_vec(stratum_differential(ied, h))]))
+    matrix = np.stack(cols, axis=1) if cols else np.zeros((m + n_sym, 0))
+    return AssembledJacobian(matrix=matrix, frame=frame)
+
+
+def _rotated_images(problem, z, ied):
+    m = problem.m
+    return [ied.basis.T @ problem.apply_dg(z.x, _unit(m, i)) @ ied.basis for i in range(m)]
+
+
+def constraint_rows(problem, z, ied, include_bb):
+    """Rows of v -> selected blocks of P^T (dg* v) P, by a double loop."""
+    m, n = problem.m, ied.n
+    images = _rotated_images(problem, z, ied)
+    rows = []
+    for k in range(n):
+        for l in range(k, n):
+            k_beta, k_gamma = _blocks(ied, k)
+            l_beta, l_gamma = _blocks(ied, l)
+            if (
+                (include_bb and k_beta and l_beta)
+                or (k_beta and l_gamma)
+                or (l_beta and k_gamma)
+                or (k_gamma and l_gamma)
+            ):
+                rows.append([img[k, l] for img in images])
+    return np.asarray(rows) if rows else np.zeros((0, m))
+
+
+def quad_form_matrix(problem, z, ied, basis):
+    """The reduced second order form, one basis pair at a time."""
+    k = basis.shape[1]
+    if k == 0:
+        return np.zeros((0, 0))
+    p, r = ied.p, ied.n - ied.q
+    lam = ied.eigenvalues
+    hess_cols = np.stack(
+        [problem.apply_hess_lagrangian(z.x, z.y, basis[:, a]) for a in range(k)], axis=1
+    )
+    out = basis.T @ hess_cols
+    if p and ied.q:
+        weights = -lam[r:][None, :] / lam[:p][:, None]
+        blocks = [
+            (ied.basis.T @ problem.apply_dg(z.x, basis[:, a]) @ ied.basis)[:p, r:]
+            for a in range(k)
+        ]
+        for a in range(k):
+            for b in range(k):
+                out[a, b] += 2.0 * float(np.sum(weights * blocks[a] * blocks[b]))
+    return sym(out)
+
+
+def span_margin(problem, z, ied, include_bb):
+    """sigma_{n_sym} of dg* e_i and the allowed P E_kl P^T, in plain coordinates."""
+    m, n = problem.m, ied.n
+    n_sym = n * (n + 1) // 2
+    cols = [sym_to_vec(problem.apply_dg(z.x, _unit(m, i))) for i in range(m)]
+    for k in range(n):
+        for l in range(k, n):
+            k_beta, k_gamma = _blocks(ied, k)
+            l_beta, l_gamma = _blocks(ied, l)
+            if (
+                ((not include_bb) and k_beta and l_beta)
+                or (k_beta and l_gamma)
+                or (k_gamma and l_gamma)
+            ):
+                continue
+            e = np.zeros((n, n))
+            e[k, l] = e[l, k] = 1.0 if k == l else 1.0 / np.sqrt(2.0)
+            cols.append(sym_to_vec(ied.basis @ e @ ied.basis.T))
+    if len(cols) < n_sym:
+        return 0.0
+    return float(np.linalg.svd(np.stack(cols, axis=1), compute_uv=False)[n_sym - 1])
+
+
+def second_order_margin(problem, z, ied, include_bb, definite):
+    """W-SOC (``definite``) or SSOSC margin from the reference pieces."""
+    basis = _null_space(constraint_rows(problem, z, ied, include_bb))
+    if basis.shape[1] == 0:
+        return np.inf
+    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
+    return _definite_margin(eigs) if definite else float(np.min(eigs))

@@ -3,10 +3,8 @@
 import numpy as np
 
 from sgnsdp.kkt import TangentVector, residual, tangent_coords
-from sgnsdp.model import AffineQuadraticProblem, PrimalDualPoint
-from sgnsdp.spectral import IED, make_ied, sym, tangent_pairs
-
-SQRT2 = np.sqrt(2.0)
+from sgnsdp.model import AffineQuadraticProblem, NlsdpProblem, PrimalDualPoint
+from sgnsdp.spectral import IED, make_ied, sym, tangent_matrix, tangent_pairs
 
 
 def haar_orthogonal(rng, n):
@@ -26,14 +24,7 @@ def stratum_matrix(rng, n, p, q, lo=0.3, hi=2.0):
 
 def tangent_from_coeffs(ied: IED, coeffs):
     """Tangent matrix at ``ied.matrix`` with the given basis coefficients."""
-    n = ied.n
-    ht = np.zeros((n, n))
-    for (k, l), c in zip(tangent_pairs(ied), coeffs):
-        if k == l:
-            ht[k, k] = c
-        else:
-            ht[k, l] = ht[l, k] = c / SQRT2
-    return sym(ied.basis @ ht @ ied.basis.T)
+    return tangent_matrix(ied, coeffs)
 
 
 def random_tangent(rng, ied: IED, scale=1.0):
@@ -91,3 +82,42 @@ def corrected_random_point(rng, n, m, n_zero=1, seed_shift=0):
     cols = ied.basis[:, order]
     shift = sym(cols @ (ied.eigenvalues[order][:, None] * cols.T))
     return problem, PrimalDualPoint(x=z0.x, y=sym(z0.y - shift))
+
+
+class Oscillatory(NlsdpProblem):
+    """Nonlinear 1x1 instance: f = x^2/2, g(x) = sin(freq x) + level.
+
+    Strong constraint curvature makes full Gauss-Newton steps overshoot,
+    which is what the backtracking and stall paths need.
+    """
+
+    def __init__(self, freq=25.0, level=0.5):
+        self.freq = freq
+        self.level = level
+
+    @property
+    def m(self):
+        return 1
+
+    @property
+    def n(self):
+        return 1
+
+    def eval_f(self, x):
+        return float(0.5 * x[0] ** 2)
+
+    def grad_f(self, x):
+        return np.array([x[0]])
+
+    def eval_g(self, x):
+        return np.array([[np.sin(self.freq * x[0]) + self.level]])
+
+    def apply_dg(self, x, v):
+        return np.array([[self.freq * np.cos(self.freq * x[0]) * v[0]]])
+
+    def adjoint_dg(self, x, s):
+        return np.array([self.freq * np.cos(self.freq * x[0]) * s[0, 0]])
+
+    def apply_hess_lagrangian(self, x, y, v):
+        curvature = 1.0 - y[0, 0] * self.freq**2 * np.sin(self.freq * x[0])
+        return np.array([curvature * v[0]])

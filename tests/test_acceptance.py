@@ -8,6 +8,7 @@ computation and pinned here.
 import json
 
 import numpy as np
+from oracles import estimate_rate, fd_curve_derivative, fd_phi_dir
 from support import (
     corrected_random_point,
     haar_orthogonal,
@@ -36,7 +37,6 @@ from sgnsdp.model import (
     save_problem,
     synth_nondegenerate,
 )
-from sgnsdp.oracles import estimate_rate, fd_curve_derivative, fd_phi_dir
 from sgnsdp.regularity import (
     check_cn,
     check_ssosc,

@@ -1,9 +1,6 @@
 import numpy as np
 import pytest
-from support import random_point, random_problem, random_tangent, stratum_matrix
-
-from sgnsdp.kkt import dir_derivative_phi, residual
-from sgnsdp.oracles import (
+from oracles import (
     RateEstimate,
     _eigvals_analytic,
     brute_projection,
@@ -11,6 +8,9 @@ from sgnsdp.oracles import (
     fd_curve_derivative,
     fd_phi_dir,
 )
+from support import random_point, random_problem, random_tangent, stratum_matrix
+
+from sgnsdp.kkt import dir_derivative_phi, residual
 from sgnsdp.spectral import frob, make_ied, project_psd, stratum_differential, sym
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])

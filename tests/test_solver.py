@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
-from support import corrected_random_point, point_on_stratum, random_point, random_problem
+from support import (
+    Oscillatory,
+    corrected_random_point,
+    point_on_stratum,
+    random_point,
+    random_problem,
+)
 
 from sgnsdp.errors import InertiaViolation, LineSearchFailure
 from sgnsdp.kkt import assemble_dF, big_g, residual, tangent_coords
 from sgnsdp.model import (
     AffineQuadraticProblem,
-    NlsdpProblem,
     PrimalDualPoint,
     degenerate_fixture,
     point,
@@ -37,45 +42,6 @@ def scalar_boundary():
         c=[1.0], a0=np.array([[0.0]]), a_list=[np.array([[1.0]])]
     )
     return problem, point([0.0], [[0.0]])
-
-
-class Oscillatory(NlsdpProblem):
-    """Nonlinear 1x1 instance: f = x^2/2, g(x) = sin(freq x) + level.
-
-    Strong constraint curvature makes full Gauss-Newton steps overshoot,
-    which is what the backtracking and stall paths need.
-    """
-
-    def __init__(self, freq=25.0, level=0.5):
-        self.freq = freq
-        self.level = level
-
-    @property
-    def m(self):
-        return 1
-
-    @property
-    def n(self):
-        return 1
-
-    def eval_f(self, x):
-        return float(0.5 * x[0] ** 2)
-
-    def grad_f(self, x):
-        return np.array([x[0]])
-
-    def eval_g(self, x):
-        return np.array([[np.sin(self.freq * x[0]) + self.level]])
-
-    def apply_dg(self, x, v):
-        return np.array([[self.freq * np.cos(self.freq * x[0]) * v[0]]])
-
-    def adjoint_dg(self, x, s):
-        return np.array([self.freq * np.cos(self.freq * x[0]) * s[0, 0]])
-
-    def apply_hess_lagrangian(self, x, y, v):
-        curvature = 1.0 - y[0, 0] * self.freq**2 * np.sin(self.freq * x[0])
-        return np.array([curvature * v[0]])
 
 
 class TestConfig:
@@ -528,3 +494,20 @@ class TestSgnSolve:
             "correction", "corrected-lm", "corrected-normal1", "corrected-normal2",
         )
         assert result.phi <= 1e-20
+
+    def test_no_zero_progress_correction_cycle(self):
+        # a correction that changes nothing must not be accepted over the
+        # plain descent step: from this start the solver used to repeat a
+        # corrected-normal2 step at constant merit until max-iter
+        problem, z_star = synth_nondegenerate(seed=1, n=5, m=6)
+        rng = np.random.default_rng(0)
+        x0 = z_star.x + 0.3 * rng.standard_normal(6)
+        y0 = sym(z_star.y + 0.03 * rng.standard_normal((5, 5)))
+        result = sgn_solve(
+            problem, PrimalDualPoint(x=x0, y=y0), SolverConfig(tol=1e-10, max_iter=500)
+        )
+        assert result.status == CONVERGED
+        assert len(result.trace) < 200
+        phis = [rec.phi for rec in result.trace]
+        assert all(b < a for a, b in zip(phis, phis[1:]))
+        assert residual(problem, result.z).norm <= 1e-12
