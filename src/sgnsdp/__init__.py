@@ -8,82 +8,12 @@ numeric checkers for the problem's regularity conditions.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ConstructionFailure,
-    InertiaViolation,
-    InputError,
-    LinearSolveFailure,
-    LineSearchFailure,
-    NumericalError,
-    NumericalInconsistency,
-    SgnsdpError,
-    TangencyViolation,
-)
-from .kkt import (
-    AssembledJacobian,
-    KktResidual,
-    TangentFrame,
-    TangentVector,
-    assemble_dF,
-    big_g,
-    dir_derivative_phi,
-    residual,
-    tangent_coords,
-)
+from .kkt import residual
 from .model import (
     AffineQuadraticProblem,
     NlsdpProblem,
     PrimalDualPoint,
     degenerate_fixture,
-    degenerate_fixture_curve,
-    load_point,
-    load_problem,
-    point,
-    point_distance,
-    save_problem,
-    synth_nondegenerate,
 )
-from .regularity import (
-    RegularityReport,
-    check_cn,
-    check_sonc_heuristic,
-    check_srcq_heuristic,
-    check_ssosc,
-    check_wsoc,
-    check_wsrcq,
-    diagnose,
-    error_bound_probe,
-    injectivity_margin,
-)
-from .solver import (
-    IterationRecord,
-    SolveResult,
-    SolverConfig,
-    armijo_search,
-    correct,
-    delta_lower_modulus,
-    lm_direction,
-    normal_dirs,
-    normal_step,
-    retract_point,
-    sgn_solve,
-    slmn,
-    stationarity_measure,
-)
-from .spectral import (
-    IED,
-    eig_sym,
-    make_ied,
-    normal_project_pi2,
-    pack_sym,
-    project_nsd,
-    project_psd,
-    proj_dir_derivative,
-    retract_fixed_inertia,
-    rotate_within_eigenspaces,
-    stratum_differential,
-    tangent_basis,
-    tangent_project_pi1,
-    unpack_sym,
-    xi_matrix,
-)
+from .regularity import diagnose
+from .solver import SolverConfig, sgn_solve

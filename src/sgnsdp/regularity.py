@@ -10,6 +10,14 @@ residual, which is what the cross-validation in the tests exploits.
 SONC and SRCQ have no finite certificate here and are evaluated by
 clearly labelled heuristics (sampling, alternating projections); they
 inform diagnostics only and never steer the solver.
+
+The tolerances are fixed: a margin must exceed ``DEFAULT_MARGIN_TOL``
+(1e-8) for an exact check to hold, singular values below ``RANK_TOL``
+(1e-10) times the largest count as zero in every rank decision, and the
+SRCQ probe runs at most ``SRCQ_ITERATIONS`` (300) alternations per
+restart and fails at alignment ``1 - SRCQ_ALIGNMENT_TOL`` (1e-4).  The
+eigenvalue classification follows the IED passed in, or the adaptive
+default of :func:`make_ied`.
 """
 
 from dataclasses import dataclass
@@ -43,6 +51,12 @@ HEURISTIC_FAILS = "heuristic-fails"
 NOT_APPLICABLE = "not-applicable"
 
 DEFAULT_MARGIN_TOL = 1e-8
+RANK_TOL = 1e-10            # relative to the largest singular value
+SRCQ_ITERATIONS = 300
+# Deliberately coarser than the rank margins: the two sets of the SRCQ
+# probe can meet tangentially, in which case the alignment creeps toward
+# 1 sublinearly and a 1e-8 band would never be resolved.
+SRCQ_ALIGNMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -55,10 +69,10 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-def _ied_at(problem, z, ied, zero_tol=None) -> IED:
+def _ied_at(problem, z, ied) -> IED:
     if ied is not None:
         return ied
-    return make_ied(big_g(problem, z), zero_tol)
+    return make_ied(big_g(problem, z))
 
 
 def _constraint_rows(problem, z, ied, include_bb: bool):
@@ -69,28 +83,31 @@ def _constraint_rows(problem, z, ied, include_bb: bool):
     return at[:, iu[pick], ju[pick]].T
 
 
-def _null_space(mat, rank_tol=None):
+def _right_singular(mat, full_matrices=True):
+    """Right singular vectors (rows) of ``mat`` and its numerical rank."""
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
-        return np.eye(cols)
-    u, s, vt = np.linalg.svd(mat)
-    if rank_tol is None:
-        rank_tol = 1e-10 * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > rank_tol))
+        return np.eye(cols), 0
+    _, s, vt = np.linalg.svd(mat, full_matrices=full_matrices)
+    return vt, int(np.sum(s > RANK_TOL * s[0]))
+
+
+def _null_space(mat):
+    vt, rank = _right_singular(mat)
     return vt[rank:].T
 
 
-def appl_basis(problem, z, ied=None, rank_tol=None) -> np.ndarray:
+def appl_basis(problem, z, ied=None) -> np.ndarray:
     """Orthonormal basis of the primal directions with vanishing
     beta-beta, beta-gamma and gamma-gamma constraint blocks."""
     ied = _ied_at(problem, z, ied)
-    return _null_space(_constraint_rows(problem, z, ied, include_bb=True), rank_tol)
+    return _null_space(_constraint_rows(problem, z, ied, include_bb=True))
 
 
-def app_basis(problem, z, ied=None, rank_tol=None) -> np.ndarray:
+def app_basis(problem, z, ied=None) -> np.ndarray:
     """As :func:`appl_basis` with the beta-beta requirement dropped."""
     ied = _ied_at(problem, z, ied)
-    return _null_space(_constraint_rows(problem, z, ied, include_bb=False), rank_tol)
+    return _null_space(_constraint_rows(problem, z, ied, include_bb=False))
 
 
 def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
@@ -123,33 +140,29 @@ def _definite_margin(eigs: np.ndarray) -> float:
     return -float(min(np.max(eigs), -np.min(eigs)))
 
 
-def check_wsoc(
-    problem, z, ied=None, margin_tol=DEFAULT_MARGIN_TOL, rank_tol=None
-) -> ConditionResult:
+def check_wsoc(problem, z, ied=None) -> ConditionResult:
     """Weak second order condition: the reduced form is sign-definite."""
     ied = _ied_at(problem, z, ied)
-    basis = appl_basis(problem, z, ied, rank_tol)
+    basis = appl_basis(problem, z, ied)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
     eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
     margin = _definite_margin(eigs)
-    return ConditionResult(HOLDS if margin > margin_tol else FAILS, margin)
+    return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def check_ssosc(
-    problem, z, ied=None, margin_tol=DEFAULT_MARGIN_TOL, rank_tol=None
-) -> ConditionResult:
+def check_ssosc(problem, z, ied=None) -> ConditionResult:
     """Strong second order sufficient condition: positive definite on app."""
     ied = _ied_at(problem, z, ied)
-    basis = app_basis(problem, z, ied, rank_tol)
+    basis = app_basis(problem, z, ied)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
     eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
     margin = float(np.min(eigs))
-    return ConditionResult(HOLDS if margin > margin_tol else FAILS, margin)
+    return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def _span_check(problem, z, ied, include_bb, margin_tol):
+def _span_check(problem, z, ied, include_bb):
     """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
 
     In eigenbasis coordinates the second set is spanned by unit vectors.
@@ -163,28 +176,24 @@ def _span_check(problem, z, ied, include_bb, margin_tol):
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
     margin = float(svals[n_sym - 1])
-    return ConditionResult(HOLDS if margin > margin_tol else FAILS, margin)
+    return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def check_wsrcq(
-    problem, z, ied=None, margin_tol=DEFAULT_MARGIN_TOL
-) -> ConditionResult:
+def check_wsrcq(problem, z, ied=None) -> ConditionResult:
     """Weak strict Robinson constraint qualification (span includes beta-beta)."""
     ied = _ied_at(problem, z, ied)
-    return _span_check(problem, z, ied, include_bb=True, margin_tol=margin_tol)
+    return _span_check(problem, z, ied, include_bb=True)
 
 
-def check_cn(
-    problem, z, ied=None, margin_tol=DEFAULT_MARGIN_TOL
-) -> ConditionResult:
+def check_cn(problem, z, ied=None) -> ConditionResult:
     """Constraint nondegeneracy (beta-beta excluded from the span)."""
     ied = _ied_at(problem, z, ied)
-    return _span_check(problem, z, ied, include_bb=False, margin_tol=margin_tol)
+    return _span_check(problem, z, ied, include_bb=False)
 
 
-def injectivity_margin(problem, z, ied=None, zero_tol=None) -> float:
+def injectivity_margin(problem, z, ied=None) -> float:
     """Smallest singular value of the assembled on-stratum differential."""
-    ied = _ied_at(problem, z, ied, zero_tol)
+    ied = _ied_at(problem, z, ied)
     frame = tangent_coords(problem, z, ied)
     return assemble_dF(problem, z, frame).sigma_min()
 
@@ -199,8 +208,6 @@ def check_sonc_heuristic(
     samples: int = 200,
     seed: int = 0,
     ied=None,
-    margin_tol=DEFAULT_MARGIN_TOL,
-    rank_tol=None,
 ) -> ConditionResult:
     """Sampled second order necessary condition.
 
@@ -212,7 +219,7 @@ def check_sonc_heuristic(
     if samples < 1:
         raise ValueError("samples must be positive")
     ied = _ied_at(problem, z, ied)
-    basis = app_basis(problem, z, ied, rank_tol)
+    basis = app_basis(problem, z, ied)
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(seed)
@@ -231,29 +238,12 @@ def check_sonc_heuristic(
     if coeffs.shape[0] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     worst = float(np.min(np.einsum("si,ij,sj->s", coeffs, form, coeffs)))
-    verdict = HEURISTIC_HOLDS if worst >= -margin_tol else HEURISTIC_FAILS
+    verdict = HEURISTIC_HOLDS if worst >= -DEFAULT_MARGIN_TOL else HEURISTIC_FAILS
     return ConditionResult(verdict, worst)
 
 
-def _project_polar_cone(ied, dt):
-    """Projection onto {D : D_aa = D_ab = D_ag = 0, D_bb NSD}, D in the eigenbasis."""
-    p, r = ied.p, ied.n - ied.q
-    out = np.zeros_like(dt)
-    out[p:, p:] = dt[p:, p:]
-    if r > p:
-        out[p:r, p:r] = nsd_part(dt[p:r, p:r])
-    return out
-
-
 def check_srcq_heuristic(
-    problem,
-    z,
-    restarts: int = 20,
-    iterations: int = 300,
-    seed: int = 0,
-    ied=None,
-    alignment_tol: float = 1e-4,
-    rank_tol=None,
+    problem, z, restarts: int = 20, seed: int = 0, ied=None
 ) -> ConditionResult:
     """Alternating-projection probe of the strict Robinson qualification.
 
@@ -263,52 +253,59 @@ def check_srcq_heuristic(
     reports the largest limiting alignment.  Requires near
     complementarity at ``z``, otherwise not-applicable.
 
-    ``alignment_tol`` is deliberately coarser than the rank margins: the
-    two sets can meet tangentially, in which case the alignment creeps
-    toward 1 sublinearly and a 1e-8 band would never be resolved.
+    In eigenbasis coordinates the polar cone holds the matrices that live
+    on the trailing (beta u gamma) block with an NSD beta-beta block, so
+    the iterate is that block alone.  With span_k an orthonormal basis of
+    the rotated constraint range and c_k = <span_k, D>, a unit iterate D
+    has null-space component D - sum_k c_k span_k.  Its norm, the
+    alignment, is summed from the parts inside the block and outside it
+    (which the next projection drops): sqrt(1 - |c|^2) would cancel to
+    1e-8 noise where the alignment is 0.
     """
     ied = _ied_at(problem, z, ied)
     res = residual(problem, z, ied.zero_tol)
     if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
-    # everything below lives in eigenbasis coordinates, where the
-    # polar cone is a block mask and frob norms are unchanged
-    n = ied.n
-    null = _null_space(sym_to_vec(constraint_stack(problem, z.x, ied)[1]), rank_tol)
-
-    def project_null(mat):
-        vec = sym_to_vec(mat)
-        return vec_to_sym(null @ (null.T @ vec), n)
-
+    n, p, n_beta = ied.n, ied.p, ied.n_beta
+    vt, rank = _right_singular(
+        sym_to_vec(constraint_stack(problem, z.x, ied)[1]), full_matrices=False
+    )
+    if rank == vt.shape[1]:
+        return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
+    # the range basis as flattened matrices, split at the trailing block
+    span = vec_to_sym(vt[:rank], n).reshape(rank, -1)
+    block = np.zeros((n, n), dtype=bool)
+    block[p:, p:] = True
+    inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]
+    trailing = ied.basis[:, p:]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(restarts):
-        start = ied.basis.T @ rng.standard_normal((n, n)) @ ied.basis
-        d = _project_polar_cone(ied, sym(start))
-        norm = frob(d)
-        if norm == 0.0:
-            continue
-        d /= norm
+        d = sym(trailing.T @ rng.standard_normal((n, n)) @ trailing)
         alignment = 0.0
-        for _ in range(iterations):
-            in_null = project_null(d)
-            denom = frob(d)
-            if denom == 0.0:
-                alignment = 0.0
-                break
-            alignment = frob(in_null) / denom
-            if alignment > 1.0 - 0.1 * alignment_tol:
-                break  # already decisively past the verdict threshold
-            d = _project_polar_cone(ied, in_null)
+        # each pass projects onto the polar cone, normalises, then measures
+        # and removes the range component; an alignment whose projection
+        # vanishes on the next pass reads as 0
+        for it in range(SRCQ_ITERATIONS + 1):
+            if n_beta:
+                d[:n_beta, :n_beta] = nsd_part(d[:n_beta, :n_beta])
             norm = frob(d)
             if norm == 0.0:
                 alignment = 0.0
                 break
             d /= norm
+            if it == SRCQ_ITERATIONS:
+                break
+            c = inside @ d.ravel()
+            d = d - (c @ inside).reshape(d.shape)
+            out = c @ outside
+            alignment = float(np.vdot(d, d) + out @ out) ** 0.5
+            if alignment > 1.0 - 0.1 * SRCQ_ALIGNMENT_TOL:
+                break  # already decisively past the verdict threshold
         worst = max(worst, alignment)
-        if worst > 1.0 - 0.1 * alignment_tol:
+        if worst > 1.0 - 0.1 * SRCQ_ALIGNMENT_TOL:
             break
-    verdict = HEURISTIC_HOLDS if worst < 1.0 - alignment_tol else HEURISTIC_FAILS
+    verdict = HEURISTIC_HOLDS if worst < 1.0 - SRCQ_ALIGNMENT_TOL else HEURISTIC_FAILS
     return ConditionResult(verdict, worst)
 
 
@@ -318,7 +315,6 @@ def error_bound_probe(
     radius: float,
     samples: int,
     seed: int = 0,
-    zero_tol=None,
 ) -> float:
     """Empirical stratum-restricted error-bound constant near a KKT pair.
 
@@ -330,7 +326,7 @@ def error_bound_probe(
     from .model import point_distance
     from .solver import retract_point
 
-    res = residual(problem, z_bar, zero_tol)
+    res = residual(problem, z_bar)
     frame = tangent_coords(problem, z_bar, res.ied)
     rng = np.random.default_rng(seed)
     dim = frame.dim
@@ -349,7 +345,7 @@ def error_bound_probe(
         dist = point_distance(z, z_bar)
         if dist == 0.0:
             continue
-        ratio = residual(problem, z, zero_tol).norm / dist
+        ratio = residual(problem, z).norm / dist
         best = min(best, ratio)
     return best
 
@@ -399,19 +395,16 @@ def diagnose(
     seed: int = 0,
     sonc_samples: int = 200,
     srcq_restarts: int = 20,
-    margin_tol=DEFAULT_MARGIN_TOL,
     zero_tol=None,
 ) -> RegularityReport:
     """Evaluate every condition at ``z`` and collect the report."""
     ied = make_ied(big_g(problem, z), zero_tol)
     return RegularityReport(
-        w_soc=check_wsoc(problem, z, ied, margin_tol),
-        w_srcq=check_wsrcq(problem, z, ied, margin_tol),
-        constraint_nondegeneracy=check_cn(problem, z, ied, margin_tol),
-        s_sosc=check_ssosc(problem, z, ied, margin_tol),
-        sonc=check_sonc_heuristic(
-            problem, z, samples=sonc_samples, seed=seed, ied=ied, margin_tol=margin_tol
-        ),
+        w_soc=check_wsoc(problem, z, ied),
+        w_srcq=check_wsrcq(problem, z, ied),
+        constraint_nondegeneracy=check_cn(problem, z, ied),
+        s_sosc=check_ssosc(problem, z, ied),
+        sonc=check_sonc_heuristic(problem, z, samples=sonc_samples, seed=seed, ied=ied),
         srcq=check_srcq_heuristic(
             problem, z, restarts=srcq_restarts, seed=seed, ied=ied
         ),

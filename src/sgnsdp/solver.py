@@ -331,8 +331,9 @@ class _PointState:
         return max(frob(self.w1), frob(self.w2), v_norm)
 
 
-def _point_state(problem, z, config) -> _PointState:
-    res = residual(problem, z, config.zero_tol)
+def _point_state(problem, z, config, res=None) -> _PointState:
+    if res is None:
+        res = residual(problem, z, config.zero_tol)
     frame = tangent_coords(problem, z, res.ied)
     jac = assemble_dF(problem, z, frame)
     w1, w2 = normal_dirs(problem, z, res.ied, res)
@@ -379,9 +380,10 @@ def slmn(
     """One descent step: best of the two normal candidates and the LM step.
 
     Candidates that do not exist (zero direction, failed search or
-    solve) are skipped; among the rest the merit minimizer wins, with
-    ties broken in the order lm, normal1, normal2.  If nothing decreases
-    the merit the input point is returned with the stall flag set.
+    solve, a normal step whose closed form is undefined) are skipped;
+    among the rest the merit minimizer wins, with ties broken in the
+    order lm, normal1, normal2.  If nothing decreases the merit the input
+    point is returned with the stall flag set.
 
     The three candidates are independent reads of the same immutable
     snapshot, so they could be evaluated concurrently; they are evaluated
@@ -404,7 +406,10 @@ def slmn(
     for which, w, kind in ((1, state.w1, "normal1"), (2, state.w2, "normal2")):
         if float(np.sum(w * w)) == 0.0:
             continue
-        cand = normal_step(problem, z, res.ied, which, res)
+        try:
+            cand = normal_step(problem, z, res.ied, which, res)
+        except NumericalInconsistency:
+            continue
         if cand is None:
             continue
         cand_res = residual(problem, cand, config.zero_tol)
@@ -455,12 +460,8 @@ def sgn_solve(
         # currently classified nonzero; a band holding only beta noise
         # would re-zero what the retraction already keeps at zero.
         ied = state.res.ied
-        nonzero = np.concatenate(
-            [ied.eigenvalues[: ied.p], ied.eigenvalues[ied.n - ied.q :]]
-        )
-        material = bool(np.any(np.abs(nonzero) <= config.delta))
         corrected = False
-        if material:
+        if delta_lower_modulus(ied) <= config.delta:
             z_hat = correct(z, ied, config.delta)
             outcome = slmn(problem, z_hat, config)
             if outcome.res.phi < state.res.phi:
@@ -496,7 +497,7 @@ def sgn_solve(
                 stationarity=s_val, trace=trace,
             )
         z = outcome.z
-        state = _point_state(problem, z, config)
+        state = _point_state(problem, z, config, outcome.res)
     return SolveResult(
         status=MAX_ITER, z=z, phi=state.res.phi,
         stationarity=state.stationarity, trace=trace,

@@ -95,12 +95,13 @@ def sym_to_vec(a: np.ndarray) -> np.ndarray:
 
 
 def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec`."""
+    """Inverse of :func:`sym_to_vec`; acts on the last axis, so it maps stacks too."""
     iu, ju = np.triu_indices(n)
     scale = np.where(iu == ju, 1.0, SQRT2)
-    a = np.zeros((n, n))
-    a[iu, ju] = np.asarray(v, dtype=float) / scale
-    a[ju, iu] = a[iu, ju]
+    v = np.asarray(v, dtype=float)
+    a = np.zeros(v.shape[:-1] + (n, n))
+    a[..., iu, ju] = v / scale
+    a[..., ju, iu] = a[..., iu, ju]
     return a
 
 
@@ -149,6 +150,12 @@ class IED:
     eigenvalues above ``zero_tol``, within it, and below ``-zero_tol``.
     The basis within an eigenvalue cluster is whatever the eigensolver
     returned; every consumer is required to be invariant to that choice.
+
+    ``xi`` is the coefficient matrix of the projector's directional
+    derivative: entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j)
+    with beta eigenvalues treated as exact zeros, so 1 wherever both
+    indices are nonnegative (equal pairs by the 0/0 := 1 convention) and
+    0 when both sit in gamma.
     """
 
     matrix: np.ndarray
@@ -223,17 +230,6 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
         zero_tol=float(zero_tol),
         xi=_xi_from_classification(lam, p, q),
     )
-
-
-def xi_matrix(ied: IED) -> np.ndarray:
-    """Coefficient matrix of the projector's directional derivative.
-
-    Entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j) with
-    beta eigenvalues treated as exact zeros: 1 wherever both indices are
-    nonnegative (including equal pairs, by the 0/0 := 1 convention) and
-    0 when both sit in gamma.
-    """
-    return ied.xi.copy()
 
 
 # ---------------------------------------------------------------------------

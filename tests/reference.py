@@ -2,16 +2,30 @@
 
 These are the straightforward constructions: the stratum Jacobian built
 column by column through ``adjoint_dg`` and ``stratum_differential``,
-and the regularity quantities built by explicit loops over matrix
-entries in the eigenbasis.  They share no code with the library's
-constraint stack, so agreement is evidence for both.
+the regularity quantities built by explicit loops over matrix
+entries in the eigenbasis, and the SRCQ probe iterating on full n x n
+matrices.  They share no code with the library's constraint stack, so
+agreement is evidence for both.
 """
 
 import numpy as np
 
-from sgnsdp.kkt import AssembledJacobian
-from sgnsdp.regularity import _definite_margin, _null_space
-from sgnsdp.spectral import stratum_differential, sym, sym_to_vec
+from sgnsdp.kkt import AssembledJacobian, residual
+from sgnsdp.regularity import (
+    HEURISTIC_FAILS,
+    HEURISTIC_HOLDS,
+    NOT_APPLICABLE,
+    _definite_margin,
+    _null_space,
+)
+from sgnsdp.spectral import (
+    frob,
+    nsd_part,
+    stratum_differential,
+    sym,
+    sym_to_vec,
+    vec_to_sym,
+)
 
 
 def _unit(size, i):
@@ -123,3 +137,55 @@ def second_order_margin(problem, z, ied, include_bb, definite):
         return np.inf
     eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
     return _definite_margin(eigs) if definite else float(np.min(eigs))
+
+
+def _project_polar_cone(ied, dt):
+    """Projection onto {D : D_aa = D_ab = D_ag = 0, D_bb NSD}, D in the eigenbasis."""
+    p, r = ied.p, ied.n - ied.q
+    out = np.zeros_like(dt)
+    out[p:, p:] = dt[p:, p:]
+    if r > p:
+        out[p:r, p:r] = nsd_part(dt[p:r, p:r])
+    return out
+
+
+def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_tol=1e-4):
+    """(verdict, margin) of the SRCQ alternating projections on full matrices.
+
+    Each alternation projects an n x n eigenbasis iterate onto the null
+    space of the rotated dg* in ``sym_to_vec`` coordinates, then onto the
+    polar cone by a block mask, from the same random starts as the
+    library probe.
+    """
+    res = residual(problem, z, ied.zero_tol)
+    if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
+        return NOT_APPLICABLE, np.nan
+    n, m = ied.n, problem.m
+    images = _rotated_images(problem, z, ied)
+    rows = np.array([sym_to_vec(img) for img in images]).reshape(m, n * (n + 1) // 2)
+    null = _null_space(rows)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(restarts):
+        start = ied.basis.T @ rng.standard_normal((n, n)) @ ied.basis
+        d = _project_polar_cone(ied, sym(start))
+        norm = frob(d)
+        if norm == 0.0:
+            continue
+        d /= norm
+        alignment = 0.0
+        for _ in range(iterations):
+            in_null = vec_to_sym(null @ (null.T @ sym_to_vec(d)), n)
+            alignment = frob(in_null) / frob(d)
+            if alignment > 1.0 - 0.1 * alignment_tol:
+                break
+            d = _project_polar_cone(ied, in_null)
+            norm = frob(d)
+            if norm == 0.0:
+                alignment = 0.0
+                break
+            d /= norm
+        worst = max(worst, alignment)
+        if worst > 1.0 - 0.1 * alignment_tol:
+            break
+    return (HEURISTIC_HOLDS if worst < 1.0 - alignment_tol else HEURISTIC_FAILS), worst

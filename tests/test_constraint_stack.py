@@ -3,10 +3,14 @@
 Everything the Jacobian and the regularity checks read from the rotated
 stack is compared with the column-by-column and loop-by-entry versions
 in :mod:`reference`, over random problems, random strata with a
-populated beta block and random eigenbases within clusters.
+populated beta block and random eigenbases within clusters.  The SRCQ
+probe, which iterates on the trailing block alone, is compared with the
+full-matrix alternation.
 """
 
 import numpy as np
+import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -14,9 +18,17 @@ from reference import (
     constraint_rows,
     second_order_margin,
     span_margin,
+    srcq_probe,
 )
-from support import Oscillatory, corrected_random_point
+from support import (
+    Oscillatory,
+    corrected_random_point,
+    haar_orthogonal,
+    random_point,
+    random_problem,
+)
 
+import sgnsdp.regularity
 from sgnsdp.kkt import (
     assemble_dF,
     big_g,
@@ -24,13 +36,22 @@ from sgnsdp.kkt import (
     residual,
     tangent_coords,
 )
-from sgnsdp.model import NlsdpProblem, point
+from sgnsdp.model import (
+    AffineQuadraticProblem,
+    NlsdpProblem,
+    degenerate_fixture,
+    point,
+    synth_nondegenerate,
+)
 from sgnsdp.regularity import (
     DEFAULT_MARGIN_TOL,
     FAILS,
+    HEURISTIC_HOLDS,
     HOLDS,
+    NOT_APPLICABLE,
     _constraint_rows,
     check_cn,
+    check_srcq_heuristic,
     check_ssosc,
     check_wsoc,
     check_wsrcq,
@@ -171,3 +192,77 @@ def test_regularity_margins_match_loop_reference(case):
     for result, ref in pairs:
         assert _close(result.margin, ref), (result.margin, ref)
         assert result.verdict == _verdict(ref)
+
+
+def _off_complementarity():
+    rng = np.random.default_rng(7)
+    problem = random_problem(rng, 4, 5)
+    return problem, random_point(rng, problem)
+
+
+@pytest.mark.parametrize(
+    "build, rotation",
+    [
+        (degenerate_fixture, None),
+        (degenerate_fixture, 0),
+        (degenerate_fixture, 1),
+        (lambda: synth_nondegenerate(seed=4000, n=5, m=6), None),
+        (lambda: synth_nondegenerate(seed=4001, n=5, m=6), 2),
+        (lambda: synth_nondegenerate(seed=3, n=5, m=6), 3),
+        (_off_complementarity, None),
+    ],
+    ids=["fixture", "fixture-rot0", "fixture-rot1", "synth4000", "synth4001-rot2",
+         "synth3-rot3", "not-applicable"],
+)
+def test_srcq_probe_matches_full_matrix_reference(build, rotation, monkeypatch):
+    problem, z = build()
+    ied = make_ied(big_g(problem, z))
+    if rotation is not None:
+        ied = rotate_within_eigenspaces(ied, rotation)
+    # the beta-beta projections count the alternations each probe runs
+    projections = {}
+    for module in (sgnsdp.regularity, reference):
+        def counted(block, module=module, original=module.nsd_part):
+            projections[module] = projections.get(module, 0) + 1
+            return original(block)
+        monkeypatch.setattr(module, "nsd_part", counted)
+    result = check_srcq_heuristic(problem, z, seed=0, ied=ied)
+    verdict, margin = srcq_probe(problem, z, ied, seed=0)
+    assert projections.get(sgnsdp.regularity) == projections.get(reference)
+    assert result.verdict == verdict
+    if verdict == NOT_APPLICABLE:
+        assert np.isnan(result.margin) and np.isnan(margin)
+    else:
+        assert abs(result.margin - margin) <= 1e-12, (result.margin, margin)
+
+
+def _beta_block_in_range():
+    """KKT pair with G = Q diag(1, 0, 0) Q^T whose constraints span exactly
+    the rotated beta-beta block: m = 3 < n(n+1)/2 = 6."""
+    basis = haar_orthogonal(np.random.default_rng(0), 3)
+    mats = []
+    for k, l in ((1, 1), (1, 2), (2, 2)):
+        e = np.zeros((3, 3))
+        e[k, l] = e[l, k] = 1.0
+        mats.append(basis @ e @ basis.T)
+    a0 = basis @ np.diag([1.0, 0.0, 0.0]) @ basis.T
+    problem = AffineQuadraticProblem(c=np.zeros(3), a0=a0, a_list=mats, quad=np.eye(3))
+    return problem, point(np.zeros(3), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [_beta_block_in_range, lambda: synth_nondegenerate(seed=1, n=3, m=6)],
+    ids=["beta-block-in-range", "range-is-everything"],
+)
+def test_srcq_alignment_is_zero_when_the_range_holds_the_polar_cone(build):
+    # the null space meets the polar cone only at 0, so the alignment is 0
+    # up to rounding, not the 1e-8 that sqrt(1 - |c|^2) would leave
+    problem, z = build()
+    ied = make_ied(big_g(problem, z))
+    result = check_srcq_heuristic(problem, z, seed=0, ied=ied)
+    verdict, margin = srcq_probe(problem, z, ied, seed=0)
+    assert result.verdict == verdict == HEURISTIC_HOLDS
+    assert 0.0 <= result.margin <= 1e-12 and margin <= 1e-12
+    if margin == 0.0:  # a trivial null space reads exactly 0
+        assert result.margin == 0.0

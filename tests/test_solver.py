@@ -44,6 +44,19 @@ def scalar_boundary():
     return problem, point([0.0], [[0.0]])
 
 
+class BrokenAdjoint(AffineQuadraticProblem):
+    """A broken problem whose adjoint vanishes: the provably nonzero W1
+    step-size denominator measures zero."""
+
+    def adjoint_dg(self, x, s):
+        return np.zeros(self.m)
+
+
+def broken_scalar_boundary():
+    base, z = scalar_boundary()
+    return BrokenAdjoint(c=[1.0], a0=base.a0, a_list=[np.array([[1.0]])]), z
+
+
 class TestConfig:
     def test_defaults_valid(self):
         config = SolverConfig()
@@ -131,16 +144,9 @@ class TestNormalStep:
         assert normal_step(problem, z, res.ied, 2, res) is None
 
     def test_inconsistent_adjoint_is_signalled(self):
-        # a broken problem whose adjoint vanishes makes the provably
-        # nonzero W1 step-size denominator measure zero
         from sgnsdp.errors import NumericalInconsistency
 
-        class BrokenAdjoint(AffineQuadraticProblem):
-            def adjoint_dg(self, x, s):
-                return np.zeros(self.m)
-
-        base, z = scalar_boundary()
-        broken = BrokenAdjoint(c=[1.0], a0=base.a0, a_list=[np.array([[1.0]])])
+        broken, z = broken_scalar_boundary()
         res = residual(broken, z)
         with pytest.raises(NumericalInconsistency):
             normal_step(broken, z, res.ied, 1, res)
@@ -434,6 +440,15 @@ class TestSgnSolve:
         result = sgn_solve(problem, z0, SolverConfig(max_iter=1, tol=1e-14))
         assert result.status == MAX_ITER
         assert len(result.trace) == 1
+
+    def test_inconsistent_normal_step_is_skipped(self):
+        # the only candidate at the broken boundary point is the W1 step,
+        # whose closed form is undefined; the solve ends with a status
+        broken, z = broken_scalar_boundary()
+        result = sgn_solve(broken, z)
+        assert result.status == STALLED
+        assert result.phi == 0.5
+        assert [rec.step_kind for rec in result.trace] == ["stall"]
 
     def test_stalled_status_with_exhausted_backtracking(self):
         result = sgn_solve(

@@ -25,7 +25,6 @@ from sgnsdp.spectral import (
     tangent_project_pi1,
     unpack_sym,
     vec_to_sym,
-    xi_matrix,
 )
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -59,6 +58,8 @@ class TestPacking:
         b = sym(rng.standard_normal((4, 4)))
         assert np.isclose(sym_to_vec(a) @ sym_to_vec(b), np.sum(a * b), atol=1e-13)
         assert np.allclose(vec_to_sym(sym_to_vec(a), 4), a, atol=1e-14)
+        stack = np.stack([a, b])
+        assert np.array_equal(vec_to_sym(sym_to_vec(stack), 4)[1], vec_to_sym(sym_to_vec(b), 4))
 
 
 class TestEig:
@@ -166,26 +167,26 @@ class TestProjections:
 class TestXi:
     def test_two_by_two(self):
         ied = make_ied(np.diag([2.0, -1.0]))
-        xi = xi_matrix(ied)
+        xi = ied.xi
         assert np.isclose(xi[0, 1], 2.0 / 3.0)
         assert np.isclose(xi[0, 0], 1.0) and np.isclose(xi[1, 1], 0.0)
 
     def test_equal_positive_pair_is_one(self):
-        xi = xi_matrix(make_ied(np.diag([2.0, 2.0, -1.0])))
+        xi = make_ied(np.diag([2.0, 2.0, -1.0])).xi
         assert xi[0, 1] == 1.0
 
     def test_gamma_block_zero(self):
-        xi = xi_matrix(make_ied(np.diag([1.0, -1.0, -2.0])))
+        xi = make_ied(np.diag([1.0, -1.0, -2.0])).xi
         assert xi[1, 2] == 0.0 and xi[2, 1] == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            xi = xi_matrix(make_ied(sym(rng.standard_normal((6, 6)))))
+            xi = make_ied(sym(rng.standard_normal((6, 6)))).xi
             assert np.all(xi >= 0.0) and np.all(xi <= 1.0)
 
     def test_beta_block_convention(self):
-        xi = xi_matrix(make_ied(np.diag([1.0, 0.0, 0.0, -1.0])))
+        xi = make_ied(np.diag([1.0, 0.0, 0.0, -1.0])).xi
         assert xi[1, 2] == 1.0 and xi[1, 1] == 1.0
 
 
