@@ -273,7 +273,7 @@ def check_srcq_heuristic(
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block
-    span = vec_to_sym(vt[:rank], n).reshape(rank, -1)
+    span = vec_to_sym(vt[:rank], n).reshape(rank, n * n)
     block = np.zeros((n, n), dtype=bool)
     block[p:, p:] = True
     inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]

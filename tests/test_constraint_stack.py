@@ -200,6 +200,20 @@ def _off_complementarity():
     return problem, random_point(rng, problem)
 
 
+def _no_constraints():
+    # m = 0: G = A0 = diag(2, 0) is PSD, so the point is complementary
+    problem = AffineQuadraticProblem(c=np.zeros(0), a0=np.diag([2.0, 0.0]), a_list=[])
+    return problem, point(np.zeros(0), np.zeros((2, 2)))
+
+
+def _zero_constraints():
+    # m > 0 with every constraint matrix zero: the range has rank 0
+    problem = AffineQuadraticProblem(
+        c=np.zeros(2), a0=np.diag([2.0, 0.0, 0.0]), a_list=[np.zeros((3, 3))] * 2
+    )
+    return problem, point(np.zeros(2), np.zeros((3, 3)))
+
+
 @pytest.mark.parametrize(
     "build, rotation",
     [
@@ -210,9 +224,13 @@ def _off_complementarity():
         (lambda: synth_nondegenerate(seed=4001, n=5, m=6), 2),
         (lambda: synth_nondegenerate(seed=3, n=5, m=6), 3),
         (_off_complementarity, None),
+        (_no_constraints, None),
+        (_zero_constraints, None),
+        (_zero_constraints, 0),
     ],
     ids=["fixture", "fixture-rot0", "fixture-rot1", "synth4000", "synth4001-rot2",
-         "synth3-rot3", "not-applicable"],
+         "synth3-rot3", "not-applicable", "m-zero", "zero-constraints",
+         "zero-constraints-rot0"],
 )
 def test_srcq_probe_matches_full_matrix_reference(build, rotation, monkeypatch):
     problem, z = build()
