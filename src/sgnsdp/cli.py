@@ -41,7 +41,14 @@ _STATUS_CODES = {CONVERGED: 0, MAX_ITER: 1, STALLED: 2}
 TRACE_HEADER = "iter,phi,normF1,normF2,s,p,q,step_kind,j,mu,step_norm"
 
 
-def _add_config_flags(parser):
+def _add_point_flags(parser):
+    """The flags of every subcommand that evaluates a point."""
+    parser.add_argument("--zero-tol", type=float, default=None,
+                        help="eigenvalue zero threshold (default: adaptive)")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_solver_flags(parser):
     parser.add_argument("--tol", type=float, default=1e-8, help="stationarity stop")
     parser.add_argument("--delta", type=float, default=1e-4, help="correction band")
     parser.add_argument("--eta", type=float, default=0.75, help="Armijo slope, in (1/2,1)")
@@ -50,25 +57,13 @@ def _add_config_flags(parser):
     parser.add_argument("--jmax", type=int, default=50, help="backtracking budget")
     parser.add_argument("--mu-min", type=float, default=1e-16)
     parser.add_argument("--mu-max", type=float, default=1e8)
-    parser.add_argument("--zero-tol", type=float, default=None,
-                        help="eigenvalue zero threshold (default: adaptive)")
-    parser.add_argument("--seed", type=int, default=0)
+    _add_point_flags(parser)
 
 
-def _config_from_args(args) -> SolverConfig:
+def _config(**fields) -> SolverConfig:
+    """A validated ``SolverConfig``; a rejected value is an input error."""
     try:
-        return SolverConfig(
-            tol=args.tol,
-            delta=args.delta,
-            eta=args.eta,
-            rho=args.rho,
-            max_iter=args.max_iter,
-            max_backtracks=args.jmax,
-            mu_min=args.mu_min,
-            mu_max=args.mu_max,
-            zero_tol=args.zero_tol,
-            seed=args.seed,
-        )
+        return SolverConfig(**fields)
     except ValueError as exc:
         raise InputError(str(exc))
 
@@ -110,7 +105,18 @@ def _write_trace(trace, path: str) -> None:
 
 
 def run_solve(args) -> int:
-    config = _config_from_args(args)
+    config = _config(
+        tol=args.tol,
+        delta=args.delta,
+        eta=args.eta,
+        rho=args.rho,
+        max_iter=args.max_iter,
+        max_backtracks=args.jmax,
+        mu_min=args.mu_min,
+        mu_max=args.mu_max,
+        zero_tol=args.zero_tol,
+        seed=args.seed,
+    )
     problem = load_problem(args.problem)
     if args.point is not None:
         z0 = load_point(args.point, problem.m, problem.n)
@@ -139,7 +145,7 @@ def run_solve(args) -> int:
 
 
 def run_diagnose(args) -> int:
-    config = _config_from_args(args)
+    config = _config(zero_tol=args.zero_tol, seed=args.seed)
     problem = load_problem(args.problem)
     z = load_point(args.point, problem.m, problem.n)
     report = diagnose(problem, z, seed=config.seed, zero_tol=config.zero_tol)
@@ -190,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--point", default=None, help="start point JSON (default zeros)")
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     solve.add_argument("--trace", default=None, help="iteration trace CSV path")
-    _add_config_flags(solve)
+    _add_solver_flags(solve)
     solve.set_defaults(handler=run_solve)
 
     diag = sub.add_parser("diagnose", help="regularity report at a point")
     diag.add_argument("problem", help="problem JSON file")
     diag.add_argument("point", help="point JSON file")
     diag.add_argument("--out", default=None, help="report JSON path (default stdout)")
-    _add_config_flags(diag)
+    _add_point_flags(diag)
     diag.set_defaults(handler=run_diagnose)
 
     demo = sub.add_parser("demo", help="run the built-in fixtures")

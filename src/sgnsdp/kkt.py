@@ -38,6 +38,7 @@ from .spectral import (
     sym_to_vec,
     tangent_matrix,
     tangent_pairs,
+    triu_pairs,
 )
 
 
@@ -236,7 +237,7 @@ def assemble_dF(
     a, at = constraint_stack(problem, z.x, ied)
     k, l = frame.pairs.T
     w = np.where(k == l, 1.0, SQRT2)
-    iu, ju = np.triu_indices(ied.n)
+    iu, ju, scale = triu_pairs(ied.n)
     c_mat = sym_to_vec(a).T
     matrix = np.empty((m + iu.size, m + frame.dim_tangent))
     matrix[:m, :m] = hess_lagrangian_matrix(problem, z) - c_mat.T @ c_mat
@@ -244,7 +245,7 @@ def assemble_dF(
     matrix[:m, m:] = at[:, k, l] * w
     # entry ((i, j), (k, l)) of the xi block is
     # s_ij w_kl/2 xi_kl (P_ik P_jl + P_il P_jk), filled in place
-    rows_i = ied.basis[iu] * np.where(iu == ju, 1.0, SQRT2)[:, None]
+    rows_i = ied.basis[iu] * scale[:, None]
     rows_j = ied.basis[ju]
     block = matrix[m:, m:]
     np.multiply(rows_i[:, k], rows_j[:, l], out=block)

@@ -21,6 +21,7 @@ default of :func:`make_ied`.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +40,10 @@ from .spectral import (
     make_ied,
     nsd_part,
     pair_mask,
+    project_psd,
     sym,
     sym_to_vec,
+    triu_pairs,
     vec_to_sym,
 )
 
@@ -69,18 +72,44 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-def _ied_at(problem, z, ied) -> IED:
-    if ied is not None:
+@dataclass(frozen=True)
+class _Point:
+    """What the checks read at ``z``: the IED, the rotated constraint
+    stack and Hess_xx L, the last two built on first use."""
+
+    problem: NlsdpProblem
+    z: PrimalDualPoint
+    ied: IED
+
+    @cached_property
+    def at(self) -> np.ndarray:
+        return constraint_stack(self.problem, self.z.x, self.ied)[1]
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        return hess_lagrangian_matrix(self.problem, self.z)
+
+
+def _point(problem, z, ied) -> _Point:
+    """The data at ``z`` for the IED ``ied`` (default: that of G(z)).
+
+    :func:`diagnose` passes one ``_Point`` in place of the IED to every
+    check it calls, and the checks pass it on to the helpers they call,
+    so all of them share one stack and one Hessian while each check
+    stays a public call of its own.
+    """
+    if isinstance(ied, _Point):
         return ied
-    return make_ied(big_g(problem, z))
+    if ied is None:
+        ied = make_ied(big_g(problem, z))
+    return _Point(problem, z, ied)
 
 
-def _constraint_rows(problem, z, ied, include_bb: bool):
+def _constraint_rows(pt: _Point, include_bb: bool):
     """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
-    at = constraint_stack(problem, z.x, ied)[1]
-    iu, ju = np.triu_indices(ied.n)
-    pick = pair_mask(ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
-    return at[:, iu[pick], ju[pick]].T
+    iu, ju, _ = triu_pairs(pt.ied.n)
+    pick = pair_mask(pt.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
+    return pt.at[:, iu[pick], ju[pick]].T
 
 
 def _right_singular(mat, full_matrices=True):
@@ -100,14 +129,12 @@ def _null_space(mat):
 def appl_basis(problem, z, ied=None) -> np.ndarray:
     """Orthonormal basis of the primal directions with vanishing
     beta-beta, beta-gamma and gamma-gamma constraint blocks."""
-    ied = _ied_at(problem, z, ied)
-    return _null_space(_constraint_rows(problem, z, ied, include_bb=True))
+    return _null_space(_constraint_rows(_point(problem, z, ied), include_bb=True))
 
 
 def app_basis(problem, z, ied=None) -> np.ndarray:
     """As :func:`appl_basis` with the beta-beta requirement dropped."""
-    ied = _ied_at(problem, z, ied)
-    return _null_space(_constraint_rows(problem, z, ied, include_bb=False))
+    return _null_space(_constraint_rows(_point(problem, z, ied), include_bb=False))
 
 
 def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
@@ -120,14 +147,14 @@ def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
     """
     if basis.shape[1] == 0:
         return np.zeros((0, 0))
-    p, q, n = ied.p, ied.q, ied.n
+    pt = _point(problem, z, ied)
+    p, q, n = pt.ied.p, pt.ied.q, pt.ied.n
     r = n - q
-    out = basis.T @ hess_lagrangian_matrix(problem, z) @ basis
+    out = basis.T @ pt.hess @ basis
     if p and q:
-        lam = ied.eigenvalues
+        lam = pt.ied.eigenvalues
         root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
-        at = constraint_stack(problem, z.x, ied)[1]
-        scaled = np.einsum("ia,ijk,jk->ajk", basis, at[:, :p, r:], root)
+        scaled = np.einsum("ia,ijk,jk->ajk", basis, pt.at[:, :p, r:], root)
         flat = scaled.reshape(basis.shape[1], -1)
         out += 2.0 * (flat @ flat.T)
     return sym(out)
@@ -142,36 +169,36 @@ def _definite_margin(eigs: np.ndarray) -> float:
 
 def check_wsoc(problem, z, ied=None) -> ConditionResult:
     """Weak second order condition: the reduced form is sign-definite."""
-    ied = _ied_at(problem, z, ied)
-    basis = appl_basis(problem, z, ied)
+    pt = _point(problem, z, ied)
+    basis = appl_basis(problem, z, pt)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
+    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, pt, basis))
     margin = _definite_margin(eigs)
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
 def check_ssosc(problem, z, ied=None) -> ConditionResult:
     """Strong second order sufficient condition: positive definite on app."""
-    ied = _ied_at(problem, z, ied)
-    basis = app_basis(problem, z, ied)
+    pt = _point(problem, z, ied)
+    basis = app_basis(problem, z, pt)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
+    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, pt, basis))
     margin = float(np.min(eigs))
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def _span_check(problem, z, ied, include_bb):
+def _span_check(pt: _Point, include_bb):
     """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
 
     In eigenbasis coordinates the second set is spanned by unit vectors.
     """
-    n = ied.n
+    n = pt.ied.n
     n_sym = n * (n + 1) // 2
     blocks = ("aa", "ab", "ag", "bb") if include_bb else ("aa", "ab", "ag")
-    free = np.eye(n_sym)[:, pair_mask(ied, blocks)]
-    stacked = np.hstack([sym_to_vec(constraint_stack(problem, z.x, ied)[1]).T, free])
+    free = np.eye(n_sym)[:, pair_mask(pt.ied, blocks)]
+    stacked = np.hstack([sym_to_vec(pt.at).T, free])
     if stacked.shape[1] < n_sym:
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -181,20 +208,17 @@ def _span_check(problem, z, ied, include_bb):
 
 def check_wsrcq(problem, z, ied=None) -> ConditionResult:
     """Weak strict Robinson constraint qualification (span includes beta-beta)."""
-    ied = _ied_at(problem, z, ied)
-    return _span_check(problem, z, ied, include_bb=True)
+    return _span_check(_point(problem, z, ied), include_bb=True)
 
 
 def check_cn(problem, z, ied=None) -> ConditionResult:
     """Constraint nondegeneracy (beta-beta excluded from the span)."""
-    ied = _ied_at(problem, z, ied)
-    return _span_check(problem, z, ied, include_bb=False)
+    return _span_check(_point(problem, z, ied), include_bb=False)
 
 
 def injectivity_margin(problem, z, ied=None) -> float:
     """Smallest singular value of the assembled on-stratum differential."""
-    ied = _ied_at(problem, z, ied)
-    frame = tangent_coords(problem, z, ied)
+    frame = tangent_coords(problem, z, _point(problem, z, ied).ied)
     return assemble_dF(problem, z, frame).sigma_min()
 
 
@@ -218,14 +242,14 @@ def check_sonc_heuristic(
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    ied = _ied_at(problem, z, ied)
-    basis = app_basis(problem, z, ied)
+    pt = _point(problem, z, ied)
+    basis = app_basis(problem, z, pt)
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(seed)
-    p, r = ied.p, ied.n - ied.q
-    form = quad_form_matrix(problem, z, ied, basis)
-    at_bb = constraint_stack(problem, z.x, ied)[1][:, p:r, p:r]
+    p, r = pt.ied.p, pt.ied.n - pt.ied.q
+    form = quad_form_matrix(problem, z, pt, basis)
+    at_bb = pt.at[:, p:r, p:r]
     coeffs = rng.standard_normal((samples, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
@@ -261,15 +285,22 @@ def check_srcq_heuristic(
     alignment, is summed from the parts inside the block and outside it
     (which the next projection drops): sqrt(1 - |c|^2) would cancel to
     1e-8 noise where the alignment is 0.
+
+    The restarts alternate together as one stack, with one stacked NSD
+    projection per alternation.  A restart leaves the stack when its
+    iterate vanishes (alignment 0) or its alignment passes the decisive
+    level 1 - SRCQ_ALIGNMENT_TOL / 10.  A decisive restart i ends the
+    probe as if the restarts had run one after another: the restarts
+    after i are dropped and the margin is the largest alignment of
+    restarts 0..i.
     """
-    ied = _ied_at(problem, z, ied)
-    res = residual(problem, z, ied.zero_tol)
-    if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
+    pt = _point(problem, z, ied)
+    ied = pt.ied
+    f2 = sym(project_psd(ied) - problem.eval_g(z.x))  # the residual's F2
+    if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(
-        sym_to_vec(constraint_stack(problem, z.x, ied)[1]), full_matrices=False
-    )
+    vt, rank = _right_singular(sym_to_vec(pt.at), full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block
@@ -278,33 +309,38 @@ def check_srcq_heuristic(
     block[p:, p:] = True
     inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]
     trailing = ied.basis[:, p:]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(restarts):
-        d = sym(trailing.T @ rng.standard_normal((n, n)) @ trailing)
-        alignment = 0.0
-        # each pass projects onto the polar cone, normalises, then measures
-        # and removes the range component; an alignment whose projection
-        # vanishes on the next pass reads as 0
-        for it in range(SRCQ_ITERATIONS + 1):
-            if n_beta:
-                d[:n_beta, :n_beta] = nsd_part(d[:n_beta, :n_beta])
-            norm = frob(d)
-            if norm == 0.0:
-                alignment = 0.0
-                break
-            d /= norm
-            if it == SRCQ_ITERATIONS:
-                break
-            c = inside @ d.ravel()
-            d = d - (c @ inside).reshape(d.shape)
-            out = c @ outside
-            alignment = float(np.vdot(d, d) + out @ out) ** 0.5
-            if alignment > 1.0 - 0.1 * SRCQ_ALIGNMENT_TOL:
-                break  # already decisively past the verdict threshold
-        worst = max(worst, alignment)
-        if worst > 1.0 - 0.1 * SRCQ_ALIGNMENT_TOL:
+    starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), n, n))
+    d = sym(trailing.T @ starts @ trailing)
+    live = np.arange(len(d))        # the restart behind each row of d
+    alignment = np.zeros(len(d))    # each restart's latest alignment
+    stop = len(d)                   # restarts from stop on never count
+    decisive = 1.0 - 0.1 * SRCQ_ALIGNMENT_TOL
+    # each pass projects onto the polar cone, normalises, then measures
+    # and removes the range component; an alignment whose projection
+    # vanishes on the next pass reads as 0
+    for it in range(SRCQ_ITERATIONS + 1):
+        if live.size == 0:
             break
+        if n_beta:
+            d[:, :n_beta, :n_beta] = nsd_part(d[:, :n_beta, :n_beta])
+        norm = np.sqrt(np.einsum("rij,rij->r", d, d))
+        vanished = norm == 0.0
+        alignment[live[vanished]] = 0.0
+        d, live = d[~vanished] / norm[~vanished, None, None], live[~vanished]
+        if it == SRCQ_ITERATIONS:
+            break
+        c = d.reshape(live.size, -1) @ inside.T
+        d = d - (c @ inside).reshape(d.shape)
+        out = c @ outside
+        alignment[live] = np.sqrt(
+            np.einsum("rij,rij->r", d, d) + np.einsum("rk,rk->r", out, out)
+        )
+        done = alignment[live] > decisive
+        if done.any():
+            stop = min(stop, live[done][0] + 1)
+        keep = ~done & (live < stop)
+        d, live = d[keep], live[keep]
+    worst = float(np.max(alignment[:stop], initial=0.0))
     verdict = HEURISTIC_HOLDS if worst < 1.0 - SRCQ_ALIGNMENT_TOL else HEURISTIC_FAILS
     return ConditionResult(verdict, worst)
 
@@ -397,19 +433,22 @@ def diagnose(
     srcq_restarts: int = 20,
     zero_tol=None,
 ) -> RegularityReport:
-    """Evaluate every condition at ``z`` and collect the report."""
-    ied = make_ied(big_g(problem, z), zero_tol)
+    """Evaluate every condition at ``z`` and collect the report.
+
+    The checks share one :class:`_Point`, so the rotated constraint
+    stack and Hess_xx L are built once; the Jacobian of
+    :func:`injectivity_margin` reads the problem once more.
+    """
+    pt = _Point(problem, z, make_ied(big_g(problem, z), zero_tol))
     return RegularityReport(
-        w_soc=check_wsoc(problem, z, ied),
-        w_srcq=check_wsrcq(problem, z, ied),
-        constraint_nondegeneracy=check_cn(problem, z, ied),
-        s_sosc=check_ssosc(problem, z, ied),
-        sonc=check_sonc_heuristic(problem, z, samples=sonc_samples, seed=seed, ied=ied),
-        srcq=check_srcq_heuristic(
-            problem, z, restarts=srcq_restarts, seed=seed, ied=ied
-        ),
-        sigma_min_dF=injectivity_margin(problem, z, ied),
-        p=ied.p,
-        q=ied.q,
-        eigenvalues=ied.eigenvalues.copy(),
+        w_soc=check_wsoc(problem, z, pt),
+        w_srcq=check_wsrcq(problem, z, pt),
+        constraint_nondegeneracy=check_cn(problem, z, pt),
+        s_sosc=check_ssosc(problem, z, pt),
+        sonc=check_sonc_heuristic(problem, z, samples=sonc_samples, seed=seed, ied=pt),
+        srcq=check_srcq_heuristic(problem, z, restarts=srcq_restarts, seed=seed, ied=pt),
+        sigma_min_dF=injectivity_margin(problem, z, pt),
+        p=pt.ied.p,
+        q=pt.ied.q,
+        eigenvalues=pt.ied.eigenvalues.copy(),
     )

@@ -20,6 +20,7 @@ Two flat layouts are used for symmetric matrices and must not be mixed:
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +30,8 @@ SQRT2 = np.sqrt(2.0)
 
 
 def sym(a: np.ndarray) -> np.ndarray:
-    """Symmetrize, killing round-off skew from products."""
-    return 0.5 * (a + a.T)
+    """Symmetrize, killing round-off skew from products; acts on the last two axes."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def frob(a: np.ndarray) -> float:
@@ -83,21 +84,30 @@ def unpack_sym(flat: np.ndarray, n: int) -> np.ndarray:
 # orthonormal vectorization (linear-algebra layout)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
+def triu_pairs(n: int):
+    """``np.triu_indices(n)`` and the weight of each pair: 1 on the
+    diagonal, sqrt(2) off it.  Cached per order, so the arrays are read-only.
+    """
+    iu, ju = np.triu_indices(n)
+    scale = np.where(iu == ju, 1.0, SQRT2)
+    for arr in (iu, ju, scale):
+        arr.flags.writeable = False
+    return iu, ju, scale
+
+
 def sym_to_vec(a: np.ndarray) -> np.ndarray:
     """Isometric coordinates of a symmetric matrix (upper triangle, sqrt2 off-diag).
 
     Acts on the last two axes, so it maps stacks of matrices too.
     """
-    n = a.shape[-1]
-    iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, SQRT2)
+    iu, ju, scale = triu_pairs(a.shape[-1])
     return a[..., iu, ju] * scale
 
 
 def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`sym_to_vec`; acts on the last axis, so it maps stacks too."""
-    iu, ju = np.triu_indices(n)
-    scale = np.where(iu == ju, 1.0, SQRT2)
+    iu, ju, scale = triu_pairs(n)
     v = np.asarray(v, dtype=float)
     a = np.zeros(v.shape[:-1] + (n, n))
     a[..., iu, ju] = v / scale
@@ -112,17 +122,20 @@ def vec_to_sym(v: np.ndarray, n: int) -> np.ndarray:
 def eig_sym(a: np.ndarray):
     """Eigendecompose a symmetric matrix with eigenvalues sorted nonincreasing.
 
+    Acts on the last two axes, so it decomposes a stack of matrices in
+    one call; a non-finite entry anywhere in the stack raises.
+
     Returns
     -------
-    basis : (n, n) orthogonal matrix, columns ordered by eigenvalue
-    eigenvalues : (n,) nonincreasing
+    basis : (..., n, n) orthogonal matrices, columns ordered by eigenvalue
+    eigenvalues : (..., n) nonincreasing
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise NumericalError(
             "eigendecomposition input contains non-finite entries",
             norm=float(np.linalg.norm(np.nan_to_num(a))),
-            order=a.shape[0],
+            order=a.shape[-1],
         )
     try:
         lam, basis = np.linalg.eigh(sym(a))
@@ -130,9 +143,9 @@ def eig_sym(a: np.ndarray):
         raise NumericalError(
             f"symmetric eigendecomposition failed: {exc}",
             norm=frob(a),
-            order=a.shape[0],
+            order=a.shape[-1],
         ) from exc
-    return basis[:, ::-1].copy(), lam[::-1].copy()
+    return basis[..., ::-1].copy(), lam[..., ::-1].copy()
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
@@ -250,15 +263,15 @@ def project_nsd(ied: IED) -> np.ndarray:
 
 
 def psd_part(a: np.ndarray) -> np.ndarray:
-    """Threshold-free PSD part: clip eigenvalues at zero."""
+    """Threshold-free PSD part: clip eigenvalues at zero; maps stacks too."""
     basis, lam = eig_sym(a)
-    return sym(basis @ (np.maximum(lam, 0.0)[:, None] * basis.T))
+    return sym(basis @ (np.maximum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
 
 
 def nsd_part(a: np.ndarray) -> np.ndarray:
-    """Threshold-free NSD part: clip eigenvalues at zero from above."""
+    """Threshold-free NSD part: clip eigenvalues at zero from above; maps stacks too."""
     basis, lam = eig_sym(a)
-    return sym(basis @ (np.minimum(lam, 0.0)[:, None] * basis.T))
+    return sym(basis @ (np.minimum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
 
 
 def _xi_product(ied: IED, h: np.ndarray, beta_map) -> np.ndarray:
@@ -318,14 +331,14 @@ def pair_mask(ied: IED, blocks) -> np.ndarray:
     a = alpha, b = beta, g = gamma, earlier block first.
     """
     block = np.repeat([0, 1, 2], [ied.p, ied.n_beta, ied.q])
-    iu, ju = np.triu_indices(ied.n)
+    iu, ju, _ = triu_pairs(ied.n)
     codes = [3 * "abg".index(b[0]) + "abg".index(b[1]) for b in blocks]
     return np.isin(3 * block[iu] + block[ju], codes)
 
 
 def tangent_pairs(ied: IED) -> np.ndarray:
     """Index pairs (k, l), k <= l, not both in beta, in upper-triangle order."""
-    iu, ju = np.triu_indices(ied.n)
+    iu, ju, _ = triu_pairs(ied.n)
     keep = ~pair_mask(ied, ("bb",))
     return np.stack([iu[keep], ju[keep]], axis=1)
 

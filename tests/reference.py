@@ -149,13 +149,15 @@ def _project_polar_cone(ied, dt):
     return out
 
 
-def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_tol=1e-4):
+def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_tol=1e-4,
+               log=None):
     """(verdict, margin) of the SRCQ alternating projections on full matrices.
 
     Each alternation projects an n x n eigenbasis iterate onto the null
     space of the rotated dg* in ``sym_to_vec`` coordinates, then onto the
     polar cone by a block mask, from the same random starts as the
-    library probe.
+    library probe.  The restarts run one after another; if ``log`` is a
+    list, each restart appends its number of polar-cone projections.
     """
     res = residual(problem, z, ied.zero_tol)
     if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
@@ -165,10 +167,12 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     rows = np.array([sym_to_vec(img) for img in images]).reshape(m, n * (n + 1) // 2)
     null = _null_space(rows)
     rng = np.random.default_rng(seed)
+    log = [] if log is None else log
     worst = 0.0
     for _ in range(restarts):
         start = ied.basis.T @ rng.standard_normal((n, n)) @ ied.basis
         d = _project_polar_cone(ied, sym(start))
+        log.append(1)
         norm = frob(d)
         if norm == 0.0:
             continue
@@ -180,6 +184,7 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
             if alignment > 1.0 - 0.1 * alignment_tol:
                 break
             d = _project_polar_cone(ied, in_null)
+            log[-1] += 1
             norm = frob(d)
             if norm == 0.0:
                 alignment = 0.0

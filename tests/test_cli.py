@@ -135,6 +135,18 @@ class TestDiagnose:
         short.write_text(json.dumps({"x": [0.0, 0.0], "y": [0.0, 0.0, 0.0]}))
         assert main(["diagnose", str(problem_path), str(short)]) == 3
 
+    def test_solver_flags_are_usage_errors(self, reference_files, capsys):
+        problem_path, point_path = reference_files
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", str(problem_path), str(point_path), "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_invalid_point_flags_rejected(self, reference_files, capsys):
+        problem_path, point_path = reference_files
+        assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "-1"]) == 3
+        assert main(["diagnose", str(problem_path), str(point_path), "--seed", "-5"]) == 3
+
     def test_deterministic_report(self, reference_files, tmp_path):
         problem_path, point_path = reference_files
         blobs = []

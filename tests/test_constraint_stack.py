@@ -11,7 +11,7 @@ full-matrix alternation.
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
     assemble_dF_by_columns,
@@ -29,6 +29,7 @@ from support import (
 )
 
 import sgnsdp.regularity
+import sgnsdp.spectral
 from sgnsdp.kkt import (
     assemble_dF,
     big_g,
@@ -36,6 +37,7 @@ from sgnsdp.kkt import (
     residual,
     tangent_coords,
 )
+from sgnsdp.errors import ConstructionFailure
 from sgnsdp.model import (
     AffineQuadraticProblem,
     NlsdpProblem,
@@ -49,12 +51,15 @@ from sgnsdp.regularity import (
     HEURISTIC_HOLDS,
     HOLDS,
     NOT_APPLICABLE,
+    SRCQ_ITERATIONS,
     _constraint_rows,
+    _point,
     check_cn,
     check_srcq_heuristic,
     check_ssosc,
     check_wsoc,
     check_wsrcq,
+    diagnose,
 )
 from sgnsdp.spectral import make_ied, rotate_within_eigenspaces
 
@@ -143,6 +148,20 @@ class TestCallbackBudget:
                 "eval_g": 0, "apply_dg": m, "adjoint_dg": 0, "apply_hess_lagrangian": m,
             }
 
+    @pytest.mark.parametrize(
+        "build",
+        [degenerate_fixture, lambda: synth_nondegenerate(seed=4000, n=5, m=6)],
+        ids=["fixture", "synth4000"],
+    )
+    def test_diagnose_builds_one_stack_besides_the_jacobian(self, build):
+        # the checks share one constraint stack and one Hess L; the
+        # Jacobian of injectivity_margin reads the problem once more
+        problem, z = build()
+        counting = CountingProblem(problem)
+        diagnose(counting, z)
+        assert counting.calls["apply_dg"] <= 2 * problem.m
+        assert counting.calls["apply_hess_lagrangian"] <= 2 * problem.m
+
 
 class TestStack:
     def test_m_zero(self):
@@ -178,7 +197,7 @@ def test_jacobian_matches_column_reference(case):
 def test_regularity_margins_match_loop_reference(case):
     problem, z, ied = case
     for include_bb in (True, False):
-        rows = _constraint_rows(problem, z, ied, include_bb)
+        rows = _constraint_rows(_point(problem, z, ied), include_bb)
         ref_rows = constraint_rows(problem, z, ied, include_bb)
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))
@@ -227,30 +246,94 @@ def _zero_constraints():
         (_no_constraints, None),
         (_zero_constraints, None),
         (_zero_constraints, 0),
+        (lambda: synth_nondegenerate(seed=5013, n=5, m=6), None),
+        (lambda: synth_nondegenerate(seed=4003, n=5, m=6), None),
+        (lambda: synth_nondegenerate(seed=4101, n=20, m=30), None),
+        (lambda: synth_nondegenerate(seed=5200, n=5, m=6), None),
     ],
     ids=["fixture", "fixture-rot0", "fixture-rot1", "synth4000", "synth4001-rot2",
          "synth3-rot3", "not-applicable", "m-zero", "zero-constraints",
-         "zero-constraints-rot0"],
+         "zero-constraints-rot0", "synth5013-decisive-at-1", "synth4003-decisive-at-0",
+         "synth4101-n20", "synth5200-decisive-together"],
 )
 def test_srcq_probe_matches_full_matrix_reference(build, rotation, monkeypatch):
     problem, z = build()
     ied = make_ied(big_g(problem, z))
     if rotation is not None:
         ied = rotate_within_eigenspaces(ied, rotation)
-    # the beta-beta projections count the alternations each probe runs
-    projections = {}
-    for module in (sgnsdp.regularity, reference):
-        def counted(block, module=module, original=module.nsd_part):
-            projections[module] = projections.get(module, 0) + 1
-            return original(block)
-        monkeypatch.setattr(module, "nsd_part", counted)
+    # the beta-beta projections count the alternations each probe runs: a
+    # stacked projection counts one per block, the reference logs each
+    # restart's projections
+    stacks, log = [], []
+    original = sgnsdp.regularity.nsd_part
+
+    def counted(block):
+        stacks.append(block.shape[0])
+        return original(block)
+
+    monkeypatch.setattr(sgnsdp.regularity, "nsd_part", counted)
     result = check_srcq_heuristic(problem, z, seed=0, ied=ied)
-    verdict, margin = srcq_probe(problem, z, ied, seed=0)
-    assert projections.get(sgnsdp.regularity) == projections.get(reference)
+    verdict, margin = srcq_probe(problem, z, ied, seed=0, log=log)
     assert result.verdict == verdict
     if verdict == NOT_APPLICABLE:
         assert np.isnan(result.margin) and np.isnan(margin)
     else:
+        assert abs(result.margin - margin) <= 1e-12, (result.margin, margin)
+    if ied.n_beta == 0:
+        assert stacks == []
+        return
+    # the stack runs while the longest restart of the sequential probe runs
+    assert len(stacks) == max(log, default=0)
+    if verdict == HEURISTIC_HOLDS:
+        # no restart was decisive: each ran exactly its sequential alternations
+        assert sum(stacks) == sum(log)
+    else:
+        # restarts after the decisive one ran until it was found, then dropped
+        assert sum(stacks) >= sum(log)
+
+
+def test_srcq_probe_decomposes_once_per_alternation(monkeypatch):
+    problem, z = synth_nondegenerate(seed=4101, n=20, m=30)
+    calls = []
+    original = sgnsdp.spectral.eig_sym
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(sgnsdp.spectral, "eig_sym", counted)
+    ied = make_ied(big_g(problem, z))
+    calls.clear()
+    result = check_srcq_heuristic(problem, z, ied=ied)
+    assert result.verdict == HEURISTIC_HOLDS
+    assert len(calls) <= SRCQ_ITERATIONS + 1
+    assert calls[0] == (20, ied.n_beta, ied.n_beta)  # all 20 restarts in one stack
+
+
+@st.composite
+def kkt_pairs(draw):
+    """(problem, z, ied): a synth (n, m) reference pair, n <= 6, in a
+    random eigenbasis within clusters half the time."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(n, 2 * n + 2))
+    try:
+        problem, z = synth_nondegenerate(seed=draw(st.integers(0, 2**31)), n=n, m=m)
+    except ConstructionFailure:
+        assume(False)
+    ied = make_ied(big_g(problem, z))
+    if draw(st.booleans()):
+        ied = rotate_within_eigenspaces(ied, draw(st.integers(0, 2**16)))
+    return problem, z, ied
+
+
+@settings(max_examples=15, deadline=None)
+@given(kkt_pairs(), st.integers(0, 100))
+def test_srcq_probe_matches_reference_on_random_instances(case, seed):
+    problem, z, ied = case
+    result = check_srcq_heuristic(problem, z, seed=seed, ied=ied)
+    verdict, margin = srcq_probe(problem, z, ied, seed=seed)
+    assert result.verdict == verdict
+    if verdict != NOT_APPLICABLE:
         assert abs(result.margin - margin) <= 1e-12, (result.margin, margin)
 
 

@@ -8,6 +8,7 @@ from sgnsdp.spectral import (
     frob,
     make_ied,
     normal_project_pi2,
+    nsd_part,
     pack_sym,
     packed_index,
     packed_length,
@@ -23,6 +24,7 @@ from sgnsdp.spectral import (
     sym_to_vec,
     tangent_basis,
     tangent_project_pi1,
+    triu_pairs,
     unpack_sym,
     vec_to_sym,
 )
@@ -97,6 +99,39 @@ class TestEig:
         with pytest.raises(NumericalError) as err:
             eig_sym(bad)
         assert err.value.order == 2
+
+
+class TestStacks:
+    """sym, eig_sym and nsd_part act on the last two axes of a stack."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_stack_equals_per_matrix(self, k):
+        rng = np.random.default_rng(k)
+        stack = rng.standard_normal((7, k, k)) * rng.uniform(0.1, 10.0, size=(7, 1, 1))
+        assert np.array_equal(sym(stack), np.stack([sym(a) for a in stack]))
+        basis, lam = eig_sym(stack)
+        nsd = nsd_part(stack)
+        for i, a in enumerate(stack):
+            basis_i, lam_i = eig_sym(a)
+            assert np.array_equal(basis[i], basis_i)
+            assert np.array_equal(lam[i], lam_i)
+            assert np.max(np.abs(nsd[i] - nsd_part(a))) <= 1e-15
+
+    def test_nonfinite_entry_in_a_stack_rejected(self):
+        stack = np.zeros((4, 3, 3))
+        stack[2, 1, 0] = np.inf
+        for fn in (eig_sym, nsd_part):
+            with pytest.raises(NumericalError) as err:
+                fn(stack)
+            assert err.value.order == 3
+
+    def test_triu_pairs_are_cached_and_read_only(self):
+        iu, ju, scale = triu_pairs(4)
+        assert triu_pairs(4)[0] is iu
+        assert all(np.array_equal(a, b) for a, b in zip((iu, ju), np.triu_indices(4)))
+        assert np.array_equal(scale, np.where(iu == ju, 1.0, np.sqrt(2.0)))
+        with pytest.raises(ValueError):
+            scale[0] = 2.0
 
 
 class TestIed:
