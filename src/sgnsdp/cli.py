@@ -6,7 +6,8 @@ point, ``demo`` exercises the built-in fixtures.  Identical invocations
 produce byte-identical outputs.
 
 Exit codes: 0 converged / success, 1 iteration budget exhausted,
-2 stalled, 3 input error.
+2 stalled, 3 input error (a usage error, a rejected value or document, a
+missing file), 4 numerical failure.
 """
 
 import argparse
@@ -60,6 +61,21 @@ def _add_solver_flags(parser):
     _add_point_flags(parser)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 3, the input-error code, on a usage error instead of
+    argparse's 2, which a stalled solve returns; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _seed(value: int) -> int:
+    if value < 0:
+        raise InputError("seed must be nonnegative")
+    return value
+
+
 def _config(**fields) -> SolverConfig:
     """A validated ``SolverConfig``; a rejected value is an input error."""
     try:
@@ -68,7 +84,7 @@ def _config(**fields) -> SolverConfig:
         raise InputError(str(exc))
 
 
-def _config_doc(config: SolverConfig) -> dict:
+def _config_doc(config: SolverConfig, seed: int) -> dict:
     return {
         "tol": config.tol,
         "delta": config.delta,
@@ -79,7 +95,7 @@ def _config_doc(config: SolverConfig) -> dict:
         "mu_min": config.mu_min,
         "mu_max": config.mu_max,
         "zero_tol": config.zero_tol,
-        "seed": config.seed,
+        "seed": seed,
     }
 
 
@@ -115,8 +131,8 @@ def run_solve(args) -> int:
         mu_min=args.mu_min,
         mu_max=args.mu_max,
         zero_tol=args.zero_tol,
-        seed=args.seed,
     )
+    seed = _seed(args.seed)
     problem = load_problem(args.problem)
     if args.point is not None:
         z0 = load_point(args.point, problem.m, problem.n)
@@ -136,7 +152,7 @@ def run_solve(args) -> int:
         "iterations": len(result.trace),
         # Infinity when G has no nonzero eigenvalues; round-trips via json
         "delta_final": float(delta_lower_modulus(final_ied)),
-        "config": _config_doc(config),
+        "config": _config_doc(config, seed),
     }
     _emit(doc, args.out)
     if args.trace is not None:
@@ -145,10 +161,11 @@ def run_solve(args) -> int:
 
 
 def run_diagnose(args) -> int:
-    config = _config(zero_tol=args.zero_tol, seed=args.seed)
+    config = _config(zero_tol=args.zero_tol)
+    seed = _seed(args.seed)
     problem = load_problem(args.problem)
     z = load_point(args.point, problem.m, problem.n)
-    report = diagnose(problem, z, seed=config.seed, zero_tol=config.zero_tol)
+    report = diagnose(problem, z, seed=seed, zero_tol=config.zero_tol)
     doc = report.to_dict()
     doc["version"] = __version__
     _emit(doc, args.out)
@@ -156,23 +173,23 @@ def run_diagnose(args) -> int:
 
 
 def run_demo(args) -> int:
-    config = SolverConfig(seed=args.seed)
+    seed = _seed(args.seed)
     problem, z_bar = degenerate_fixture()
     z0 = PrimalDualPoint(x=np.zeros(problem.m), y=np.zeros((problem.n, problem.n)))
-    result = sgn_solve(problem, z0, config)
+    result = sgn_solve(problem, z0)
     print(f"degenerate 4x4 fixture: {result.status} after "
           f"{len(result.trace)} iterations, phi = {result.phi:.3e}")
-    report = diagnose(problem, z_bar, seed=config.seed)
+    report = diagnose(problem, z_bar, seed=seed)
     for name in ("w_soc", "w_srcq", "constraint_nondegeneracy", "s_sosc"):
         cond = report.to_dict()[name]
         print(f"  {name} at the reference pair: {cond['verdict']}")
-    synth_problem, z_star = synth_nondegenerate(seed=args.seed, n=5, m=6)
-    rng = np.random.default_rng(args.seed)
+    synth_problem, z_star = synth_nondegenerate(seed=seed, n=5, m=6)
+    rng = np.random.default_rng(seed)
     z_far = PrimalDualPoint(
         x=z_star.x + rng.standard_normal(synth_problem.m),
         y=z_star.y + 0.1 * rng.standard_normal((synth_problem.n, synth_problem.n)),
     )
-    synth_result = sgn_solve(synth_problem, z_far, config)
+    synth_result = sgn_solve(synth_problem, z_far)
     print(f"random nondegenerate instance: {synth_result.status} after "
           f"{len(synth_result.trace)} iterations, phi = {synth_result.phi:.3e}")
     print(f"residual at its reference solution: "
@@ -183,7 +200,7 @@ def run_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgnsdp",
         description="KKT solver for nonlinear semidefinite programs "
         "via stratified Gauss-Newton, plus regularity diagnostics",
@@ -218,16 +235,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, FileNotFoundError) as exc:
         field = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"error: {exc}{field}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SgnsdpError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,11 +12,12 @@ the tangent-space isomorphism is the block operator
 assembled here as a dense matrix.  All tangent inner products are taken
 in (v_x, H) coordinates with the Frobenius product on the matrix part.
 Every block is sliced from :func:`constraint_stack`, built once per
-assembly: A[i] = apply_dg(x, e_i) and its rotation P^T A[i] P into the
-eigenbasis of G(z).  Rows are the m residual components, then the
-unrotated ``sym_to_vec`` coordinates of the matrix residual (the layout
-of :meth:`KktResidual.as_vec`); columns are the m primal unit
-directions, then the tangent pairs (k, l) of :func:`tangent_pairs`.
+frame (:class:`TangentFrame`): A[i] = apply_dg(x, e_i) and its rotation
+P^T A[i] P into the eigenbasis of G(z).  Rows are the m residual
+components, then the unrotated ``sym_to_vec`` coordinates of the matrix
+residual (the layout of :meth:`KktResidual.as_vec`); columns are the m
+primal unit directions, then the tangent pairs (k, l) of
+:func:`tangent_pairs`.
 """
 
 from dataclasses import dataclass
@@ -115,16 +116,33 @@ class TangentFrame:
 
     Carries the tangent-pair enumeration of the matrix part and the
     isomorphism between ambient pairs (v_x, v_y) and coordinates
-    (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at G(z).
+    (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at G(z).  It is
+    also the one cache of the derivative data at ``z``: the constraint
+    stack and Hess_xx L are built on first use, so the Jacobian and
+    every regularity check read the problem once per frame.
     """
 
     problem: NlsdpProblem
-    x: np.ndarray
+    z: PrimalDualPoint
     ied: IED
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.z.x
 
     @cached_property
     def pairs(self) -> np.ndarray:
         return tangent_pairs(self.ied)
+
+    @cached_property
+    def stack(self):
+        """``(a, at)`` of :func:`constraint_stack` at ``z``."""
+        return constraint_stack(self.problem, self.x, self.ied)
+
+    @cached_property
+    def hess(self) -> np.ndarray:
+        """Hess_xx L at ``z`` (:func:`hess_lagrangian_matrix`)."""
+        return hess_lagrangian_matrix(self.problem, self.z)
 
     @property
     def dim_tangent(self) -> int:
@@ -157,7 +175,8 @@ def tangent_coords(
     problem: NlsdpProblem, z: PrimalDualPoint, ied: IED
 ) -> TangentFrame:
     """Coordinate frame at ``z``; ``ied`` must decompose G(z)."""
-    return TangentFrame(problem=problem, x=z.x.copy(), ied=ied)
+    z = PrimalDualPoint(x=z.x.copy(), y=z.y)
+    return TangentFrame(problem=problem, z=z, ied=ied)
 
 
 @dataclass(frozen=True)
@@ -220,10 +239,8 @@ class AssembledJacobian:
         return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
 
 
-def assemble_dF(
-    problem: NlsdpProblem, z: PrimalDualPoint, frame: TangentFrame
-) -> AssembledJacobian:
-    """Assemble the block operator from the constraint stack at ``z``.
+def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
+    """Assemble the block operator from the frame's constraint stack.
 
     A coordinate direction (v_x, H) maps to
     (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  With
@@ -233,14 +250,14 @@ def assemble_dF(
         [      -C            sym_to_vec(P (xi o E_kl) P^T)  ]
     """
     ied = frame.ied
-    m = problem.m
-    a, at = constraint_stack(problem, z.x, ied)
+    m = frame.problem.m
+    a, at = frame.stack
     k, l = frame.pairs.T
     w = np.where(k == l, 1.0, SQRT2)
     iu, ju, scale = triu_pairs(ied.n)
     c_mat = sym_to_vec(a).T
     matrix = np.empty((m + iu.size, m + frame.dim_tangent))
-    matrix[:m, :m] = hess_lagrangian_matrix(problem, z) - c_mat.T @ c_mat
+    matrix[:m, :m] = frame.hess - c_mat.T @ c_mat
     matrix[m:, :m] = -c_mat
     matrix[:m, m:] = at[:, k, l] * w
     # entry ((i, j), (k, l)) of the xi block is
@@ -283,7 +300,7 @@ def dir_derivative_phi(
     ied = res.ied
     if jac is None:
         frame = tangent_coords(problem, z, ied)
-        jac = assemble_dF(problem, z, frame)
+        jac = assemble_dF(frame)
     else:
         frame = jac.frame
     h = problem.apply_dg(z.x, v_x) + v_y

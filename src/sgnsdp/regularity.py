@@ -21,21 +21,12 @@ default of :func:`make_ied`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .kkt import (
-    assemble_dF,
-    big_g,
-    constraint_stack,
-    hess_lagrangian_matrix,
-    residual,
-    tangent_coords,
-)
+from .kkt import TangentFrame, assemble_dF, big_g, residual, tangent_coords
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
-    IED,
     frob,
     make_ied,
     nsd_part,
@@ -72,44 +63,24 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-@dataclass(frozen=True)
-class _Point:
-    """What the checks read at ``z``: the IED, the rotated constraint
-    stack and Hess_xx L, the last two built on first use."""
+def _point(problem, z, ied) -> TangentFrame:
+    """The frame at ``z`` for the IED ``ied`` (default: that of G(z)).
 
-    problem: NlsdpProblem
-    z: PrimalDualPoint
-    ied: IED
-
-    @cached_property
-    def at(self) -> np.ndarray:
-        return constraint_stack(self.problem, self.z.x, self.ied)[1]
-
-    @cached_property
-    def hess(self) -> np.ndarray:
-        return hess_lagrangian_matrix(self.problem, self.z)
-
-
-def _point(problem, z, ied) -> _Point:
-    """The data at ``z`` for the IED ``ied`` (default: that of G(z)).
-
-    :func:`diagnose` passes one ``_Point`` in place of the IED to every
-    check it calls, and the checks pass it on to the helpers they call,
-    so all of them share one stack and one Hessian while each check
-    stays a public call of its own.
+    :func:`diagnose` passes one :class:`TangentFrame` in place of the
+    IED to every check it calls, and the checks pass it on to the
+    helpers they call, so all of them share the frame's constraint stack
+    and Hess_xx L while each check stays a public call of its own.
     """
-    if isinstance(ied, _Point):
+    if isinstance(ied, TangentFrame):
         return ied
-    if ied is None:
-        ied = make_ied(big_g(problem, z))
-    return _Point(problem, z, ied)
+    return tangent_coords(problem, z, ied or make_ied(big_g(problem, z)))
 
 
-def _constraint_rows(pt: _Point, include_bb: bool):
+def _constraint_rows(pt: TangentFrame, include_bb: bool):
     """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
     iu, ju, _ = triu_pairs(pt.ied.n)
     pick = pair_mask(pt.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
-    return pt.at[:, iu[pick], ju[pick]].T
+    return pt.stack[1][:, iu[pick], ju[pick]].T
 
 
 def _right_singular(mat, full_matrices=True):
@@ -154,7 +125,7 @@ def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
     if p and q:
         lam = pt.ied.eigenvalues
         root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
-        scaled = np.einsum("ia,ijk,jk->ajk", basis, pt.at[:, :p, r:], root)
+        scaled = np.einsum("ia,ijk,jk->ajk", basis, pt.stack[1][:, :p, r:], root)
         flat = scaled.reshape(basis.shape[1], -1)
         out += 2.0 * (flat @ flat.T)
     return sym(out)
@@ -189,7 +160,7 @@ def check_ssosc(problem, z, ied=None) -> ConditionResult:
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def _span_check(pt: _Point, include_bb):
+def _span_check(pt: TangentFrame, include_bb):
     """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
 
     In eigenbasis coordinates the second set is spanned by unit vectors.
@@ -198,7 +169,7 @@ def _span_check(pt: _Point, include_bb):
     n_sym = n * (n + 1) // 2
     blocks = ("aa", "ab", "ag", "bb") if include_bb else ("aa", "ab", "ag")
     free = np.eye(n_sym)[:, pair_mask(pt.ied, blocks)]
-    stacked = np.hstack([sym_to_vec(pt.at).T, free])
+    stacked = np.hstack([sym_to_vec(pt.stack[1]).T, free])
     if stacked.shape[1] < n_sym:
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -218,8 +189,7 @@ def check_cn(problem, z, ied=None) -> ConditionResult:
 
 def injectivity_margin(problem, z, ied=None) -> float:
     """Smallest singular value of the assembled on-stratum differential."""
-    frame = tangent_coords(problem, z, _point(problem, z, ied).ied)
-    return assemble_dF(problem, z, frame).sigma_min()
+    return assemble_dF(_point(problem, z, ied)).sigma_min()
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +219,7 @@ def check_sonc_heuristic(
     rng = np.random.default_rng(seed)
     p, r = pt.ied.p, pt.ied.n - pt.ied.q
     form = quad_form_matrix(problem, z, pt, basis)
-    at_bb = pt.at[:, p:r, p:r]
+    at_bb = pt.stack[1][:, p:r, p:r]
     coeffs = rng.standard_normal((samples, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
@@ -300,7 +270,7 @@ def check_srcq_heuristic(
     if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(sym_to_vec(pt.at), full_matrices=False)
+    vt, rank = _right_singular(sym_to_vec(pt.stack[1]), full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block
@@ -435,11 +405,11 @@ def diagnose(
 ) -> RegularityReport:
     """Evaluate every condition at ``z`` and collect the report.
 
-    The checks share one :class:`_Point`, so the rotated constraint
-    stack and Hess_xx L are built once; the Jacobian of
-    :func:`injectivity_margin` reads the problem once more.
+    The checks and the Jacobian of :func:`injectivity_margin` share one
+    :class:`TangentFrame`, so the constraint stack and Hess_xx L are
+    built once: m ``apply_dg`` and m ``apply_hess_lagrangian`` calls.
     """
-    pt = _Point(problem, z, make_ied(big_g(problem, z), zero_tol))
+    pt = tangent_coords(problem, z, make_ied(big_g(problem, z), zero_tol))
     return RegularityReport(
         w_soc=check_wsoc(problem, z, pt),
         w_srcq=check_wsrcq(problem, z, pt),

@@ -65,7 +65,6 @@ class SolverConfig:
     mu_min: float = 1e-16           # clamp on the LM regularizer ||F||^2
     mu_max: float = 1e8
     zero_tol: float | None = None   # eigenvalue classification; None = adaptive
-    seed: int = 0
 
     def __post_init__(self):
         if not 0.5 < self.eta < 1.0:
@@ -82,8 +81,6 @@ class SolverConfig:
             raise ValueError("need 0 < mu_min <= mu_max")
         if self.zero_tol is not None and self.zero_tol < 0.0:
             raise ValueError("zero_tol must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -130,10 +127,7 @@ def delta_lower_modulus(ied: IED) -> float:
 
 
 def normal_dirs(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    ied: IED,
-    res: KktResidual | None = None,
+    problem: NlsdpProblem, z: PrimalDualPoint, ied: IED, res: KktResidual
 ):
     """Normal escape directions (W1, W2) at ``z``.
 
@@ -141,8 +135,6 @@ def normal_dirs(
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
     vanish exactly at KKT pairs.
     """
-    if res is None:
-        res = residual(problem, z, ied.zero_tol)
     n, p, q = ied.n, ied.p, ied.q
     r = n - q
     if r - p == 0:
@@ -158,23 +150,17 @@ def normal_dirs(
 
 
 def normal_step(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    ied: IED,
-    which: int,
-    res: KktResidual | None = None,
+    problem: NlsdpProblem, z: PrimalDualPoint, w: np.ndarray, which: int
 ) -> PrimalDualPoint | None:
     """Candidate point along W1 or W2 with the exact minimizing step size.
 
-    Returns ``None`` when the chosen direction vanishes.  The merit
-    decrease at the returned point is ||W1||^4 / (2 ||dg* W1||^2) for the
-    first direction and ||W2||^4 / (2 (||W2||^2 + ||dg* W2||^2)) for the
-    second; tests verify both against direct evaluation.
+    ``w`` is the W1 (``which`` = 1) or W2 (``which`` = 2) that
+    :func:`normal_dirs` returned at ``z``.  Returns ``None`` when it
+    vanishes.  The merit decrease at the returned point is
+    ||W1||^4 / (2 ||dg* W1||^2) for the first direction and
+    ||W2||^4 / (2 (||W2||^2 + ||dg* W2||^2)) for the second; tests verify
+    both against direct evaluation.
     """
-    if res is None:
-        res = residual(problem, z, ied.zero_tol)
-    w1, w2 = normal_dirs(problem, z, ied, res)
-    w = w1 if which == 1 else w2
     w_sq = float(np.sum(w * w))
     if w_sq == 0.0:
         return None
@@ -192,12 +178,10 @@ def normal_step(
 
 
 def lm_direction(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
     frame: TangentFrame,
     config: SolverConfig,
-    res: KktResidual | None = None,
-    jac: AssembledJacobian | None = None,
+    res: KktResidual,
+    jac: AssembledJacobian,
 ):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
@@ -206,10 +190,6 @@ def lm_direction(
     factorization retries with mu increased tenfold; five failures raise
     :class:`LinearSolveFailure`.
     """
-    if res is None:
-        res = residual(problem, z, frame.ied.zero_tol)
-    if jac is None:
-        jac = assemble_dF(problem, z, frame)
     r_vec = res.as_vec()
     rhs = -jac.apply_adjoint(r_vec)
     mu = float(np.clip(float(r_vec @ r_vec), config.mu_min, config.mu_max))
@@ -226,7 +206,7 @@ def lm_direction(
             continue
         lin_res = float(np.linalg.norm(system @ u - rhs))
         if lin_res <= 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
-            m = problem.m
+            m = frame.problem.m
             return TangentVector(frame=frame, v_x=u[:m], coeffs=u[m:]), mu
         mu = max(10.0 * mu, 1e-12)
     raise LinearSolveFailure("regularized Gauss-Newton system is numerically singular")
@@ -277,12 +257,12 @@ def armijo_search(
     for j in range(config.max_backtracks + 1):
         try:
             trial = retract_point(problem, z, v.scaled(step))
+            trial_res = residual(problem, trial, config.zero_tol)
         except (InertiaViolation, NumericalError):
-            # leaving the stratum or overflowing the trial both just
-            # reject this step size
+            # leaving the stratum or overflowing the trial or its
+            # residual all just reject this step size
             step *= config.rho
             continue
-        trial_res = residual(problem, trial, config.zero_tol)
         if trial_res.phi - phi0 <= 0.5 * config.eta * step * dphi:
             return trial, trial_res, j
         step *= config.rho
@@ -335,10 +315,10 @@ def _point_state(problem, z, config, res=None) -> _PointState:
     if res is None:
         res = residual(problem, z, config.zero_tol)
     frame = tangent_coords(problem, z, res.ied)
-    jac = assemble_dF(problem, z, frame)
+    jac = assemble_dF(frame)
     w1, w2 = normal_dirs(problem, z, res.ied, res)
     try:
-        v_lm, mu = lm_direction(problem, z, frame, config, res, jac)
+        v_lm, mu = lm_direction(frame, config, res, jac)
         lm_error = None
     except LinearSolveFailure as exc:
         v_lm, mu, lm_error = None, np.nan, str(exc)
@@ -407,10 +387,8 @@ def slmn(
         if float(np.sum(w * w)) == 0.0:
             continue
         try:
-            cand = normal_step(problem, z, res.ied, which, res)
+            cand = normal_step(problem, z, w, which)
         except NumericalInconsistency:
-            continue
-        if cand is None:
             continue
         cand_res = residual(problem, cand, config.zero_tol)
         candidates.append((kind, cand, cand_res, 0, float(frob(cand.y - z.y))))

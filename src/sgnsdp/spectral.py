@@ -134,7 +134,7 @@ def eig_sym(a: np.ndarray):
     if not np.all(np.isfinite(a)):
         raise NumericalError(
             "eigendecomposition input contains non-finite entries",
-            norm=float(np.linalg.norm(np.nan_to_num(a))),
+            norm=frob(a[np.isfinite(a)]),  # of the finite entries
             order=a.shape[-1],
         )
     try:

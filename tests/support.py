@@ -121,3 +121,16 @@ class Oscillatory(NlsdpProblem):
     def apply_hess_lagrangian(self, x, y, v):
         curvature = 1.0 - y[0, 0] * self.freq**2 * np.sin(self.freq * x[0])
         return np.array([curvature * v[0]])
+
+
+class OverflowingConstraint(AffineQuadraticProblem):
+    """f = x + x^2/2 with g(x) = x, except that g overflows to inf once
+    x > 1.5, as a user's callback may at a far trial point."""
+
+    def __init__(self):
+        super().__init__(c=[1.0], a0=[[0.0]], a_list=[[[1.0]]], quad=[[1.0]])
+
+    def eval_g(self, x):
+        if x[0] > 1.5:
+            return np.full((1, 1), np.inf)
+        return super().eval_g(x)

@@ -98,6 +98,13 @@ class TestSolve:
         assert main(["solve", str(problem_path), "--zero-tol", "-1"]) == 3
         assert main(["solve", str(problem_path), "--seed", "-5"]) == 3
 
+    def test_usage_error_exits_3(self, reference_files, capsys):
+        problem_path, _ = reference_files
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(problem_path), "--eta", "half"])
+        assert exc.value.code == 3
+        assert "usage: sgnsdp solve" in capsys.readouterr().err
+
     def test_deterministic_outputs(self, reference_files, tmp_path):
         problem_path, _ = reference_files
         payloads = []
@@ -139,13 +146,26 @@ class TestDiagnose:
         problem_path, point_path = reference_files
         with pytest.raises(SystemExit) as exc:
             main(["diagnose", str(problem_path), str(point_path), "--tol", "1e-3"])
-        assert exc.value.code == 2
+        assert exc.value.code == 3
         assert "--tol" in capsys.readouterr().err
 
     def test_invalid_point_flags_rejected(self, reference_files, capsys):
         problem_path, point_path = reference_files
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "-1"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--seed", "-5"]) == 3
+
+    def test_numerical_failure_exits_4(self, tmp_path, capsys):
+        problem_path = tmp_path / "overflow.json"
+        problem_path.write_text(json.dumps({
+            "n": 1, "m": 1,
+            "objective": {"c": [1.0]},
+            "constraint": {"A0": [1e308], "A": [[1e308]]},
+        }))
+        point_path = tmp_path / "point.json"
+        point_path.write_text(json.dumps({"x": [10.0], "y": [0.0]}))
+        with np.errstate(over="ignore"):  # g(x) = 1e308 + 10 * 1e308
+            assert main(["diagnose", str(problem_path), str(point_path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
 
     def test_deterministic_report(self, reference_files, tmp_path):
         problem_path, point_path = reference_files

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from support import (
     Oscillatory,
+    OverflowingConstraint,
     corrected_random_point,
     point_on_stratum,
     random_point,
@@ -133,7 +134,8 @@ class TestNormalStep:
         problem, z = scalar_boundary()
         res = residual(problem, z)
         assert res.phi == 0.5
-        cand = normal_step(problem, z, res.ied, 1, res)
+        w1, _ = normal_dirs(problem, z, res.ied, res)
+        cand = normal_step(problem, z, w1, 1)
         assert np.allclose(cand.x, [0.0]) and np.allclose(cand.y, [[-1.0]])
         after = residual(problem, cand)
         assert after.phi == 0.0  # KKT pair of: minimize x subject to x >= 0
@@ -141,15 +143,17 @@ class TestNormalStep:
     def test_absent_when_zero(self):
         problem, z = scalar_boundary()
         res = residual(problem, z)
-        assert normal_step(problem, z, res.ied, 2, res) is None
+        _, w2 = normal_dirs(problem, z, res.ied, res)
+        assert normal_step(problem, z, w2, 2) is None
 
     def test_inconsistent_adjoint_is_signalled(self):
         from sgnsdp.errors import NumericalInconsistency
 
         broken, z = broken_scalar_boundary()
         res = residual(broken, z)
+        w1, _ = normal_dirs(broken, z, res.ied, res)
         with pytest.raises(NumericalInconsistency):
-            normal_step(broken, z, res.ied, 1, res)
+            normal_step(broken, z, w1, 1)
 
     def test_decrease_identities(self):
         rng = np.random.default_rng(2)
@@ -161,7 +165,7 @@ class TestNormalStep:
             for which, w in ((1, w1), (2, w2)):
                 if frob(w) == 0.0:
                     continue
-                cand = normal_step(problem, z, res.ied, which, res)
+                cand = normal_step(problem, z, w, which)
                 drop = res.phi - residual(problem, cand).phi
                 w_sq = float(np.sum(w * w))
                 dg_sq = float(np.sum(problem.adjoint_dg(z.x, w) ** 2))
@@ -182,7 +186,7 @@ class TestLmDirection:
         z = point([0.0], [[1.0]])
         res = residual(problem, z)
         frame = tangent_coords(problem, z, res.ied)
-        v, mu = lm_direction(problem, z, frame, SolverConfig(), res)
+        v, mu = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
         assert mu == 2.0
         assert np.allclose(v.as_vec(), [2.0 / 11.0, -5.0 / 11.0], atol=1e-14)
 
@@ -190,7 +194,7 @@ class TestLmDirection:
         problem, z = scalar_boundary()
         res = residual(problem, z)
         frame = tangent_coords(problem, z, res.ied)
-        v, mu = lm_direction(problem, z, frame, SolverConfig(), res)
+        v, mu = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
         assert mu == 1.0
         assert np.allclose(v.as_vec(), [1.0 / 3.0], atol=1e-14)
 
@@ -198,7 +202,7 @@ class TestLmDirection:
         problem, z_bar = degenerate_fixture()
         res = residual(problem, z_bar)
         frame = tangent_coords(problem, z_bar, res.ied)
-        v, _ = lm_direction(problem, z_bar, frame, SolverConfig(), res)
+        v, _ = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
         assert v.norm == 0.0
 
 
@@ -247,8 +251,8 @@ class TestArmijo:
         z = point_on_stratum(rng, problem, z_star, 1e-3)
         res = residual(problem, z)
         frame = tangent_coords(problem, z, res.ied)
-        jac = assemble_dF(problem, z, frame)
-        v, _ = lm_direction(problem, z, frame, SolverConfig(), res, jac)
+        jac = assemble_dF(frame)
+        v, _ = lm_direction(frame, SolverConfig(), res, jac)
         dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
         _, _, j = armijo_search(problem, z, res, v, dphi, SolverConfig())
         assert j == 0
@@ -271,8 +275,8 @@ class TestArmijo:
         for _ in range(40):
             res = residual(problem, z)
             frame = tangent_coords(problem, z, res.ied)
-            jac = assemble_dF(problem, z, frame)
-            v, _ = lm_direction(problem, z, frame, config, res, jac)
+            jac = assemble_dF(frame)
+            v, _ = lm_direction(frame, config, res, jac)
             dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
             if not dphi < 0:
                 break
@@ -293,8 +297,8 @@ class TestArmijo:
         for _ in range(30):
             res = residual(problem, z)
             frame = tangent_coords(problem, z, res.ied)
-            jac = assemble_dF(problem, z, frame)
-            v, mu = lm_direction(problem, z, frame, config, res, jac)
+            jac = assemble_dF(frame)
+            v, mu = lm_direction(frame, config, res, jac)
             dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
             if not dphi < 0:
                 break
@@ -348,6 +352,25 @@ class TestSlmn:
             if outcome.kind != "lm":
                 continue
             assert make_ied(big_g(problem, outcome.z)).inertia == before
+
+
+    def test_reads_the_normal_directions_once(self, monkeypatch):
+        # the normal steps take W1 and W2 from the point state
+        import sgnsdp.solver
+
+        original = sgnsdp.solver.normal_dirs
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        problem, z = corrected_random_point(np.random.default_rng(1), 4, 5, n_zero=2)
+        res = residual(problem, z)
+        assert all(frob(w) > 0.0 for w in original(problem, z, res.ied, res))
+        monkeypatch.setattr(sgnsdp.solver, "normal_dirs", counting)
+        slmn(problem, z, SolverConfig())
+        assert len(calls) == 1
 
 
 class TestCorrect:
@@ -473,7 +496,7 @@ class TestSgnSolve:
         res = residual(problem, z)
         assert res.phi > 1e-6  # genuinely not a KKT pair
         frame = tangent_coords(problem, z, res.ied)
-        jac = assemble_dF(problem, z, frame)
+        jac = assemble_dF(frame)
         from sgnsdp.kkt import dir_derivative_phi
 
         rng = np.random.default_rng(0)
@@ -483,6 +506,17 @@ class TestSgnSolve:
             scale = np.sqrt(v_x[0] ** 2 + v_y[0, 0] ** 2)
             val = dir_derivative_phi(problem, z, v_x / scale, v_y / scale, res, jac)
             assert val >= -1e-9
+
+    def test_nonfinite_trial_residual_is_a_rejected_step(self):
+        # g overflows at the far Armijo trials; each is a failed trial
+        # instead of a NumericalError escaping the solve
+        with np.errstate(invalid="ignore"):  # inf - inf at those trials
+            result = sgn_solve(
+                OverflowingConstraint(), point([1.5], [[0.5]]), SolverConfig(max_iter=20)
+            )
+        assert result.status in (CONVERGED, MAX_ITER, STALLED)
+        phis = [rec.phi for rec in result.trace] + [result.phi]
+        assert all(b <= a for a, b in zip(phis, phis[1:]))
 
     def test_stratum_identification_near_solution(self):
         rng = np.random.default_rng(11)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from support import haar_orthogonal, random_tangent, stratum_matrix
@@ -120,10 +122,13 @@ class TestStacks:
     def test_nonfinite_entry_in_a_stack_rejected(self):
         stack = np.zeros((4, 3, 3))
         stack[2, 1, 0] = np.inf
+        stack[0, 0, 0], stack[3, 2, 2] = 3.0, 4.0
         for fn in (eig_sym, nsd_part):
-            with pytest.raises(NumericalError) as err:
+            with warnings.catch_warnings(), pytest.raises(NumericalError) as err:
+                warnings.simplefilter("error", RuntimeWarning)
                 fn(stack)
             assert err.value.order == 3
+            assert err.value.norm == 5.0  # of the finite entries
 
     def test_triu_pairs_are_cached_and_read_only(self):
         iu, ju, scale = triu_pairs(4)
