@@ -14,18 +14,6 @@ class NumericalError(SgnsdpError):
         self.order = order
 
 
-class TangencyViolation(SgnsdpError):
-    """A direction handed to a stratum operation is not tangent.
-
-    Carries the measured Frobenius norm of the beta-beta block that
-    should have been zero.
-    """
-
-    def __init__(self, message, beta_block_norm):
-        super().__init__(message)
-        self.beta_block_norm = beta_block_norm
-
-
 class InertiaViolation(SgnsdpError):
     """A retraction target lost the required inertia pattern.
 

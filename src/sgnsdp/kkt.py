@@ -25,16 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
     SQRT2,
-    frob_inner,
     make_ied,
-    normal_project_pi2,
-    nsd_part,
     project_psd,
-    psd_part,
     sym,
     sym_to_vec,
     tangent_matrix,
@@ -50,11 +47,10 @@ def big_g(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KktResidual:
-    """Residual snapshot at a point, with G(z) and its IED cached."""
+    """Residual snapshot at a point, with the IED of G(z) (``ied.matrix``) cached."""
 
     f1: np.ndarray
     f2: np.ndarray
-    g_matrix: np.ndarray
     ied: IED
 
     @property
@@ -73,13 +69,18 @@ class KktResidual:
 def residual(
     problem: NlsdpProblem, z: PrimalDualPoint, zero_tol: float | None = None
 ) -> KktResidual:
-    """Evaluate the KKT residual; phi(z) is available as ``.phi``."""
+    """Evaluate the KKT residual; phi(z) is available as ``.phi``.
+
+    Raises :class:`NumericalError` when g(x) has a non-finite entry,
+    before G(z) is formed from it.
+    """
     g_val = problem.eval_g(z.x)
-    big = sym(g_val + z.y)
-    ied = make_ied(big, zero_tol)
+    if not np.all(np.isfinite(g_val)):
+        raise NumericalError("g(x) contains non-finite entries", order=g_val.shape[-1])
+    ied = make_ied(g_val + z.y, zero_tol)
     f1 = problem.grad_f(z.x) + problem.adjoint_dg(z.x, z.y)
     f2 = -g_val + project_psd(ied)
-    return KktResidual(f1=f1, f2=sym(f2), g_matrix=big, ied=ied)
+    return KktResidual(f1=f1, f2=sym(f2), ied=ied)
 
 
 def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED):
@@ -114,9 +115,9 @@ def hess_lagrangian_matrix(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndar
 class TangentFrame:
     """Coordinate frame for the lifted stratum at a fixed point.
 
-    Carries the tangent-pair enumeration of the matrix part and the
-    isomorphism between ambient pairs (v_x, v_y) and coordinates
-    (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at G(z).  It is
+    Coordinates are (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at
+    G(z) for an ambient pair (v_x, v_y); the frame carries the
+    tangent-pair enumeration of the matrix part.  It is
     also the one cache of the derivative data at ``z``: the constraint
     stack and Hess_xx L are built on first use, so the Jacobian and
     every regularity check read the problem once per frame.
@@ -156,20 +157,6 @@ class TangentFrame:
         """Tangent matrix with the given orthonormal-basis coefficients."""
         return tangent_matrix(self.ied, coeffs)
 
-    def coeffs_from_matrix(self, h: np.ndarray) -> np.ndarray:
-        """Coefficients of the tangent component of ``h``."""
-        ht = self.ied.basis.T @ h @ self.ied.basis
-        k, l = self.pairs[:, 0], self.pairs[:, 1]
-        return ht[k, l] * np.where(k == l, 1.0, SQRT2)
-
-    def to_coords(self, v_x: np.ndarray, v_y: np.ndarray):
-        """phi_z: ambient (v_x, v_y) -> (v_x, H)."""
-        return v_x, self.problem.apply_dg(self.x, v_x) + v_y
-
-    def from_coords(self, v_x: np.ndarray, h: np.ndarray):
-        """phi_z^{-1}: (v_x, H) -> ambient (v_x, v_y)."""
-        return v_x, h - self.problem.apply_dg(self.x, v_x)
-
 
 def tangent_coords(
     problem: NlsdpProblem, z: PrimalDualPoint, ied: IED
@@ -190,10 +177,6 @@ class TangentVector:
     @cached_property
     def matrix(self) -> np.ndarray:
         return self.frame.matrix_from_coeffs(self.coeffs)
-
-    def ambient(self):
-        """(v_x, v_y) with v_y = H - apply_dg(x, v_x)."""
-        return self.frame.from_coords(self.v_x, self.matrix)
 
     @property
     def norm(self) -> float:
@@ -226,9 +209,6 @@ class AssembledJacobian:
     @cached_property
     def gram(self) -> np.ndarray:
         return self.matrix.T @ self.matrix
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u
 
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
         return self.matrix.T @ w
@@ -271,45 +251,3 @@ def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
     block += swapped
     block *= 0.5 * w * ied.xi[k, l]
     return AssembledJacobian(matrix=matrix, frame=frame)
-
-
-# ---------------------------------------------------------------------------
-# directional derivative of the merit function
-# ---------------------------------------------------------------------------
-
-def dir_derivative_phi(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    v_x: np.ndarray,
-    v_y: np.ndarray,
-    res: KktResidual | None = None,
-    jac: AssembledJacobian | None = None,
-) -> float:
-    """One-sided directional derivative of phi at ``z`` along an ambient direction.
-
-    Splits H = apply_dg(x, v_x) + v_y into its tangent part H1 and normal
-    part H2.  The tangent part pairs with the pulled-back residual
-    J^T r; the normal part contributes through the two one-sided cone
-    projections, which is where the nonsmoothness of phi lives:
-
-        phi'(z; v) = <J^T r, (v_x, H1)>
-                     + <dg F1, NSD(H2)> + <dg F1 + F2, PSD(H2)>.
-    """
-    if res is None:
-        res = residual(problem, z)
-    ied = res.ied
-    if jac is None:
-        frame = tangent_coords(problem, z, ied)
-        jac = assemble_dF(frame)
-    else:
-        frame = jac.frame
-    h = problem.apply_dg(z.x, v_x) + v_y
-    h2 = normal_project_pi2(ied, h)
-    h1 = h - h2
-    u1 = np.concatenate([v_x, frame.coeffs_from_matrix(h1)])
-    pulled = jac.apply_adjoint(res.as_vec())
-    term_tangent = float(pulled @ u1)
-    dg_f1 = problem.apply_dg(z.x, res.f1)
-    term_neg = frob_inner(dg_f1, nsd_part(h2))
-    term_pos = frob_inner(dg_f1 + res.f2, psd_part(h2))
-    return term_tangent + term_neg + term_pos

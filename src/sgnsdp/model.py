@@ -33,22 +33,6 @@ class PrimalDualPoint:
     def n(self) -> int:
         return self.y.shape[0]
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2)))
-
-
-def point(x, y) -> PrimalDualPoint:
-    """Build a point from array-likes, symmetrizing y."""
-    return PrimalDualPoint(
-        x=np.asarray(x, dtype=float).reshape(-1), y=sym(np.asarray(y, dtype=float))
-    )
-
-
-def point_distance(a: PrimalDualPoint, b: PrimalDualPoint) -> float:
-    return float(
-        np.sqrt(np.sum((a.x - b.x) ** 2) + np.sum((a.y - b.y) ** 2))
-    )
-
 
 class NlsdpProblem(ABC):
     """Evaluation interface every problem instance provides.
@@ -305,20 +289,6 @@ def degenerate_fixture():
     ybar = np.zeros((n, n))
     ybar[3, 3] = -1.0
     return problem, PrimalDualPoint(x=np.zeros(5), y=ybar)
-
-
-def degenerate_fixture_curve(t: float) -> PrimalDualPoint:
-    """Off-stratum multiplier curve y(t) for the 4x4 fixture.
-
-    Moves distance Theta(t) away from the reference multiplier while the
-    KKT residual decays like Theta(t^2): the classical local error bound
-    fails along this curve even though the stratum-restricted one holds.
-    """
-    y = np.zeros((4, 4))
-    y[3, 3] = -1.0
-    y[2, 2] = -t
-    y[0, 3] = y[3, 0] = t * t
-    return PrimalDualPoint(x=np.zeros(5), y=y)
 
 
 def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=None):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import TangentFrame, assemble_dF, big_g, residual, tangent_coords
+from .kkt import TangentFrame, assemble_dF, big_g, tangent_coords
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     frob,
@@ -262,8 +262,10 @@ def check_srcq_heuristic(
     level 1 - SRCQ_ALIGNMENT_TOL / 10.  A decisive restart i ends the
     probe as if the restarts had run one after another: the restarts
     after i are dropped and the margin is the largest alignment of
-    restarts 0..i.
+    restarts 0..i.  ``restarts`` must be positive.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
     pt = _point(problem, z, ied)
     ied = pt.ied
     f2 = sym(project_psd(ied) - problem.eval_g(z.x))  # the residual's F2
@@ -279,7 +281,7 @@ def check_srcq_heuristic(
     block[p:, p:] = True
     inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]
     trailing = ied.basis[:, p:]
-    starts = np.random.default_rng(seed).standard_normal((max(restarts, 0), n, n))
+    starts = np.random.default_rng(seed).standard_normal((restarts, n, n))
     d = sym(trailing.T @ starts @ trailing)
     live = np.arange(len(d))        # the restart behind each row of d
     alignment = np.zeros(len(d))    # each restart's latest alignment
@@ -313,47 +315,6 @@ def check_srcq_heuristic(
     worst = float(np.max(alignment[:stop], initial=0.0))
     verdict = HEURISTIC_HOLDS if worst < 1.0 - SRCQ_ALIGNMENT_TOL else HEURISTIC_FAILS
     return ConditionResult(verdict, worst)
-
-
-def error_bound_probe(
-    problem,
-    z_bar: PrimalDualPoint,
-    radius: float,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Empirical stratum-restricted error-bound constant near a KKT pair.
-
-    Retracts random tangent vectors of norm up to ``radius`` and reports
-    the smallest observed ratio ||F(z)|| / ||z - z_bar||.
-    """
-    from .errors import InertiaViolation
-    from .kkt import TangentVector
-    from .model import point_distance
-    from .solver import retract_point
-
-    res = residual(problem, z_bar)
-    frame = tangent_coords(problem, z_bar, res.ied)
-    rng = np.random.default_rng(seed)
-    dim = frame.dim
-    best = np.inf
-    for _ in range(samples):
-        raw = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(raw))
-        if norm == 0.0:
-            continue
-        raw *= radius * rng.uniform(0.1, 1.0) / norm
-        v = TangentVector(frame=frame, v_x=raw[: problem.m], coeffs=raw[problem.m :])
-        try:
-            z = retract_point(problem, z_bar, v)
-        except InertiaViolation:
-            continue
-        dist = point_distance(z, z_bar)
-        if dist == 0.0:
-            continue
-        ratio = residual(problem, z).norm / dist
-        best = min(best, ratio)
-    return best
 
 
 # ---------------------------------------------------------------------------

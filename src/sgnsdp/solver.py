@@ -345,10 +345,13 @@ class SlmnOutcome:
     z: PrimalDualPoint
     res: KktResidual
     kind: str                   # lm | normal1 | normal2 | stall
-    stalled: bool
     backtracks: int
     mu: float
     step_norm: float
+
+    @property
+    def stalled(self) -> bool:
+        return self.kind == "stall"
 
 
 def slmn(
@@ -395,7 +398,7 @@ def slmn(
     viable = [c for c in candidates if c[2].phi < res.phi]
     if not viable:
         return SlmnOutcome(
-            z=z, res=res, kind="stall", stalled=True,
+            z=z, res=res, kind="stall",
             backtracks=0, mu=state.mu, step_norm=0.0,
         )
     best_phi = min(c[2].phi for c in viable)
@@ -403,7 +406,7 @@ def slmn(
         c for c in viable if c[2].phi == best_phi
     )
     return SlmnOutcome(
-        z=z_new, res=res_new, kind=kind, stalled=False,
+        z=z_new, res=res_new, kind=kind,
         backtracks=j, mu=state.mu, step_norm=step_norm,
     )
 

@@ -5,9 +5,13 @@ Everything downstream runs through the indexed eigenvalue decomposition
 index sets alpha (positive), beta (zero within a tolerance) and gamma
 (negative).  Fixing the sizes ``p = |alpha|`` and ``q = |gamma|`` pins a
 smooth stratum of the symmetric matrices on which the PSD projector is
-differentiable; this module provides that projector, its on-stratum
-differential, tangent/normal projections, an orthonormal tangent basis,
-and a fixed-inertia retraction.
+differentiable; this module provides that projector, the threshold-free
+PSD and NSD parts, the tangent-pair coordinates of a stratum
+(:func:`tangent_pairs`, :func:`tangent_matrix`) and a fixed-inertia
+retraction.  The projector's on-stratum differential enters the solver
+only through the xi block of ``kkt.assemble_dF``; its matrix form, the
+tangent/normal projections and a tangent basis are test oracles in
+``tests/reference.py`` and ``tests/support.py``.
 
 Two flat layouts are used for symmetric matrices and must not be mixed:
 
@@ -19,12 +23,12 @@ Two flat layouts are used for symmetric matrices and must not be mixed:
   sqrt(2), so Euclidean inner products equal Frobenius inner products.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InertiaViolation, NumericalError, TangencyViolation
+from .errors import InertiaViolation, NumericalError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -39,24 +43,12 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius inner product <A, B> = trace(A B) for symmetric A, B."""
-    return float(np.sum(a * b))
-
-
 # ---------------------------------------------------------------------------
 # packed storage (file layout)
 # ---------------------------------------------------------------------------
 
 def packed_length(n: int) -> int:
     return n * (n + 1) // 2
-
-
-def packed_index(i: int, j: int) -> int:
-    """Flat index of entry (i, j), i >= j, in the packed lower triangle."""
-    if j > i:
-        i, j = j, i
-    return i * (i + 1) // 2 + j
 
 
 def pack_sym(a: np.ndarray) -> np.ndarray:
@@ -255,13 +247,6 @@ def project_psd(ied: IED) -> np.ndarray:
     return sym(pa @ (ied.eigenvalues[: ied.p, None] * pa.T))
 
 
-def project_nsd(ied: IED) -> np.ndarray:
-    """Metric projection onto the NSD cone: keep the gamma eigenpairs."""
-    r = ied.n - ied.q
-    pg = ied.basis[:, r:]
-    return sym(pg @ (ied.eigenvalues[r:, None] * pg.T))
-
-
 def psd_part(a: np.ndarray) -> np.ndarray:
     """Threshold-free PSD part: clip eigenvalues at zero; maps stacks too."""
     basis, lam = eig_sym(a)
@@ -274,55 +259,9 @@ def nsd_part(a: np.ndarray) -> np.ndarray:
     return sym(basis @ (np.minimum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
 
 
-def _xi_product(ied: IED, h: np.ndarray, beta_map) -> np.ndarray:
-    """P (xi o P^T h P) P^T with ``beta_map`` applied to the beta-beta block."""
-    p, r = ied.p, ied.n - ied.q
-    ht = ied.basis.T @ h @ ied.basis
-    out = ied.xi * ht
-    if r > p:
-        out[p:r, p:r] = beta_map(ht[p:r, p:r])
-    return sym(ied.basis @ out @ ied.basis.T)
-
-
-def proj_dir_derivative(ied: IED, h: np.ndarray) -> np.ndarray:
-    """Directional derivative of the PSD projector at ``ied.matrix`` along ``h``.
-
-    Valid for arbitrary directions: the beta-beta block of the rotated
-    direction passes through an inner PSD projection, which is what makes
-    the projector merely B-differentiable off the strata.
-    """
-    return _xi_product(ied, h, psd_part)
-
-
-def stratum_differential(ied: IED, h: np.ndarray) -> np.ndarray:
-    """Differential of the PSD projector restricted to the stratum of ``ied``.
-
-    ``h`` must be tangent: the beta-beta block of the rotated direction
-    has to vanish (up to 1e-10 relative), otherwise a
-    :class:`TangencyViolation` is raised with the measured norm.
-    """
-
-    def vanishing(block):
-        bb = frob(block)
-        if bb > 1e-10 * frob(h):
-            raise TangencyViolation(
-                f"direction is not tangent to the stratum: |beta block| = {bb:.3e}",
-                beta_block_norm=bb,
-            )
-        return 0.0
-
-    return _xi_product(ied, h, vanishing)
-
-
 # ---------------------------------------------------------------------------
 # tangent structure of the stratum
 # ---------------------------------------------------------------------------
-
-def stratum_dimension(n: int, p: int, q: int) -> int:
-    """dim of the fixed-inertia manifold: n(p+q) - (p+q)(p+q-1)/2."""
-    r = p + q
-    return n * r - r * (r - 1) // 2
-
 
 def pair_mask(ied: IED, blocks) -> np.ndarray:
     """Mask of the pairs in ``np.triu_indices(n)`` order joining ``blocks``.
@@ -359,33 +298,8 @@ def tangent_matrix(ied: IED, coeffs: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def tangent_basis(ied: IED) -> list:
-    """Orthonormal basis of the tangent space at ``ied.matrix``.
-
-    Elements are P E_kl P^T for the pairs of :func:`tangent_pairs`, with
-    E_kl as in :func:`tangent_matrix`.
-    """
-    dim = tangent_pairs(ied).shape[0]
-    return list(tangent_matrix(ied, np.eye(dim)))
-
-
-def normal_project_pi2(ied: IED, h: np.ndarray) -> np.ndarray:
-    """Projection onto the normal space: keep only the beta-beta block."""
-    p, q, n = ied.p, ied.q, ied.n
-    r = n - q
-    if r - p == 0:
-        return np.zeros((n, n))
-    pb = ied.basis[:, p:r]
-    return sym(pb @ (pb.T @ h @ pb) @ pb.T)
-
-
-def tangent_project_pi1(ied: IED, h: np.ndarray) -> np.ndarray:
-    """Projection onto the tangent space; complements :func:`normal_project_pi2`."""
-    return h - normal_project_pi2(ied, h)
-
-
 # ---------------------------------------------------------------------------
-# retraction and IED non-uniqueness
+# retraction
 # ---------------------------------------------------------------------------
 
 def retract_fixed_inertia(ied: IED, h: np.ndarray) -> np.ndarray:
@@ -412,32 +326,3 @@ def retract_fixed_inertia(ied: IED, h: np.ndarray) -> np.ndarray:
     kept = lam.copy()
     kept[p : n - q] = 0.0
     return sym(basis @ (kept[:, None] * basis.T))
-
-
-def rotate_within_eigenspaces(ied: IED, seed: int) -> IED:
-    """Re-draw the eigenbasis inside each cluster of equal eigenvalues.
-
-    Test utility for the non-uniqueness of the decomposition: the result
-    represents the same matrix (clusters are detected with the IED's own
-    zero tolerance, and all of beta counts as one cluster), so every
-    downstream operation must agree on both versions.
-    """
-    rng = np.random.default_rng(seed)
-    lam = ied.eigenvalues
-    n, p, q = ied.n, ied.p, ied.q
-    r = n - q
-    clusters = [[0]]
-    for i in range(1, n):
-        both_beta = p <= i < r and p <= i - 1 < r
-        if both_beta or lam[i - 1] - lam[i] <= ied.zero_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    new_basis = ied.basis.copy()
-    for cluster in clusters:
-        k = len(cluster)
-        gauss = rng.standard_normal((k, k))
-        qmat, rmat = np.linalg.qr(gauss)
-        qmat = qmat * np.sign(np.diag(rmat))
-        new_basis[:, cluster] = new_basis[:, cluster] @ qmat
-    return replace(ied, basis=new_basis)

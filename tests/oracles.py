@@ -1,12 +1,13 @@
 """Independent verification machinery for the test suite.
 
-Every derivative formula in the package is paired with a slow,
-formula-free route here: one-sided difference quotients for the
-projector differential and the merit derivative, a projected-gradient
-PSD projection for orders up to three that avoids the LAPACK eigensolver
-entirely (analytic characteristic-polynomial roots plus a matrix
-polynomial for the absolute value), and a convergence-rate classifier
-driven by iterate distances.
+Every derivative formula, in the package or among the analysis oracles
+of :mod:`reference`, is paired with a slow, formula-free route here:
+one-sided difference quotients for the projector differential and the
+merit derivative, a projected-gradient PSD projection for orders up to
+three that avoids the LAPACK eigensolver entirely (analytic
+characteristic-polynomial roots plus a matrix polynomial for the
+absolute value), and a convergence-rate classifier driven by iterate
+distances.
 """
 
 from dataclasses import dataclass

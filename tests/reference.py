@@ -1,16 +1,25 @@
-"""Slow reference implementations the vectorised library code must match.
+"""The paper's analysis oracles and slow reference implementations.
 
-These are the straightforward constructions: the stratum Jacobian built
-column by column through ``adjoint_dg`` and ``stratum_differential``,
-the regularity quantities built by explicit loops over matrix
-entries in the eigenbasis, and the SRCQ probe iterating on full n x n
-matrices.  They share no code with the library's constraint stack, so
-agreement is evidence for both.
+The oracles are the derivatives that the analysis uses and the solver
+does not: the directional derivative of the PSD projector, its
+differential on a stratum as a matrix function, and the one-sided
+directional derivative of the merit phi.
+
+The reference implementations are the straightforward constructions
+the vectorised library code must match: the stratum Jacobian built
+column by column through ``adjoint_dg`` and :func:`stratum_differential`,
+the regularity quantities built by explicit loops over matrix entries
+in the eigenbasis, and the SRCQ probe iterating on full n x n matrices.
+They share no code with the library's constraint stack or its Jacobian
+assembly, so agreement is evidence for both.
 """
 
 import numpy as np
 
-from sgnsdp.kkt import AssembledJacobian, residual
+from support import coeffs_from_matrix, frob_inner, normal_project_pi2
+
+from sgnsdp.errors import SgnsdpError
+from sgnsdp.kkt import AssembledJacobian, assemble_dF, residual, tangent_coords
 from sgnsdp.regularity import (
     HEURISTIC_FAILS,
     HEURISTIC_HOLDS,
@@ -21,11 +30,106 @@ from sgnsdp.regularity import (
 from sgnsdp.spectral import (
     frob,
     nsd_part,
-    stratum_differential,
+    psd_part,
     sym,
     sym_to_vec,
     vec_to_sym,
 )
+
+
+# ---------------------------------------------------------------------------
+# derivative oracles
+# ---------------------------------------------------------------------------
+
+class TangencyViolation(SgnsdpError):
+    """A direction handed to a stratum operation is not tangent.
+
+    Carries the measured Frobenius norm of the beta-beta block that
+    should have been zero.
+    """
+
+    def __init__(self, message, beta_block_norm):
+        super().__init__(message)
+        self.beta_block_norm = beta_block_norm
+
+
+def _xi_product(ied, h, beta_map):
+    """P (xi o P^T h P) P^T with ``beta_map`` applied to the beta-beta block."""
+    p, r = ied.p, ied.n - ied.q
+    ht = ied.basis.T @ h @ ied.basis
+    out = ied.xi * ht
+    if r > p:
+        out[p:r, p:r] = beta_map(ht[p:r, p:r])
+    return sym(ied.basis @ out @ ied.basis.T)
+
+
+def proj_dir_derivative(ied, h):
+    """Directional derivative of the PSD projector at ``ied.matrix`` along ``h``.
+
+    Valid for arbitrary directions: the beta-beta block of the rotated
+    direction passes through an inner PSD projection, which is what makes
+    the projector merely B-differentiable off the strata.
+    """
+    return _xi_product(ied, h, psd_part)
+
+
+def stratum_differential(ied, h):
+    """Differential of the PSD projector restricted to the stratum of ``ied``.
+
+    ``h`` must be tangent: the beta-beta block of the rotated direction
+    has to vanish (up to 1e-10 relative), otherwise a
+    :class:`TangencyViolation` is raised with the measured norm.
+    """
+
+    def vanishing(block):
+        bb = frob(block)
+        if bb > 1e-10 * frob(h):
+            raise TangencyViolation(
+                f"direction is not tangent to the stratum: |beta block| = {bb:.3e}",
+                beta_block_norm=bb,
+            )
+        return 0.0
+
+    return _xi_product(ied, h, vanishing)
+
+
+def dir_derivative_phi(problem, z, v_x, v_y, res=None, jac=None) -> float:
+    """One-sided directional derivative of phi at ``z`` along an ambient direction.
+
+    Splits H = apply_dg(x, v_x) + v_y into its tangent part H1 and normal
+    part H2.  The tangent part pairs with the pulled-back residual
+    J^T r; the normal part contributes through the two one-sided cone
+    projections, which is where the nonsmoothness of phi lives:
+
+        phi'(z; v) = <J^T r, (v_x, H1)>
+                     + <dg F1, NSD(H2)> + <dg F1 + F2, PSD(H2)>.
+
+    ``res`` and ``jac`` default to the residual and the library's
+    Jacobian at ``z``.
+    """
+    if res is None:
+        res = residual(problem, z)
+    ied = res.ied
+    if jac is None:
+        frame = tangent_coords(problem, z, ied)
+        jac = assemble_dF(frame)
+    else:
+        frame = jac.frame
+    h = problem.apply_dg(z.x, v_x) + v_y
+    h2 = normal_project_pi2(ied, h)
+    h1 = h - h2
+    u1 = np.concatenate([v_x, coeffs_from_matrix(frame, h1)])
+    pulled = jac.apply_adjoint(res.as_vec())
+    term_tangent = float(pulled @ u1)
+    dg_f1 = problem.apply_dg(z.x, res.f1)
+    term_neg = frob_inner(dg_f1, nsd_part(h2))
+    term_pos = frob_inner(dg_f1 + res.f2, psd_part(h2))
+    return term_tangent + term_neg + term_pos
+
+
+# ---------------------------------------------------------------------------
+# slow reference implementations
+# ---------------------------------------------------------------------------
 
 
 def _unit(size, i):
@@ -160,7 +264,7 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     list, each restart appends its number of polar-cone projections.
     """
     res = residual(problem, z, ied.zero_tol)
-    if frob(res.f2) > 1e-6 * max(1.0, frob(res.g_matrix)):
+    if frob(res.f2) > 1e-6 * max(1.0, frob(res.ied.matrix)):
         return NOT_APPLICABLE, np.nan
     n, m = ied.n, problem.m
     images = _rotated_images(problem, z, ied)

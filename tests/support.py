@@ -1,10 +1,150 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and test utilities for the test suite.
+
+Besides the random builders this holds the stratum utilities that only
+tests call: tangent/normal projections, a tangent basis, re-drawn
+eigenbases, the coordinate isomorphism of a tangent frame, point
+helpers, the off-stratum curve of the 4x4 fixture and the
+stratum-restricted error-bound probe.
+"""
+
+from dataclasses import replace
 
 import numpy as np
 
-from sgnsdp.kkt import TangentVector, residual, tangent_coords
+from sgnsdp.errors import InertiaViolation
+from sgnsdp.kkt import TangentFrame, TangentVector, residual, tangent_coords
 from sgnsdp.model import AffineQuadraticProblem, NlsdpProblem, PrimalDualPoint
-from sgnsdp.spectral import IED, make_ied, sym, tangent_matrix, tangent_pairs
+from sgnsdp.solver import retract_point
+from sgnsdp.spectral import (
+    IED,
+    SQRT2,
+    make_ied,
+    sym,
+    tangent_matrix,
+    tangent_pairs,
+)
+
+
+def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius inner product <A, B> = trace(A B) for symmetric A, B."""
+    return float(np.sum(a * b))
+
+
+def packed_index(i: int, j: int) -> int:
+    """Flat index of entry (i, j), i >= j, in the packed lower triangle."""
+    if j > i:
+        i, j = j, i
+    return i * (i + 1) // 2 + j
+
+
+def point(x, y) -> PrimalDualPoint:
+    """Build a point from array-likes, symmetrizing y."""
+    return PrimalDualPoint(
+        x=np.asarray(x, dtype=float).reshape(-1), y=sym(np.asarray(y, dtype=float))
+    )
+
+
+def point_distance(a: PrimalDualPoint, b: PrimalDualPoint) -> float:
+    return float(
+        np.sqrt(np.sum((a.x - b.x) ** 2) + np.sum((a.y - b.y) ** 2))
+    )
+
+
+# ---------------------------------------------------------------------------
+# stratum utilities
+# ---------------------------------------------------------------------------
+
+def project_nsd(ied: IED) -> np.ndarray:
+    """Metric projection onto the NSD cone: keep the gamma eigenpairs."""
+    r = ied.n - ied.q
+    pg = ied.basis[:, r:]
+    return sym(pg @ (ied.eigenvalues[r:, None] * pg.T))
+
+
+def stratum_dimension(n: int, p: int, q: int) -> int:
+    """dim of the fixed-inertia manifold: n(p+q) - (p+q)(p+q-1)/2."""
+    r = p + q
+    return n * r - r * (r - 1) // 2
+
+
+def tangent_basis(ied: IED) -> list:
+    """Orthonormal basis of the tangent space at ``ied.matrix``.
+
+    Elements are P E_kl P^T for the pairs of ``tangent_pairs``, with
+    E_kl as in ``tangent_matrix``.
+    """
+    dim = tangent_pairs(ied).shape[0]
+    return list(tangent_matrix(ied, np.eye(dim)))
+
+
+def normal_project_pi2(ied: IED, h: np.ndarray) -> np.ndarray:
+    """Projection onto the normal space: keep only the beta-beta block."""
+    p, q, n = ied.p, ied.q, ied.n
+    r = n - q
+    if r - p == 0:
+        return np.zeros((n, n))
+    pb = ied.basis[:, p:r]
+    return sym(pb @ (pb.T @ h @ pb) @ pb.T)
+
+
+def tangent_project_pi1(ied: IED, h: np.ndarray) -> np.ndarray:
+    """Projection onto the tangent space; complements :func:`normal_project_pi2`."""
+    return h - normal_project_pi2(ied, h)
+
+
+def rotate_within_eigenspaces(ied: IED, seed: int) -> IED:
+    """Re-draw the eigenbasis inside each cluster of equal eigenvalues.
+
+    Probes the non-uniqueness of the decomposition: the result
+    represents the same matrix (clusters are detected with the IED's own
+    zero tolerance, and all of beta counts as one cluster), so every
+    downstream operation must agree on both versions.
+    """
+    rng = np.random.default_rng(seed)
+    lam = ied.eigenvalues
+    n, p, q = ied.n, ied.p, ied.q
+    r = n - q
+    clusters = [[0]]
+    for i in range(1, n):
+        both_beta = p <= i < r and p <= i - 1 < r
+        if both_beta or lam[i - 1] - lam[i] <= ied.zero_tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    new_basis = ied.basis.copy()
+    for cluster in clusters:
+        k = len(cluster)
+        gauss = rng.standard_normal((k, k))
+        qmat, rmat = np.linalg.qr(gauss)
+        qmat = qmat * np.sign(np.diag(rmat))
+        new_basis[:, cluster] = new_basis[:, cluster] @ qmat
+    return replace(ied, basis=new_basis)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate isomorphism of a tangent frame
+# ---------------------------------------------------------------------------
+
+def coeffs_from_matrix(frame: TangentFrame, h: np.ndarray) -> np.ndarray:
+    """Coefficients of the tangent component of ``h``."""
+    ht = frame.ied.basis.T @ h @ frame.ied.basis
+    k, l = frame.pairs[:, 0], frame.pairs[:, 1]
+    return ht[k, l] * np.where(k == l, 1.0, SQRT2)
+
+
+def to_coords(frame: TangentFrame, v_x: np.ndarray, v_y: np.ndarray):
+    """phi_z: ambient (v_x, v_y) -> (v_x, H)."""
+    return v_x, frame.problem.apply_dg(frame.x, v_x) + v_y
+
+
+def from_coords(frame: TangentFrame, v_x: np.ndarray, h: np.ndarray):
+    """phi_z^{-1}: (v_x, H) -> ambient (v_x, v_y)."""
+    return v_x, h - frame.problem.apply_dg(frame.x, v_x)
+
+
+# ---------------------------------------------------------------------------
+# random builders
+# ---------------------------------------------------------------------------
 
 
 def haar_orthogonal(rng, n):
@@ -22,17 +162,12 @@ def stratum_matrix(rng, n, p, q, lo=0.3, hi=2.0):
     return sym(basis @ (lam[:, None] * basis.T))
 
 
-def tangent_from_coeffs(ied: IED, coeffs):
-    """Tangent matrix at ``ied.matrix`` with the given basis coefficients."""
-    return tangent_matrix(ied, coeffs)
-
-
 def random_tangent(rng, ied: IED, scale=1.0):
     coeffs = rng.standard_normal(tangent_pairs(ied).shape[0])
     norm = np.linalg.norm(coeffs)
     if norm > 0:
         coeffs *= scale / norm
-    return tangent_from_coeffs(ied, coeffs)
+    return tangent_matrix(ied, coeffs)
 
 
 def random_problem(rng, n, m, spd_quad=True):
@@ -57,8 +192,6 @@ def random_point(rng, problem, scale=1.0):
 
 def point_on_stratum(rng, problem, z_ref, distance):
     """Retract a random tangent vector of the given norm from ``z_ref``."""
-    from sgnsdp.solver import retract_point
-
     res = residual(problem, z_ref)
     frame = tangent_coords(problem, z_ref, res.ied)
     raw = rng.standard_normal(frame.dim)
@@ -83,6 +216,64 @@ def corrected_random_point(rng, n, m, n_zero=1, seed_shift=0):
     shift = sym(cols @ (ied.eigenvalues[order][:, None] * cols.T))
     return problem, PrimalDualPoint(x=z0.x, y=sym(z0.y - shift))
 
+
+# ---------------------------------------------------------------------------
+# the 4x4 fixture off its stratum, and the stratum error bound
+# ---------------------------------------------------------------------------
+
+def degenerate_fixture_curve(t: float) -> PrimalDualPoint:
+    """Off-stratum multiplier curve y(t) for the 4x4 fixture.
+
+    Moves distance Theta(t) away from the reference multiplier while the
+    KKT residual decays like Theta(t^2): the classical local error bound
+    fails along this curve even though the stratum-restricted one holds.
+    """
+    y = np.zeros((4, 4))
+    y[3, 3] = -1.0
+    y[2, 2] = -t
+    y[0, 3] = y[3, 0] = t * t
+    return PrimalDualPoint(x=np.zeros(5), y=y)
+
+
+def error_bound_probe(
+    problem,
+    z_bar: PrimalDualPoint,
+    radius: float,
+    samples: int,
+    seed: int = 0,
+) -> float:
+    """Empirical stratum-restricted error-bound constant near a KKT pair.
+
+    Retracts random tangent vectors of norm up to ``radius`` and reports
+    the smallest observed ratio ||F(z)|| / ||z - z_bar||.
+    """
+    res = residual(problem, z_bar)
+    frame = tangent_coords(problem, z_bar, res.ied)
+    rng = np.random.default_rng(seed)
+    dim = frame.dim
+    best = np.inf
+    for _ in range(samples):
+        raw = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(raw))
+        if norm == 0.0:
+            continue
+        raw *= radius * rng.uniform(0.1, 1.0) / norm
+        v = TangentVector(frame=frame, v_x=raw[: problem.m], coeffs=raw[problem.m :])
+        try:
+            z = retract_point(problem, z_bar, v)
+        except InertiaViolation:
+            continue
+        dist = point_distance(z, z_bar)
+        if dist == 0.0:
+            continue
+        ratio = residual(problem, z).norm / dist
+        best = min(best, ratio)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# nonlinear problems
+# ---------------------------------------------------------------------------
 
 class Oscillatory(NlsdpProblem):
     """Nonlinear 1x1 instance: f = x^2/2, g(x) = sin(freq x) + level.

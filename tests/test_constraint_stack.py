@@ -24,8 +24,10 @@ from support import (
     Oscillatory,
     corrected_random_point,
     haar_orthogonal,
+    point,
     random_point,
     random_problem,
+    rotate_within_eigenspaces,
 )
 
 import sgnsdp.regularity
@@ -42,7 +44,6 @@ from sgnsdp.model import (
     AffineQuadraticProblem,
     NlsdpProblem,
     degenerate_fixture,
-    point,
     synth_nondegenerate,
 )
 from sgnsdp.regularity import (
@@ -61,7 +62,7 @@ from sgnsdp.regularity import (
     check_wsrcq,
     diagnose,
 )
-from sgnsdp.spectral import make_ied, rotate_within_eigenspaces
+from sgnsdp.spectral import make_ied
 
 REL = 1e-12
 

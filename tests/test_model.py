@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from support import random_point, random_problem
+from support import degenerate_fixture_curve, random_point, random_problem
 
 from sgnsdp.errors import ConstructionFailure, InputError
 from sgnsdp.kkt import big_g, residual
@@ -10,7 +10,6 @@ from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
     degenerate_fixture,
-    degenerate_fixture_curve,
     load_point,
     load_problem,
     point_from_dict,

@@ -8,10 +8,11 @@ from oracles import (
     fd_curve_derivative,
     fd_phi_dir,
 )
+from reference import dir_derivative_phi, stratum_differential
 from support import random_point, random_problem, random_tangent, stratum_matrix
 
-from sgnsdp.kkt import dir_derivative_phi, residual
-from sgnsdp.spectral import frob, make_ied, project_psd, stratum_differential, sym
+from sgnsdp.kkt import residual
+from sgnsdp.spectral import frob, make_ied, project_psd, sym
 
 OFFDIAG = np.array([[0.0, 1.0], [1.0, 0.0]])
 

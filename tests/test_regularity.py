@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
-from support import haar_orthogonal, random_point, random_problem
+from support import (
+    degenerate_fixture_curve,
+    error_bound_probe,
+    haar_orthogonal,
+    point_distance,
+    random_point,
+    random_problem,
+    rotate_within_eigenspaces,
+)
 
 from sgnsdp.kkt import big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
     degenerate_fixture,
-    degenerate_fixture_curve,
-    point_distance,
     synth_nondegenerate,
 )
 from sgnsdp.regularity import (
@@ -26,11 +32,10 @@ from sgnsdp.regularity import (
     check_wsoc,
     check_wsrcq,
     diagnose,
-    error_bound_probe,
     injectivity_margin,
     quad_form_matrix,
 )
-from sgnsdp.spectral import make_ied, rotate_within_eigenspaces, sym
+from sgnsdp.spectral import make_ied, sym
 
 # pinned after first computation at the degenerate fixture's solution
 SIGMA_MIN_REFERENCE = 0.40753645318366233
@@ -239,6 +244,15 @@ class TestHeuristics:
         result = check_srcq_heuristic(problem, z_star, seed=0)
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin < 1.0 - 1e-4
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_srcq_restart_validation(self, restarts):
+        # a probe without restarts probes nothing, so it may not report a verdict
+        problem, z_bar = degenerate_fixture()
+        with pytest.raises(ValueError):
+            check_srcq_heuristic(problem, z_bar, restarts=restarts)
+        with pytest.raises(ValueError):
+            diagnose(problem, z_bar, srcq_restarts=restarts)
 
     def test_srcq_not_applicable_off_complementarity(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from reference import dir_derivative_phi
 from support import (
     Oscillatory,
     OverflowingConstraint,
     corrected_random_point,
+    normal_project_pi2,
+    point,
+    point_distance,
     point_on_stratum,
     random_point,
     random_problem,
@@ -15,8 +21,6 @@ from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
     degenerate_fixture,
-    point,
-    point_distance,
     synth_nondegenerate,
 )
 from sgnsdp.solver import (
@@ -35,7 +39,7 @@ from sgnsdp.solver import (
     slmn,
     stationarity_measure,
 )
-from sgnsdp.spectral import frob, make_ied, normal_project_pi2, sym
+from sgnsdp.spectral import frob, make_ied, sym
 
 
 def scalar_boundary():
@@ -497,7 +501,6 @@ class TestSgnSolve:
         assert res.phi > 1e-6  # genuinely not a KKT pair
         frame = tangent_coords(problem, z, res.ied)
         jac = assemble_dF(frame)
-        from sgnsdp.kkt import dir_derivative_phi
 
         rng = np.random.default_rng(0)
         for _ in range(500):
@@ -517,6 +520,20 @@ class TestSgnSolve:
         assert result.status in (CONVERGED, MAX_ITER, STALLED)
         phis = [rec.phi for rec in result.trace] + [result.phi]
         assert all(b <= a for a, b in zip(phis, phis[1:]))
+
+    def test_overflowing_trials_raise_no_warning(self):
+        # the residual rejects the overflowed g(x) before forming
+        # G = g + y = inf + (-inf), so no RuntimeWarning reaches the caller
+        # even when warnings are errors; every far trial is still rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sgn_solve(
+                OverflowingConstraint(), point([1.5], [[0.5]]), SolverConfig(max_iter=20)
+            )
+        assert result.status == MAX_ITER
+        assert [(rec.step_kind, rec.backtracks) for rec in result.trace] == [("lm", 48)] * 20
+        assert result.trace[0].phi == 4.625
+        assert result.phi == pytest.approx(4.624999999999922, rel=1e-14)
 
     def test_stratum_identification_near_solution(self):
         rng = np.random.default_rng(11)

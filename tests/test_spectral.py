@@ -2,30 +2,33 @@ import warnings
 
 import numpy as np
 import pytest
-from support import haar_orthogonal, random_tangent, stratum_matrix
+from reference import TangencyViolation, proj_dir_derivative, stratum_differential
+from support import (
+    haar_orthogonal,
+    normal_project_pi2,
+    packed_index,
+    project_nsd,
+    random_tangent,
+    rotate_within_eigenspaces,
+    stratum_dimension,
+    stratum_matrix,
+    tangent_basis,
+    tangent_project_pi1,
+)
 
-from sgnsdp.errors import InertiaViolation, NumericalError, TangencyViolation
+from sgnsdp.errors import InertiaViolation, NumericalError
 from sgnsdp.spectral import (
     eig_sym,
     frob,
     make_ied,
-    normal_project_pi2,
     nsd_part,
     pack_sym,
-    packed_index,
     packed_length,
-    project_nsd,
     project_psd,
-    proj_dir_derivative,
     psd_part,
     retract_fixed_inertia,
-    rotate_within_eigenspaces,
-    stratum_differential,
-    stratum_dimension,
     sym,
     sym_to_vec,
-    tangent_basis,
-    tangent_project_pi1,
     triu_pairs,
     unpack_sym,
     vec_to_sym,
