@@ -49,15 +49,27 @@ def _add_point_flags(parser):
     parser.add_argument("--seed", type=int, default=0)
 
 
+# solve flag (as its argparse dest) -> (SolverConfig field, help); the
+# defaults are SolverConfig()'s.  zero_tol, the ninth field, comes with
+# the point flags, which diagnose shares.
+_SOLVER_FLAGS = {
+    "tol": ("tol", "stationarity stop"),
+    "delta": ("delta", "correction band"),
+    "eta": ("eta", "Armijo slope, in (1/2,1)"),
+    "rho": ("rho", "backtracking factor"),
+    "max_iter": ("max_iter", None),
+    "jmax": ("max_backtracks", "backtracking budget"),
+    "mu_min": ("mu_min", None),
+    "mu_max": ("mu_max", None),
+}
+
+
 def _add_solver_flags(parser):
-    parser.add_argument("--tol", type=float, default=1e-8, help="stationarity stop")
-    parser.add_argument("--delta", type=float, default=1e-4, help="correction band")
-    parser.add_argument("--eta", type=float, default=0.75, help="Armijo slope, in (1/2,1)")
-    parser.add_argument("--rho", type=float, default=0.5, help="backtracking factor")
-    parser.add_argument("--max-iter", type=int, default=500)
-    parser.add_argument("--jmax", type=int, default=50, help="backtracking budget")
-    parser.add_argument("--mu-min", type=float, default=1e-16)
-    parser.add_argument("--mu-max", type=float, default=1e8)
+    defaults = SolverConfig()
+    for flag, (name, text) in _SOLVER_FLAGS.items():
+        default = getattr(defaults, name)
+        parser.add_argument("--" + flag.replace("_", "-"), type=type(default),
+                            default=default, help=text)
     _add_point_flags(parser)
 
 
@@ -85,18 +97,8 @@ def _config(**fields) -> SolverConfig:
 
 
 def _config_doc(config: SolverConfig, seed: int) -> dict:
-    return {
-        "tol": config.tol,
-        "delta": config.delta,
-        "eta": config.eta,
-        "rho": config.rho,
-        "max_iter": config.max_iter,
-        "jmax": config.max_backtracks,
-        "mu_min": config.mu_min,
-        "mu_max": config.mu_max,
-        "zero_tol": config.zero_tol,
-        "seed": seed,
-    }
+    doc = {flag: getattr(config, name) for flag, (name, _) in _SOLVER_FLAGS.items()}
+    return {**doc, "zero_tol": config.zero_tol, "seed": seed}
 
 
 def _emit(doc: dict, path: str | None) -> None:
@@ -122,15 +124,8 @@ def _write_trace(trace, path: str) -> None:
 
 def run_solve(args) -> int:
     config = _config(
-        tol=args.tol,
-        delta=args.delta,
-        eta=args.eta,
-        rho=args.rho,
-        max_iter=args.max_iter,
-        max_backtracks=args.jmax,
-        mu_min=args.mu_min,
-        mu_max=args.mu_max,
         zero_tol=args.zero_tol,
+        **{name: getattr(args, flag) for flag, (name, _) in _SOLVER_FLAGS.items()},
     )
     seed = _seed(args.seed)
     problem = load_problem(args.problem)

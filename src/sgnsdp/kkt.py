@@ -113,23 +113,21 @@ def hess_lagrangian_matrix(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndar
 
 @dataclass(frozen=True)
 class TangentFrame:
-    """Coordinate frame for the lifted stratum at a fixed point.
+    """The one handle for a point on its stratum: ``z`` with the IED of G(z).
 
+    The solver steps and the regularity checks take the frame alone.
     Coordinates are (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at
     G(z) for an ambient pair (v_x, v_y); the frame carries the
-    tangent-pair enumeration of the matrix part.  It is
-    also the one cache of the derivative data at ``z``: the constraint
-    stack and Hess_xx L are built on first use, so the Jacobian and
-    every regularity check read the problem once per frame.
+    tangent-pair enumeration of the matrix part.  It is also the one
+    cache of the derivative data at ``z``: the constraint stack and
+    Hess_xx L are built on first use, so the Jacobian and every
+    regularity check read the problem once per frame.  ``ied`` must
+    decompose G(z).
     """
 
     problem: NlsdpProblem
     z: PrimalDualPoint
     ied: IED
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.z.x
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -138,7 +136,7 @@ class TangentFrame:
     @cached_property
     def stack(self):
         """``(a, at)`` of :func:`constraint_stack` at ``z``."""
-        return constraint_stack(self.problem, self.x, self.ied)
+        return constraint_stack(self.problem, self.z.x, self.ied)
 
     @cached_property
     def hess(self) -> np.ndarray:
@@ -153,18 +151,6 @@ class TangentFrame:
     def dim(self) -> int:
         return self.problem.m + self.dim_tangent
 
-    def matrix_from_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
-        """Tangent matrix with the given orthonormal-basis coefficients."""
-        return tangent_matrix(self.ied, coeffs)
-
-
-def tangent_coords(
-    problem: NlsdpProblem, z: PrimalDualPoint, ied: IED
-) -> TangentFrame:
-    """Coordinate frame at ``z``; ``ied`` must decompose G(z)."""
-    z = PrimalDualPoint(x=z.x.copy(), y=z.y)
-    return TangentFrame(problem=problem, z=z, ied=ied)
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -176,7 +162,7 @@ class TangentVector:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return self.frame.matrix_from_coeffs(self.coeffs)
+        return tangent_matrix(self.frame.ied, self.coeffs)
 
     @property
     def norm(self) -> float:

@@ -303,7 +303,7 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=Non
     ``retries`` seeds before giving up.  ``x_star`` pins the primal
     solution (default: random).
     """
-    from .kkt import residual  # deferred: model is imported by kkt
+    from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq
 
     if m < 1 or n < 2:
@@ -338,9 +338,10 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=Non
         res = residual(problem, z_star)
         if np.sqrt(2.0 * res.phi) > 1e-12:
             continue
-        if check_wsoc(problem, z_star).margin <= 1e-6:
+        frame = TangentFrame(problem, z_star, res.ied)
+        if check_wsoc(frame).margin <= 1e-6:
             continue
-        if check_wsrcq(problem, z_star).margin <= 1e-6:
+        if check_wsrcq(frame).margin <= 1e-6:
             continue
         return problem, z_star
     raise ConstructionFailure(

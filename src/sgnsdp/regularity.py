@@ -1,10 +1,11 @@
 """Numeric evaluation of problem-level regularity conditions.
 
-All checks work at an arbitrary primal-dual point through the
-eigenstructure of G(z) = g(x) + y, in eigenbasis coordinates: they
-slice the rotated stack P^T apply_dg(x, e_i) P of :func:`constraint_stack`
-by the blocks of :func:`pair_mask`.  Rotation is an isometry, so span
-margins equal those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
+Every check takes a :class:`TangentFrame`, the one handle for a
+primal-dual point z with the IED of G(z) = g(x) + y, and works in
+eigenbasis coordinates: it slices the frame's rotated stack
+P^T apply_dg(x, e_i) P of :func:`constraint_stack` by the blocks of
+:func:`pair_mask`.  Rotation is an isometry, so span margins equal
+those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
 equivalent to injectivity of the on-stratum differential of the KKT
 residual, which is what the cross-validation in the tests exploits.
 SONC and SRCQ have no finite certificate here and are evaluated by
@@ -16,15 +17,17 @@ The tolerances are fixed: a margin must exceed ``DEFAULT_MARGIN_TOL``
 (1e-10) times the largest count as zero in every rank decision, and the
 SRCQ probe runs at most ``SRCQ_ITERATIONS`` (300) alternations per
 restart and fails at alignment ``1 - SRCQ_ALIGNMENT_TOL`` (1e-4).  The
-eigenvalue classification follows the IED passed in, or the adaptive
-default of :func:`make_ied`.
+counts are fixed too: the SONC heuristic draws ``SONC_SAMPLES`` (200)
+directions and the SRCQ probe runs ``SRCQ_RESTARTS`` (20) restarts.
+The eigenvalue classification is that of the frame's IED; :func:`diagnose`
+builds it with :func:`make_ied`, adaptive unless ``zero_tol`` is given.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kkt import TangentFrame, assemble_dF, big_g, tangent_coords
+from .kkt import TangentFrame, assemble_dF, big_g
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     frob,
@@ -46,6 +49,8 @@ NOT_APPLICABLE = "not-applicable"
 
 DEFAULT_MARGIN_TOL = 1e-8
 RANK_TOL = 1e-10            # relative to the largest singular value
+SONC_SAMPLES = 200
+SRCQ_RESTARTS = 20
 SRCQ_ITERATIONS = 300
 # Deliberately coarser than the rank margins: the two sets of the SRCQ
 # probe can meet tangentially, in which case the alignment creeps toward
@@ -63,24 +68,11 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-def _point(problem, z, ied) -> TangentFrame:
-    """The frame at ``z`` for the IED ``ied`` (default: that of G(z)).
-
-    :func:`diagnose` passes one :class:`TangentFrame` in place of the
-    IED to every check it calls, and the checks pass it on to the
-    helpers they call, so all of them share the frame's constraint stack
-    and Hess_xx L while each check stays a public call of its own.
-    """
-    if isinstance(ied, TangentFrame):
-        return ied
-    return tangent_coords(problem, z, ied or make_ied(big_g(problem, z)))
-
-
-def _constraint_rows(pt: TangentFrame, include_bb: bool):
+def _constraint_rows(frame: TangentFrame, include_bb: bool):
     """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
-    iu, ju, _ = triu_pairs(pt.ied.n)
-    pick = pair_mask(pt.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
-    return pt.stack[1][:, iu[pick], ju[pick]].T
+    iu, ju, _ = triu_pairs(frame.ied.n)
+    pick = pair_mask(frame.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
+    return frame.stack[1][:, iu[pick], ju[pick]].T
 
 
 def _right_singular(mat, full_matrices=True):
@@ -97,18 +89,18 @@ def _null_space(mat):
     return vt[rank:].T
 
 
-def appl_basis(problem, z, ied=None) -> np.ndarray:
+def appl_basis(frame: TangentFrame) -> np.ndarray:
     """Orthonormal basis of the primal directions with vanishing
     beta-beta, beta-gamma and gamma-gamma constraint blocks."""
-    return _null_space(_constraint_rows(_point(problem, z, ied), include_bb=True))
+    return _null_space(_constraint_rows(frame, include_bb=True))
 
 
-def app_basis(problem, z, ied=None) -> np.ndarray:
+def app_basis(frame: TangentFrame) -> np.ndarray:
     """As :func:`appl_basis` with the beta-beta requirement dropped."""
-    return _null_space(_constraint_rows(_point(problem, z, ied), include_bb=False))
+    return _null_space(_constraint_rows(frame, include_bb=False))
 
 
-def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
+def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
     """Reduced matrix of the second order form on the span of ``basis``.
 
     The form is <v, Hess_xx L v> plus the curvature term
@@ -118,14 +110,13 @@ def quad_form_matrix(problem, z, ied, basis) -> np.ndarray:
     """
     if basis.shape[1] == 0:
         return np.zeros((0, 0))
-    pt = _point(problem, z, ied)
-    p, q, n = pt.ied.p, pt.ied.q, pt.ied.n
+    p, q, n = frame.ied.p, frame.ied.q, frame.ied.n
     r = n - q
-    out = basis.T @ pt.hess @ basis
+    out = basis.T @ frame.hess @ basis
     if p and q:
-        lam = pt.ied.eigenvalues
+        lam = frame.ied.eigenvalues
         root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
-        scaled = np.einsum("ia,ijk,jk->ajk", basis, pt.stack[1][:, :p, r:], root)
+        scaled = np.einsum("ia,ijk,jk->ajk", basis, frame.stack[1][:, :p, r:], root)
         flat = scaled.reshape(basis.shape[1], -1)
         out += 2.0 * (flat @ flat.T)
     return sym(out)
@@ -138,38 +129,36 @@ def _definite_margin(eigs: np.ndarray) -> float:
     return -float(min(np.max(eigs), -np.min(eigs)))
 
 
-def check_wsoc(problem, z, ied=None) -> ConditionResult:
+def check_wsoc(frame: TangentFrame) -> ConditionResult:
     """Weak second order condition: the reduced form is sign-definite."""
-    pt = _point(problem, z, ied)
-    basis = appl_basis(problem, z, pt)
+    basis = appl_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, pt, basis))
+    eigs = np.linalg.eigvalsh(quad_form_matrix(frame, basis))
     margin = _definite_margin(eigs)
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def check_ssosc(problem, z, ied=None) -> ConditionResult:
+def check_ssosc(frame: TangentFrame) -> ConditionResult:
     """Strong second order sufficient condition: positive definite on app."""
-    pt = _point(problem, z, ied)
-    basis = app_basis(problem, z, pt)
+    basis = app_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, pt, basis))
+    eigs = np.linalg.eigvalsh(quad_form_matrix(frame, basis))
     margin = float(np.min(eigs))
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def _span_check(pt: TangentFrame, include_bb):
+def _span_check(frame: TangentFrame, include_bb):
     """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
 
     In eigenbasis coordinates the second set is spanned by unit vectors.
     """
-    n = pt.ied.n
+    n = frame.ied.n
     n_sym = n * (n + 1) // 2
     blocks = ("aa", "ab", "ag", "bb") if include_bb else ("aa", "ab", "ag")
-    free = np.eye(n_sym)[:, pair_mask(pt.ied, blocks)]
-    stacked = np.hstack([sym_to_vec(pt.stack[1]).T, free])
+    free = np.eye(n_sym)[:, pair_mask(frame.ied, blocks)]
+    stacked = np.hstack([sym_to_vec(frame.stack[1]).T, free])
     if stacked.shape[1] < n_sym:
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -177,50 +166,41 @@ def _span_check(pt: TangentFrame, include_bb):
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def check_wsrcq(problem, z, ied=None) -> ConditionResult:
+def check_wsrcq(frame: TangentFrame) -> ConditionResult:
     """Weak strict Robinson constraint qualification (span includes beta-beta)."""
-    return _span_check(_point(problem, z, ied), include_bb=True)
+    return _span_check(frame, include_bb=True)
 
 
-def check_cn(problem, z, ied=None) -> ConditionResult:
+def check_cn(frame: TangentFrame) -> ConditionResult:
     """Constraint nondegeneracy (beta-beta excluded from the span)."""
-    return _span_check(_point(problem, z, ied), include_bb=False)
+    return _span_check(frame, include_bb=False)
 
 
-def injectivity_margin(problem, z, ied=None) -> float:
+def injectivity_margin(frame: TangentFrame) -> float:
     """Smallest singular value of the assembled on-stratum differential."""
-    return assemble_dF(_point(problem, z, ied)).sigma_min()
+    return assemble_dF(frame).sigma_min()
 
 
 # ---------------------------------------------------------------------------
 # heuristics
 # ---------------------------------------------------------------------------
 
-def check_sonc_heuristic(
-    problem,
-    z,
-    samples: int = 200,
-    seed: int = 0,
-    ied=None,
-) -> ConditionResult:
+def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     """Sampled second order necessary condition.
 
-    Draws directions in the null space of the beta-gamma and gamma-gamma
-    blocks, keeps those whose beta-beta image is PSD, and evaluates the
-    second order form.  A negative kept sample refutes the condition;
+    Draws ``SONC_SAMPLES`` directions in the null space of the
+    beta-gamma and gamma-gamma blocks, keeps those whose beta-beta image
+    is PSD, and evaluates the second order form.  A negative kept sample refutes the condition;
     absence of one is evidence, not proof, hence the heuristic verdicts.
     """
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    pt = _point(problem, z, ied)
-    basis = app_basis(problem, z, pt)
+    basis = app_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(seed)
-    p, r = pt.ied.p, pt.ied.n - pt.ied.q
-    form = quad_form_matrix(problem, z, pt, basis)
-    at_bb = pt.stack[1][:, p:r, p:r]
-    coeffs = rng.standard_normal((samples, basis.shape[1]))
+    p, r = frame.ied.p, frame.ied.n - frame.ied.q
+    form = quad_form_matrix(frame, basis)
+    at_bb = frame.stack[1][:, p:r, p:r]
+    coeffs = rng.standard_normal((SONC_SAMPLES, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
     if r > p:
@@ -236,9 +216,7 @@ def check_sonc_heuristic(
     return ConditionResult(verdict, worst)
 
 
-def check_srcq_heuristic(
-    problem, z, restarts: int = 20, seed: int = 0, ied=None
-) -> ConditionResult:
+def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     """Alternating-projection probe of the strict Robinson qualification.
 
     SRCQ fails exactly when the null space of S -> adjoint_dg(x, S) meets
@@ -256,23 +234,20 @@ def check_srcq_heuristic(
     (which the next projection drops): sqrt(1 - |c|^2) would cancel to
     1e-8 noise where the alignment is 0.
 
-    The restarts alternate together as one stack, with one stacked NSD
-    projection per alternation.  A restart leaves the stack when its
-    iterate vanishes (alignment 0) or its alignment passes the decisive
-    level 1 - SRCQ_ALIGNMENT_TOL / 10.  A decisive restart i ends the
-    probe as if the restarts had run one after another: the restarts
-    after i are dropped and the margin is the largest alignment of
-    restarts 0..i.  ``restarts`` must be positive.
+    The ``SRCQ_RESTARTS`` restarts alternate together as one stack, with
+    one stacked NSD projection per alternation.  A restart leaves the
+    stack when its iterate vanishes (alignment 0) or its alignment passes
+    the decisive level 1 - SRCQ_ALIGNMENT_TOL / 10.  A decisive restart i
+    ends the probe as if the restarts had run one after another: the
+    restarts after i are dropped and the margin is the largest alignment
+    of restarts 0..i.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
-    pt = _point(problem, z, ied)
-    ied = pt.ied
-    f2 = sym(project_psd(ied) - problem.eval_g(z.x))  # the residual's F2
+    ied = frame.ied
+    f2 = sym(project_psd(ied) - frame.problem.eval_g(frame.z.x))  # the residual's F2
     if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(sym_to_vec(pt.stack[1]), full_matrices=False)
+    vt, rank = _right_singular(sym_to_vec(frame.stack[1]), full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block
@@ -281,7 +256,7 @@ def check_srcq_heuristic(
     block[p:, p:] = True
     inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]
     trailing = ied.basis[:, p:]
-    starts = np.random.default_rng(seed).standard_normal((restarts, n, n))
+    starts = np.random.default_rng(seed).standard_normal((SRCQ_RESTARTS, n, n))
     d = sym(trailing.T @ starts @ trailing)
     live = np.arange(len(d))        # the restart behind each row of d
     alignment = np.zeros(len(d))    # each restart's latest alignment
@@ -360,8 +335,6 @@ def diagnose(
     problem: NlsdpProblem,
     z: PrimalDualPoint,
     seed: int = 0,
-    sonc_samples: int = 200,
-    srcq_restarts: int = 20,
     zero_tol=None,
 ) -> RegularityReport:
     """Evaluate every condition at ``z`` and collect the report.
@@ -370,16 +343,16 @@ def diagnose(
     :class:`TangentFrame`, so the constraint stack and Hess_xx L are
     built once: m ``apply_dg`` and m ``apply_hess_lagrangian`` calls.
     """
-    pt = tangent_coords(problem, z, make_ied(big_g(problem, z), zero_tol))
+    frame = TangentFrame(problem, z, make_ied(big_g(problem, z), zero_tol))
     return RegularityReport(
-        w_soc=check_wsoc(problem, z, pt),
-        w_srcq=check_wsrcq(problem, z, pt),
-        constraint_nondegeneracy=check_cn(problem, z, pt),
-        s_sosc=check_ssosc(problem, z, pt),
-        sonc=check_sonc_heuristic(problem, z, samples=sonc_samples, seed=seed, ied=pt),
-        srcq=check_srcq_heuristic(problem, z, restarts=srcq_restarts, seed=seed, ied=pt),
-        sigma_min_dF=injectivity_margin(problem, z, pt),
-        p=pt.ied.p,
-        q=pt.ied.q,
-        eigenvalues=pt.ied.eigenvalues.copy(),
+        w_soc=check_wsoc(frame),
+        w_srcq=check_wsrcq(frame),
+        constraint_nondegeneracy=check_cn(frame),
+        s_sosc=check_ssosc(frame),
+        sonc=check_sonc_heuristic(frame, seed=seed),
+        srcq=check_srcq_heuristic(frame, seed=seed),
+        sigma_min_dF=injectivity_margin(frame),
+        p=frame.ied.p,
+        q=frame.ied.q,
+        eigenvalues=frame.ied.eigenvalues.copy(),
     )

@@ -39,7 +39,6 @@ from .kkt import (
     TangentVector,
     assemble_dF,
     residual,
-    tangent_coords,
 )
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
@@ -71,15 +70,15 @@ class SolverConfig:
             raise ValueError("eta must lie in (1/2, 1)")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if self.delta <= 0.0:
+        if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError("tol must be nonnegative")
         if self.max_iter < 1 or self.max_backtracks < 0:
             raise ValueError("iteration budgets must be positive")
         if not 0.0 < self.mu_min <= self.mu_max:
             raise ValueError("need 0 < mu_min <= mu_max")
-        if self.zero_tol is not None and self.zero_tol < 0.0:
+        if self.zero_tol is not None and not self.zero_tol >= 0.0:
             raise ValueError("zero_tol must be nonnegative")
 
 
@@ -126,22 +125,21 @@ def delta_lower_modulus(ied: IED) -> float:
     return float(np.min(np.abs(nonzero)))
 
 
-def normal_dirs(
-    problem: NlsdpProblem, z: PrimalDualPoint, ied: IED, res: KktResidual
-):
-    """Normal escape directions (W1, W2) at ``z``.
+def normal_dirs(frame: TangentFrame, res: KktResidual):
+    """Normal escape directions (W1, W2) at the frame's point.
 
     Both live in the normal space of the stratum (only the beta-beta
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
     vanish exactly at KKT pairs.
     """
+    ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
     r = n - q
     if r - p == 0:
         zero = np.zeros((n, n))
         return zero, zero.copy()
     pb = ied.basis[:, p:r]
-    dg_f1 = problem.apply_dg(z.x, res.f1)
+    dg_f1 = frame.problem.apply_dg(frame.z.x, res.f1)
     block1 = -(pb.T @ dg_f1 @ pb)
     block2 = -(pb.T @ (dg_f1 + res.f2) @ pb)
     w1 = sym(pb @ nsd_part(block1) @ pb.T)
@@ -150,12 +148,12 @@ def normal_dirs(
 
 
 def normal_step(
-    problem: NlsdpProblem, z: PrimalDualPoint, w: np.ndarray, which: int
+    frame: TangentFrame, w: np.ndarray, which: int
 ) -> PrimalDualPoint | None:
     """Candidate point along W1 or W2 with the exact minimizing step size.
 
     ``w`` is the W1 (``which`` = 1) or W2 (``which`` = 2) that
-    :func:`normal_dirs` returned at ``z``.  Returns ``None`` when it
+    :func:`normal_dirs` returned for ``frame``.  Returns ``None`` when it
     vanishes.  The merit decrease at the returned point is
     ||W1||^4 / (2 ||dg* W1||^2) for the first direction and
     ||W2||^4 / (2 (||W2||^2 + ||dg* W2||^2)) for the second; tests verify
@@ -164,7 +162,8 @@ def normal_step(
     w_sq = float(np.sum(w * w))
     if w_sq == 0.0:
         return None
-    dg_w = problem.adjoint_dg(z.x, w)
+    z = frame.z
+    dg_w = frame.problem.adjoint_dg(z.x, w)
     dg_sq = float(np.sum(dg_w**2))
     if which == 1:
         if dg_sq == 0.0:
@@ -177,12 +176,7 @@ def normal_step(
     return PrimalDualPoint(x=z.x.copy(), y=sym(z.y + t_star * w))
 
 
-def lm_direction(
-    frame: TangentFrame,
-    config: SolverConfig,
-    res: KktResidual,
-    jac: AssembledJacobian,
-):
+def lm_direction(jac: AssembledJacobian, res: KktResidual, config: SolverConfig):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
     Solves (mu I + J^T J) v = -J^T r with mu = ||F(z)||^2 clamped to the
@@ -193,7 +187,8 @@ def lm_direction(
     r_vec = res.as_vec()
     rhs = -jac.apply_adjoint(r_vec)
     mu = float(np.clip(float(r_vec @ r_vec), config.mu_min, config.mu_max))
-    dim = jac.matrix.shape[1]
+    frame = jac.frame
+    dim = frame.dim
     if dim == 0:
         return TangentVector(frame=frame, v_x=np.zeros(0), coeffs=np.zeros(0)), mu
     for _ in range(6):
@@ -212,33 +207,24 @@ def lm_direction(
     raise LinearSolveFailure("regularized Gauss-Newton system is numerically singular")
 
 
-def retract_point(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    v: TangentVector,
-) -> PrimalDualPoint:
-    """Move along a tangent vector and retract back onto the stratum.
+def retract_point(v: TangentVector) -> PrimalDualPoint:
+    """Move from the point of ``v.frame`` along ``v``, back onto the stratum.
 
     The primal part steps linearly; the multiplier is adjusted so that
     G at the new point equals the fixed-inertia retraction of
     G(z) + H.  Propagates :class:`InertiaViolation` from the retraction.
     """
     frame = v.frame
-    x_new = z.x + v.v_x
+    x_new = frame.z.x + v.v_x
     g_new = retract_fixed_inertia(frame.ied, v.matrix)
-    y_new = g_new - problem.eval_g(x_new)
+    y_new = g_new - frame.problem.eval_g(x_new)
     return PrimalDualPoint(x=x_new, y=sym(y_new))
 
 
 def armijo_search(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    res: KktResidual,
-    v: TangentVector,
-    dphi: float,
-    config: SolverConfig,
+    res: KktResidual, v: TangentVector, dphi: float, config: SolverConfig
 ):
-    """Backtracking search along ``v`` under the retraction.
+    """Backtracking search along ``v`` from its frame's point, under the retraction.
 
     Finds the smallest j with
     phi(R_z(rho^j v)) - phi(z) <= eta rho^j phi'(z; v) / 2; inertia
@@ -252,11 +238,12 @@ def armijo_search(
     """
     if not dphi < 0.0:
         raise LineSearchFailure(f"not a descent direction: phi' = {dphi:g}")
+    problem = v.frame.problem
     phi0 = res.phi
     step = 1.0
     for j in range(config.max_backtracks + 1):
         try:
-            trial = retract_point(problem, z, v.scaled(step))
+            trial = retract_point(v.scaled(step))
             trial_res = residual(problem, trial, config.zero_tol)
         except (InertiaViolation, NumericalError):
             # leaving the stratum or overflowing the trial or its
@@ -278,7 +265,7 @@ def correct(z: PrimalDualPoint, ied: IED, delta: float) -> PrimalDualPoint:
     moves the iterate onto a lower-dimensional stratum while leaving the
     primal point untouched.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     lam = ied.eigenvalues
     theta = np.abs(lam) <= delta
@@ -295,9 +282,9 @@ def correct(z: PrimalDualPoint, ied: IED, delta: float) -> PrimalDualPoint:
 
 @dataclass(frozen=True)
 class _PointState:
-    z: PrimalDualPoint
+    """Everything a descent step reads at one point; ``jac.frame`` is its frame."""
+
     res: KktResidual
-    frame: TangentFrame
     jac: AssembledJacobian
     w1: np.ndarray
     w2: np.ndarray
@@ -314,17 +301,16 @@ class _PointState:
 def _point_state(problem, z, config, res=None) -> _PointState:
     if res is None:
         res = residual(problem, z, config.zero_tol)
-    frame = tangent_coords(problem, z, res.ied)
+    frame = TangentFrame(problem, z, res.ied)
     jac = assemble_dF(frame)
-    w1, w2 = normal_dirs(problem, z, res.ied, res)
+    w1, w2 = normal_dirs(frame, res)
     try:
-        v_lm, mu = lm_direction(frame, config, res, jac)
+        v_lm, mu = lm_direction(jac, res, config)
         lm_error = None
     except LinearSolveFailure as exc:
         v_lm, mu, lm_error = None, np.nan, str(exc)
     return _PointState(
-        z=z, res=res, frame=frame, jac=jac, w1=w1, w2=w2,
-        v_lm=v_lm, mu=mu, lm_error=lm_error,
+        res=res, jac=jac, w1=w1, w2=w2, v_lm=v_lm, mu=mu, lm_error=lm_error,
     )
 
 
@@ -354,32 +340,27 @@ class SlmnOutcome:
         return self.kind == "stall"
 
 
-def slmn(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    config: SolverConfig,
-    state: _PointState | None = None,
-) -> SlmnOutcome:
-    """One descent step: best of the two normal candidates and the LM step.
+def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
+    """One descent step from ``state``'s point: best of the two normal
+    candidates and the LM step.
 
     Candidates that do not exist (zero direction, failed search or
     solve, a normal step whose closed form is undefined) are skipped;
     among the rest the merit minimizer wins, with ties broken in the
-    order lm, normal1, normal2.  If nothing decreases the merit the input
-    point is returned with the stall flag set.
+    order lm, normal1, normal2.  If nothing decreases the merit the
+    state's point is returned with the stall flag set.
 
     The three candidates are independent reads of the same immutable
     snapshot, so they could be evaluated concurrently; they are evaluated
     in order here and merged by the deterministic tie-break either way.
     """
-    if state is None:
-        state = _point_state(problem, z, config)
-    res = state.res
+    frame = state.jac.frame
+    problem, z, res = frame.problem, frame.z, state.res
     candidates = []
     if state.v_lm is not None and state.v_lm.norm > 0.0:
         dphi = float(state.jac.apply_adjoint(res.as_vec()) @ state.v_lm.as_vec())
         try:
-            z_lm, res_lm, j = armijo_search(problem, z, res, state.v_lm, dphi, config)
+            z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
             step = config.rho**j
             candidates.append(
                 ("lm", z_lm, res_lm, j, step * state.v_lm.norm)
@@ -390,7 +371,7 @@ def slmn(
         if float(np.sum(w * w)) == 0.0:
             continue
         try:
-            cand = normal_step(problem, z, w, which)
+            cand = normal_step(frame, w, which)
         except NumericalInconsistency:
             continue
         cand_res = residual(problem, cand, config.zero_tol)
@@ -444,13 +425,13 @@ def sgn_solve(
         corrected = False
         if delta_lower_modulus(ied) <= config.delta:
             z_hat = correct(z, ied, config.delta)
-            outcome = slmn(problem, z_hat, config)
+            outcome = slmn(_point_state(problem, z_hat, config), config)
             if outcome.res.phi < state.res.phi:
                 corrected = True
             else:
-                outcome = slmn(problem, z, config, state)
+                outcome = slmn(state, config)
         else:
-            outcome = slmn(problem, z, config, state)
+            outcome = slmn(state, config)
         if outcome.stalled:
             # an accepted correction whose descent step stalled is still a
             # move (onto the lower stratum); a stall in place terminates

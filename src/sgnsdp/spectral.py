@@ -218,7 +218,7 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
     basis, lam = eig_sym(a)
     if zero_tol is None:
         zero_tol = default_zero_tol(lam)
-    if zero_tol < 0:
+    if not zero_tol >= 0:
         raise ValueError("zero_tol must be nonnegative")
     n = lam.shape[0]
     p = int(np.sum(lam > zero_tol))

@@ -19,7 +19,7 @@ import numpy as np
 from support import coeffs_from_matrix, frob_inner, normal_project_pi2
 
 from sgnsdp.errors import SgnsdpError
-from sgnsdp.kkt import AssembledJacobian, assemble_dF, residual, tangent_coords
+from sgnsdp.kkt import AssembledJacobian, TangentFrame, assemble_dF, residual
 from sgnsdp.regularity import (
     HEURISTIC_FAILS,
     HEURISTIC_HOLDS,
@@ -33,6 +33,7 @@ from sgnsdp.spectral import (
     psd_part,
     sym,
     sym_to_vec,
+    tangent_matrix,
     vec_to_sym,
 )
 
@@ -111,7 +112,7 @@ def dir_derivative_phi(problem, z, v_x, v_y, res=None, jac=None) -> float:
         res = residual(problem, z)
     ied = res.ied
     if jac is None:
-        frame = tangent_coords(problem, z, ied)
+        frame = TangentFrame(problem, z, ied)
         jac = assemble_dF(frame)
     else:
         frame = jac.frame
@@ -157,7 +158,7 @@ def assemble_dF_by_columns(problem, z, frame) -> AssembledJacobian:
         )
         cols.append(np.concatenate([top, sym_to_vec(-dg_e)]))
     for idx in range(frame.dim_tangent):
-        h = frame.matrix_from_coeffs(_unit(frame.dim_tangent, idx))
+        h = tangent_matrix(frame.ied, _unit(frame.dim_tangent, idx))
         top = problem.adjoint_dg(z.x, h)
         cols.append(np.concatenate([top, sym_to_vec(stratum_differential(ied, h))]))
     matrix = np.stack(cols, axis=1) if cols else np.zeros((m + n_sym, 0))

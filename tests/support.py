@@ -2,9 +2,10 @@
 
 Besides the random builders this holds the stratum utilities that only
 tests call: tangent/normal projections, a tangent basis, re-drawn
-eigenbases, the coordinate isomorphism of a tangent frame, point
-helpers, the off-stratum curve of the 4x4 fixture and the
-stratum-restricted error-bound probe.
+eigenbases, the frame at a point (with the IED of G(z) by default), the
+coordinate isomorphism of a tangent frame, point helpers, the
+off-stratum curve of the 4x4 fixture and the stratum-restricted
+error-bound probe.
 """
 
 from dataclasses import replace
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from sgnsdp.errors import InertiaViolation
-from sgnsdp.kkt import TangentFrame, TangentVector, residual, tangent_coords
+from sgnsdp.kkt import TangentFrame, TangentVector, big_g, residual
 from sgnsdp.model import AffineQuadraticProblem, NlsdpProblem, PrimalDualPoint
 from sgnsdp.solver import retract_point
 from sgnsdp.spectral import (
@@ -121,6 +122,11 @@ def rotate_within_eigenspaces(ied: IED, seed: int) -> IED:
     return replace(ied, basis=new_basis)
 
 
+def frame_at(problem, z, ied=None) -> TangentFrame:
+    """The frame at ``z`` for ``ied``, by default the IED of G(z)."""
+    return TangentFrame(problem, z, make_ied(big_g(problem, z)) if ied is None else ied)
+
+
 # ---------------------------------------------------------------------------
 # the coordinate isomorphism of a tangent frame
 # ---------------------------------------------------------------------------
@@ -134,12 +140,12 @@ def coeffs_from_matrix(frame: TangentFrame, h: np.ndarray) -> np.ndarray:
 
 def to_coords(frame: TangentFrame, v_x: np.ndarray, v_y: np.ndarray):
     """phi_z: ambient (v_x, v_y) -> (v_x, H)."""
-    return v_x, frame.problem.apply_dg(frame.x, v_x) + v_y
+    return v_x, frame.problem.apply_dg(frame.z.x, v_x) + v_y
 
 
 def from_coords(frame: TangentFrame, v_x: np.ndarray, h: np.ndarray):
     """phi_z^{-1}: (v_x, H) -> ambient (v_x, v_y)."""
-    return v_x, h - frame.problem.apply_dg(frame.x, v_x)
+    return v_x, h - frame.problem.apply_dg(frame.z.x, v_x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +199,11 @@ def random_point(rng, problem, scale=1.0):
 def point_on_stratum(rng, problem, z_ref, distance):
     """Retract a random tangent vector of the given norm from ``z_ref``."""
     res = residual(problem, z_ref)
-    frame = tangent_coords(problem, z_ref, res.ied)
+    frame = TangentFrame(problem, z_ref, res.ied)
     raw = rng.standard_normal(frame.dim)
     raw *= distance / np.linalg.norm(raw)
     v = TangentVector(frame=frame, v_x=raw[: problem.m], coeffs=raw[problem.m :])
-    return retract_point(problem, z_ref, v)
+    return retract_point(v)
 
 
 def corrected_random_point(rng, n, m, n_zero=1, seed_shift=0):
@@ -248,7 +254,7 @@ def error_bound_probe(
     the smallest observed ratio ||F(z)|| / ||z - z_bar||.
     """
     res = residual(problem, z_bar)
-    frame = tangent_coords(problem, z_bar, res.ied)
+    frame = TangentFrame(problem, z_bar, res.ied)
     rng = np.random.default_rng(seed)
     dim = frame.dim
     best = np.inf
@@ -260,7 +266,7 @@ def error_bound_probe(
         raw *= radius * rng.uniform(0.1, 1.0) / norm
         v = TangentVector(frame=frame, v_x=raw[: problem.m], coeffs=raw[problem.m :])
         try:
-            z = retract_point(problem, z_bar, v)
+            z = retract_point(v)
         except InertiaViolation:
             continue
         dist = point_distance(z, z_bar)

@@ -14,6 +14,7 @@ from support import (
     corrected_random_point,
     degenerate_fixture_curve,
     error_bound_probe,
+    frame_at,
     haar_orthogonal,
     normal_project_pi2,
     point_distance,
@@ -26,11 +27,11 @@ from support import (
 
 from sgnsdp.cli import main
 from sgnsdp.kkt import (
+    TangentFrame,
     TangentVector,
     assemble_dF,
     big_g,
     residual,
-    tangent_coords,
 )
 from sgnsdp.model import (
     AffineQuadraticProblem,
@@ -106,11 +107,11 @@ def _constant_g_kkt(quad_diag, n=4, p=1, q=1, seed=0):
 
 def _stratum_start(rng, problem, z_ref, distance):
     res = residual(problem, z_ref)
-    frame = tangent_coords(problem, z_ref, res.ied)
+    frame = TangentFrame(problem, z_ref, res.ied)
     raw = rng.standard_normal(frame.dim)
     raw *= distance / np.linalg.norm(raw)
     v = TangentVector(frame=frame, v_x=raw[: problem.m], coeffs=raw[problem.m :])
-    return retract_point(problem, z_ref, v)
+    return retract_point(v)
 
 
 def test_criterion_01_reference_kkt_fixture():
@@ -124,11 +125,12 @@ def test_criterion_01_reference_kkt_fixture():
 
 def test_criterion_02_reference_regularity_verdicts():
     problem, z_bar = degenerate_fixture()
-    assert check_wsoc(problem, z_bar).verdict == "holds"
-    assert check_wsrcq(problem, z_bar).verdict == "holds"
-    assert check_cn(problem, z_bar).verdict == "fails"
-    assert check_ssosc(problem, z_bar).verdict == "fails"
-    sigma = injectivity_margin(problem, z_bar)
+    frame = frame_at(problem, z_bar)
+    assert check_wsoc(frame).verdict == "holds"
+    assert check_wsrcq(frame).verdict == "holds"
+    assert check_cn(frame).verdict == "fails"
+    assert check_ssosc(frame).verdict == "fails"
+    sigma = injectivity_margin(frame)
     assert sigma > 1e-6
     assert abs(sigma - SIGMA_MIN_REFERENCE) <= 1e-9 * SIGMA_MIN_REFERENCE
     print(
@@ -186,14 +188,14 @@ def test_criterion_05_derivative_oracles():
     for trial in range(40):
         problem, z = corrected_random_point(rng, 4, 5, n_zero=1)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
         base = res.as_vec()
         u = rng.standard_normal(frame.dim)
         u /= np.linalg.norm(u)
         v = TangentVector(frame=frame, v_x=u[: problem.m], coeffs=u[problem.m :])
         t = 1e-6
-        moved = retract_point(problem, z, v.scaled(t))
+        moved = retract_point(v.scaled(t))
         quotient = (residual(problem, moved).as_vec() - base) / t
         column = jac.matrix @ u
         worst_jac = max(
@@ -230,11 +232,12 @@ def test_criterion_06_normal_step_decrease_identities():
     while seen < 100:
         problem, z = corrected_random_point(rng, 4, 5, n_zero=2)
         res = residual(problem, z)
-        w1, w2 = normal_dirs(problem, z, res.ied, res)
+        frame = TangentFrame(problem, z, res.ied)
+        w1, w2 = normal_dirs(frame, res)
         for which, w in ((1, w1), (2, w2)):
             if frob(w) == 0.0:
                 continue
-            cand = normal_step(problem, z, w, which)
+            cand = normal_step(frame, w, which)
             drop = res.phi - residual(problem, cand).phi
             w_sq = float(np.sum(w * w))
             dg_sq = float(np.sum(problem.adjoint_dg(z.x, w) ** 2))
@@ -313,7 +316,7 @@ def test_criterion_09_one_step_contraction():
                 rng = np.random.default_rng(900 + seed * 10 + k)
                 z = _stratum_start(rng, problem, z_star, dist)
                 state = _point_state(problem, z, config)
-                z_new = retract_point(problem, z, state.v_lm)
+                z_new = retract_point(state.v_lm)
                 ratio = point_distance(z_new, z_star) / point_distance(z, z_star) ** 2
                 worst = max(worst, ratio)
         assert worst <= bound, (seed, worst, bound)
@@ -331,10 +334,10 @@ def test_criterion_10_injectivity_consistency():
         fixtures.append(_constant_g_kkt([-1.0, -2.0], n=5, p=2, q=1, seed=seed))
     checked = 0
     for problem, z in fixtures:
-        ied = make_ied(big_g(problem, z))
-        wsoc = check_wsoc(problem, z, ied)
-        wsrcq = check_wsrcq(problem, z, ied)
-        sigma = injectivity_margin(problem, z, ied)
+        frame = frame_at(problem, z)
+        wsoc = check_wsoc(frame)
+        wsrcq = check_wsrcq(frame)
+        sigma = injectivity_margin(frame)
         margins = [abs(wsoc.margin), wsrcq.margin, sigma]
         if any(margin_tol / 10 <= value <= margin_tol * 10 for value in margins):
             continue
@@ -373,26 +376,24 @@ def test_criterion_11_ied_choice_invariance():
             assert frob(normal_project_pi2(ied, h) - normal_project_pi2(rot, h)) <= tol
             assert frob(retract_fixed_inertia(ied, h) - retract_fixed_inertia(rot, h)) <= tol
             # kkt / solver single steps
-            w1a, w2a = normal_dirs(prob, zz, ied, res)
-            w1b, w2b = normal_dirs(prob, zz, rot, res)
+            frame_a = TangentFrame(prob, zz, ied)
+            frame_b = TangentFrame(prob, zz, rot)
+            w1a, w2a = normal_dirs(frame_a, res)
+            w1b, w2b = normal_dirs(frame_b, res)
             assert frob(w1a - w1b) <= tol and frob(w2a - w2b) <= tol
-            frame_a = tangent_coords(prob, zz, ied)
-            frame_b = tangent_coords(prob, zz, rot)
-            va, _ = lm_direction(frame_a, config, res, assemble_dF(frame_a))
-            vb, _ = lm_direction(frame_b, config, res, assemble_dF(frame_b))
+            va, _ = lm_direction(assemble_dF(frame_a), res, config)
+            vb, _ = lm_direction(assemble_dF(frame_b), res, config)
             assert abs(va.norm - vb.norm) <= tol
-            za = retract_point(prob, zz, va)
-            zb = retract_point(prob, zz, vb)
+            za = retract_point(va)
+            zb = retract_point(vb)
             assert point_distance(za, zb) <= tol
             # regularity margins
             for checker in (check_wsoc, check_wsrcq, check_cn, check_ssosc):
-                ca, cb = checker(prob, zz, ied), checker(prob, zz, rot)
+                ca, cb = checker(frame_a), checker(frame_b)
                 assert ca.verdict == cb.verdict
                 if np.isfinite(ca.margin):
                     assert abs(ca.margin - cb.margin) <= tol
-            assert abs(
-                injectivity_margin(prob, zz, ied) - injectivity_margin(prob, zz, rot)
-            ) <= tol
+            assert abs(injectivity_margin(frame_a) - injectivity_margin(frame_b)) <= tol
     print("PASS criterion 11: spectral, kkt, regularity and solver steps invariant to the IED choice")
 
 

@@ -10,6 +10,7 @@ from sgnsdp.model import (
     point_to_dict,
     save_problem,
 )
+from sgnsdp.solver import SolverConfig
 
 
 @pytest.fixture
@@ -97,6 +98,25 @@ class TestSolve:
         assert main(["solve", str(problem_path), "--eta", "0.3"]) == 3
         assert main(["solve", str(problem_path), "--zero-tol", "-1"]) == 3
         assert main(["solve", str(problem_path), "--seed", "-5"]) == 3
+        for flag in ("--tol", "--delta", "--zero-tol"):
+            assert main(["solve", str(problem_path), flag, "nan"]) == 3
+
+    def test_default_flags_echo_solver_config(self, reference_files, capsys):
+        problem_path, _ = reference_files
+        assert main(["solve", str(problem_path)]) == 0
+        config = SolverConfig()
+        assert json.loads(capsys.readouterr().out)["config"] == {
+            "tol": config.tol,
+            "delta": config.delta,
+            "eta": config.eta,
+            "rho": config.rho,
+            "max_iter": config.max_iter,
+            "jmax": config.max_backtracks,
+            "mu_min": config.mu_min,
+            "mu_max": config.mu_max,
+            "zero_tol": config.zero_tol,
+            "seed": 0,
+        }
 
     def test_usage_error_exits_3(self, reference_files, capsys):
         problem_path, _ = reference_files
@@ -153,6 +173,7 @@ class TestDiagnose:
         problem_path, point_path = reference_files
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "-1"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--seed", "-5"]) == 3
+        assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "nan"]) == 3
 
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
         problem_path = tmp_path / "overflow.json"

@@ -10,7 +10,6 @@ full-matrix alternation.
 
 import numpy as np
 import pytest
-import reference
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import (
@@ -33,11 +32,11 @@ from support import (
 import sgnsdp.regularity
 import sgnsdp.spectral
 from sgnsdp.kkt import (
+    TangentFrame,
     assemble_dF,
     big_g,
     constraint_stack,
     residual,
-    tangent_coords,
 )
 from sgnsdp.errors import ConstructionFailure
 from sgnsdp.model import (
@@ -54,7 +53,6 @@ from sgnsdp.regularity import (
     NOT_APPLICABLE,
     SRCQ_ITERATIONS,
     _constraint_rows,
-    _point,
     check_cn,
     check_srcq_heuristic,
     check_ssosc,
@@ -62,6 +60,7 @@ from sgnsdp.regularity import (
     check_wsrcq,
     diagnose,
 )
+from sgnsdp.solver import SolverConfig, sgn_solve
 from sgnsdp.spectral import make_ied
 
 REL = 1e-12
@@ -143,7 +142,7 @@ class TestCallbackBudget:
         for n, m in ((4, 5), (6, 3)):
             problem, z = corrected_random_point(rng, n, m, n_zero=2)
             counting = CountingProblem(problem)
-            frame = tangent_coords(counting, z, residual(problem, z).ied)
+            frame = TangentFrame(counting, z, residual(problem, z).ied)
             assemble_dF(frame)
             assert counting.calls == {
                 "eval_g": 0, "apply_dg": m, "adjoint_dg": 0, "apply_hess_lagrangian": m,
@@ -163,10 +162,38 @@ class TestCallbackBudget:
         assert counting.calls["apply_dg"] == problem.m
         assert counting.calls["apply_hess_lagrangian"] == problem.m
 
+    @pytest.mark.parametrize(
+        "start, kind, calls",
+        [
+            ("zeros", "normal1",
+             {"eval_g": 4, "apply_dg": 12, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
+            ("near-beta", "corrected-lm",
+             {"eval_g": 5, "apply_dg": 17, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
+        ],
+    )
+    def test_one_solver_iteration_reads_each_frame_once(self, start, kind, calls):
+        # one frame per point state: at the start, at the corrected point
+        # when the correction is tried, and at the accepted point; each
+        # reads m apply_dg and m apply_hess_lagrangian, and normal_dirs
+        # adds one apply_dg where the beta block is nonempty
+        problem, z_bar = degenerate_fixture()
+        if start == "zeros":
+            z0 = point(np.zeros(5), np.zeros((4, 4)))
+        else:
+            # a 5e-5 eigenvalue of G(z0) lies in the correction band
+            y = z_bar.y.copy()
+            y[1, 1] += 5e-5
+            y[0, 0] += 0.1
+            z0 = point(z_bar.x + 0.01, y)
+        counting = CountingProblem(problem)
+        result = sgn_solve(counting, z0, SolverConfig(max_iter=1))
+        assert [rec.step_kind for rec in result.trace] == [kind]
+        assert counting.calls == calls
+
     def test_second_assembly_on_a_frame_reads_nothing(self):
         problem, z = corrected_random_point(np.random.default_rng(4), 4, 5, n_zero=2)
         counting = CountingProblem(problem)
-        frame = tangent_coords(counting, z, residual(problem, z).ied)
+        frame = TangentFrame(counting, z, residual(problem, z).ied)
         first = assemble_dF(frame).matrix
         before = dict(counting.calls)
         assert np.array_equal(assemble_dF(frame).matrix, first)
@@ -195,7 +222,7 @@ class TestStack:
 def test_jacobian_matches_column_reference(case):
     problem, z, ied = case
     assert ied.n_beta > 0
-    frame = tangent_coords(problem, z, ied)
+    frame = TangentFrame(problem, z, ied)
     jac = assemble_dF(frame).matrix
     ref = assemble_dF_by_columns(problem, z, frame).matrix
     assert jac.shape == ref.shape
@@ -206,17 +233,18 @@ def test_jacobian_matches_column_reference(case):
 @given(stratum_points())
 def test_regularity_margins_match_loop_reference(case):
     problem, z, ied = case
+    frame = TangentFrame(problem, z, ied)
     for include_bb in (True, False):
-        rows = _constraint_rows(_point(problem, z, ied), include_bb)
+        rows = _constraint_rows(frame, include_bb)
         ref_rows = constraint_rows(problem, z, ied, include_bb)
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))
         assert np.allclose(rows, ref_rows, rtol=0.0, atol=REL * scale)
     pairs = [
-        (check_wsrcq(problem, z, ied), span_margin(problem, z, ied, include_bb=True)),
-        (check_cn(problem, z, ied), span_margin(problem, z, ied, include_bb=False)),
-        (check_wsoc(problem, z, ied), second_order_margin(problem, z, ied, True, True)),
-        (check_ssosc(problem, z, ied), second_order_margin(problem, z, ied, False, False)),
+        (check_wsrcq(frame), span_margin(problem, z, ied, include_bb=True)),
+        (check_cn(frame), span_margin(problem, z, ied, include_bb=False)),
+        (check_wsoc(frame), second_order_margin(problem, z, ied, True, True)),
+        (check_ssosc(frame), second_order_margin(problem, z, ied, False, False)),
     ]
     for result, ref in pairs:
         assert _close(result.margin, ref), (result.margin, ref)
@@ -282,7 +310,7 @@ def test_srcq_probe_matches_full_matrix_reference(build, rotation, monkeypatch):
         return original(block)
 
     monkeypatch.setattr(sgnsdp.regularity, "nsd_part", counted)
-    result = check_srcq_heuristic(problem, z, seed=0, ied=ied)
+    result = check_srcq_heuristic(TangentFrame(problem, z, ied), seed=0)
     verdict, margin = srcq_probe(problem, z, ied, seed=0, log=log)
     assert result.verdict == verdict
     if verdict == NOT_APPLICABLE:
@@ -314,7 +342,7 @@ def test_srcq_probe_decomposes_once_per_alternation(monkeypatch):
     monkeypatch.setattr(sgnsdp.spectral, "eig_sym", counted)
     ied = make_ied(big_g(problem, z))
     calls.clear()
-    result = check_srcq_heuristic(problem, z, ied=ied)
+    result = check_srcq_heuristic(TangentFrame(problem, z, ied))
     assert result.verdict == HEURISTIC_HOLDS
     assert len(calls) <= SRCQ_ITERATIONS + 1
     assert calls[0] == (20, ied.n_beta, ied.n_beta)  # all 20 restarts in one stack
@@ -340,7 +368,7 @@ def kkt_pairs(draw):
 @given(kkt_pairs(), st.integers(0, 100))
 def test_srcq_probe_matches_reference_on_random_instances(case, seed):
     problem, z, ied = case
-    result = check_srcq_heuristic(problem, z, seed=seed, ied=ied)
+    result = check_srcq_heuristic(TangentFrame(problem, z, ied), seed=seed)
     verdict, margin = srcq_probe(problem, z, ied, seed=seed)
     assert result.verdict == verdict
     if verdict != NOT_APPLICABLE:
@@ -371,7 +399,7 @@ def test_srcq_alignment_is_zero_when_the_range_holds_the_polar_cone(build):
     # up to rounding, not the 1e-8 that sqrt(1 - |c|^2) would leave
     problem, z = build()
     ied = make_ied(big_g(problem, z))
-    result = check_srcq_heuristic(problem, z, seed=0, ied=ied)
+    result = check_srcq_heuristic(TangentFrame(problem, z, ied), seed=0)
     verdict, margin = srcq_probe(problem, z, ied, seed=0)
     assert result.verdict == verdict == HEURISTIC_HOLDS
     assert 0.0 <= result.margin <= 1e-12 and margin <= 1e-12

@@ -13,11 +13,11 @@ from support import (
 )
 
 from sgnsdp.kkt import (
+    TangentFrame,
     TangentVector,
     assemble_dF,
     big_g,
     residual,
-    tangent_coords,
 )
 from sgnsdp.model import (
     AffineQuadraticProblem,
@@ -87,7 +87,7 @@ class TestFrame:
         problem = random_problem(rng, 3, 4)
         z = random_point(rng, problem)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         v_y = sym(rng.standard_normal((3, 3)))
         _, h = to_coords(frame, np.zeros(4), v_y)
         assert np.allclose(h, v_y)
@@ -96,7 +96,7 @@ class TestFrame:
         rng = np.random.default_rng(2)
         problem = random_problem(rng, 3, 4)
         z = random_point(rng, problem)
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         v_x = rng.standard_normal(4)
         v_y = -problem.apply_dg(z.x, v_x)
         _, h = to_coords(frame, v_x, v_y)
@@ -106,7 +106,7 @@ class TestFrame:
         rng = np.random.default_rng(3)
         problem = random_problem(rng, 4, 3)
         z = random_point(rng, problem)
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         for _ in range(20):
             v_x = rng.standard_normal(3)
             v_y = sym(rng.standard_normal((4, 4)))
@@ -117,14 +117,14 @@ class TestFrame:
 
     def test_coeff_reconstruction(self):
         problem, z = scalar_boundary()
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         assert frame.dim_tangent == 0  # all-beta matrix has trivial tangent space
 
 
 class TestAssembledJacobian:
     def test_scalar_quadratic_matrix(self):
         problem, z = scalar_quadratic()
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         jac = assemble_dF(frame)
         assert np.allclose(jac.matrix, np.array([[0.0, 1.0], [-1.0, 1.0]]), atol=1e-14)
 
@@ -133,7 +133,7 @@ class TestAssembledJacobian:
             c=[], a0=np.diag([2.0, -1.0]), a_list=[]
         )
         z = PrimalDualPoint(x=np.zeros(0), y=np.zeros((2, 2)))
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         jac = assemble_dF(frame)
         assert jac.matrix.shape == (3, 3)
         # columns are xi applied to the tangent basis: weight 1 on the
@@ -145,14 +145,14 @@ class TestAssembledJacobian:
     def test_m_zero_invertible_xi_block(self):
         problem = AffineQuadraticProblem(c=[], a0=np.diag([2.0, 0.0]), a_list=[])
         z = PrimalDualPoint(x=np.zeros(0), y=np.zeros((2, 2)))
-        frame = tangent_coords(problem, z, residual(problem, z).ied)
+        frame = TangentFrame(problem, z, residual(problem, z).ied)
         jac = assemble_dF(frame)
         # no gamma block: xi acts as the identity on the tangent pairs
         assert np.isclose(jac.sigma_min(), 1.0, atol=1e-12)
 
     def test_reference_sigma_min_frozen(self):
         problem, z_bar = degenerate_fixture()
-        frame = tangent_coords(problem, z_bar, residual(problem, z_bar).ied)
+        frame = TangentFrame(problem, z_bar, residual(problem, z_bar).ied)
         jac = assemble_dF(frame)
         assert np.isclose(jac.sigma_min(), SIGMA_MIN_REFERENCE, rtol=1e-9)
         assert jac.sigma_min() > 1e-6
@@ -162,7 +162,7 @@ class TestAssembledJacobian:
         problem = random_problem(rng, 4, 5)
         z = random_point(rng, problem)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
         u = rng.standard_normal(jac.matrix.shape[1])
         w = rng.standard_normal(jac.matrix.shape[0])
@@ -173,7 +173,7 @@ class TestAssembledJacobian:
         for trial in range(5):
             problem, z = corrected_random_point(rng, 4, 5, n_zero=1)
             res = residual(problem, z)
-            frame = tangent_coords(problem, z, res.ied)
+            frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
             base = res.as_vec()
             idx = int(rng.integers(0, frame.dim))
@@ -184,7 +184,7 @@ class TestAssembledJacobian:
             # the quotient error obeys C*t; exactly linear coordinates sit
             # at the cancellation noise floor instead, which also passes
             for t in (1e-4, 1e-5, 1e-6):
-                moved = retract_point(problem, z, v.scaled(t))
+                moved = retract_point(v.scaled(t))
                 quotient = (residual(problem, moved).as_vec() - base) / t
                 err = np.linalg.norm(quotient - column)
                 assert err <= 100.0 * t + 1e-9 / t * 1e-6
@@ -205,7 +205,7 @@ class TestDirectionalDerivative:
         z = random_point(rng, problem)
         res = residual(problem, z)
         assert res.ied.n_beta == 0
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
         for _ in range(10):
             v_x = rng.standard_normal(4)
@@ -256,10 +256,10 @@ class TestDirectionalDerivative:
     def test_sampled_nonnegativity_at_solution(self):
         problem, z_bar = degenerate_fixture()
         res = residual(problem, z_bar)
-        frame = tangent_coords(problem, z_bar, res.ied)
+        frame = TangentFrame(problem, z_bar, res.ied)
         jac = assemble_dF(frame)
         assert np.linalg.norm(jac.apply_adjoint(res.as_vec())) == 0.0
-        w1, w2 = normal_dirs(problem, z_bar, res.ied, res)
+        w1, w2 = normal_dirs(frame, res)
         assert frob(w1) == 0.0 and frob(w2) == 0.0
         rng = np.random.default_rng(10)
         for _ in range(1000):

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from support import degenerate_fixture_curve, random_point, random_problem
+from support import degenerate_fixture_curve, frame_at, random_point, random_problem
 
 from sgnsdp.errors import ConstructionFailure, InputError
 from sgnsdp.kkt import big_g, residual
@@ -215,8 +215,8 @@ class TestSynth:
         for seed in (0, 1, 2):
             problem, z_star = synth_nondegenerate(seed=seed, n=5, m=6)
             assert residual(problem, z_star).norm <= 1e-12
-            assert check_wsoc(problem, z_star).margin > 1e-6
-            assert check_wsrcq(problem, z_star).margin > 1e-6
+            assert check_wsoc(frame_at(problem, z_star)).margin > 1e-6
+            assert check_wsrcq(frame_at(problem, z_star)).margin > 1e-6
 
     def test_pinned_primal(self):
         problem, z_star = synth_nondegenerate(seed=7, n=4, m=3, x_star=np.zeros(3))

@@ -3,6 +3,7 @@ import pytest
 from support import (
     degenerate_fixture_curve,
     error_bound_probe,
+    frame_at,
     haar_orthogonal,
     point_distance,
     random_point,
@@ -10,7 +11,7 @@ from support import (
     rotate_within_eigenspaces,
 )
 
-from sgnsdp.kkt import big_g, residual
+from sgnsdp.kkt import TangentFrame, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
@@ -69,12 +70,12 @@ def constant_g_fixture(quad_diag, n=4, p=1, q=1, seed=0):
 class TestSubspaces:
     def test_reference_dimensions(self):
         problem, z_bar = degenerate_fixture()
-        assert appl_basis(problem, z_bar).shape == (5, 1)
-        assert app_basis(problem, z_bar).shape == (5, 2)
+        assert appl_basis(frame_at(problem, z_bar)).shape == (5, 1)
+        assert app_basis(frame_at(problem, z_bar)).shape == (5, 2)
 
     def test_reference_appl_direction(self):
         problem, z_bar = degenerate_fixture()
-        basis = appl_basis(problem, z_bar)
+        basis = appl_basis(frame_at(problem, z_bar))
         target = np.array([0.0, 0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
         overlap = abs(basis[:, 0] @ target)
         assert np.isclose(overlap, 1.0, atol=1e-12)
@@ -86,19 +87,19 @@ class TestSubspaces:
         assert residual(problem, z).ied.n_beta == 0 or True
         ied = make_ied(big_g(problem, z))
         if ied.n_beta == 0 and ied.q == 0:
-            assert appl_basis(problem, z, ied).shape == (3, 3)
+            assert appl_basis(TangentFrame(problem, z, ied)).shape == (3, 3)
 
     def test_vanishing_dg_gives_full_space(self):
         problem, z = constant_g_fixture([1.0, 1.0])
-        assert appl_basis(problem, z).shape == (2, 2)
-        assert app_basis(problem, z).shape == (2, 2)
+        assert appl_basis(frame_at(problem, z)).shape == (2, 2)
+        assert app_basis(frame_at(problem, z)).shape == (2, 2)
 
     def test_app_contains_appl(self):
         rng = np.random.default_rng(2)
         for seed in range(5):
             problem, z_star = synth_nondegenerate(seed=seed, n=5, m=7)
-            small = appl_basis(problem, z_star)
-            big = app_basis(problem, z_star)
+            small = appl_basis(frame_at(problem, z_star))
+            big = app_basis(frame_at(problem, z_star))
             assert small.shape[1] <= big.shape[1]
             # each appl direction lies in the span of app
             proj = big @ (big.T @ small)
@@ -109,15 +110,15 @@ class TestQuadForm:
     def test_constant_g_identity(self):
         problem, z = constant_g_fixture([1.0, 1.0])
         ied = make_ied(big_g(problem, z))
-        basis = appl_basis(problem, z, ied)
-        form = quad_form_matrix(problem, z, ied, basis)
+        frame = TangentFrame(problem, z, ied)
+        form = quad_form_matrix(frame, appl_basis(frame))
         assert np.allclose(form, np.eye(2), atol=1e-12)
 
     def test_reference_value(self):
         problem, z_bar = degenerate_fixture()
         ied = make_ied(big_g(problem, z_bar))
-        basis = appl_basis(problem, z_bar, ied)
-        form = quad_form_matrix(problem, z_bar, ied, basis)
+        frame = TangentFrame(problem, z_bar, ied)
+        form = quad_form_matrix(frame, appl_basis(frame))
         assert form.shape == (1, 1)
         assert np.isclose(form[0, 0], 4.0, atol=1e-12)
 
@@ -128,7 +129,7 @@ class TestQuadForm:
         shifted = PrimalDualPoint(x=z_star.x, y=z_star.y - big)  # G = 0: alpha empty
         ied = make_ied(np.zeros((4, 4)))
         basis = np.eye(4)[:, :2]
-        form = quad_form_matrix(problem, shifted, ied, basis)
+        form = quad_form_matrix(TangentFrame(problem, shifted, ied), basis)
         expected = basis.T @ problem.quad @ basis
         assert np.allclose(form, expected, atol=1e-12)
 
@@ -136,10 +137,11 @@ class TestQuadForm:
 class TestConditionCheckers:
     def test_reference_verdicts(self):
         problem, z_bar = degenerate_fixture()
-        assert check_wsoc(problem, z_bar).verdict == HOLDS
-        assert check_wsrcq(problem, z_bar).verdict == HOLDS
-        assert check_cn(problem, z_bar).verdict == FAILS
-        assert check_ssosc(problem, z_bar).verdict == FAILS
+        frame = frame_at(problem, z_bar)
+        assert check_wsoc(frame).verdict == HOLDS
+        assert check_wsrcq(frame).verdict == HOLDS
+        assert check_cn(frame).verdict == FAILS
+        assert check_ssosc(frame).verdict == FAILS
 
     def test_vacuous_holds_with_sentinel(self):
         # the gamma-gamma constraint pins the only primal direction down
@@ -147,27 +149,27 @@ class TestConditionCheckers:
             c=[0.0], a0=np.diag([1.0, -1.0]), a_list=[np.diag([0.0, 1.0])]
         )
         z = PrimalDualPoint(x=np.zeros(1), y=np.zeros((2, 2)))
-        assert appl_basis(problem, z).shape == (1, 0)
-        result = check_wsoc(problem, z)
+        assert appl_basis(frame_at(problem, z)).shape == (1, 0)
+        result = check_wsoc(frame_at(problem, z))
         assert result.verdict == HOLDS and result.margin == np.inf
-        assert check_ssosc(problem, z).margin == np.inf
+        assert check_ssosc(frame_at(problem, z)).margin == np.inf
 
     def test_mixed_signs_fail_wsoc(self):
         problem, z = constant_g_fixture([1.0, -1.0])
-        result = check_wsoc(problem, z)
+        result = check_wsoc(frame_at(problem, z))
         assert result.verdict == FAILS
         assert result.margin < 0
 
     def test_negative_definite_still_holds_wsoc(self):
         # sign-definiteness, not positivity, is what the weak form asks
         problem, z = constant_g_fixture([-1.0, -2.0])
-        assert check_wsoc(problem, z).verdict == HOLDS
-        assert check_ssosc(problem, z).verdict == FAILS
+        assert check_wsoc(frame_at(problem, z)).verdict == HOLDS
+        assert check_ssosc(frame_at(problem, z)).verdict == FAILS
 
     def test_constant_g_fails_span_conditions(self):
         problem, z = constant_g_fixture([1.0, 1.0])
-        assert check_wsrcq(problem, z).verdict == FAILS
-        assert check_cn(problem, z).verdict == FAILS
+        assert check_wsrcq(frame_at(problem, z)).verdict == FAILS
+        assert check_cn(frame_at(problem, z)).verdict == FAILS
 
     def test_full_rank_g_matches_cn_and_wsrcq(self):
         # with an empty beta block the two span conditions coincide
@@ -178,8 +180,8 @@ class TestConditionCheckers:
             ied = make_ied(big_g(problem, z))
             if ied.n_beta:
                 continue
-            a = check_wsrcq(problem, z, ied)
-            b = check_cn(problem, z, ied)
+            a = check_wsrcq(TangentFrame(problem, z, ied))
+            b = check_cn(TangentFrame(problem, z, ied))
             assert a.verdict == b.verdict
             assert np.isclose(a.margin, b.margin, rtol=1e-10)
 
@@ -196,8 +198,8 @@ class TestConditionCheckers:
             c=np.zeros(3), a0=np.diag([1.0, 0.0]), a_list=mats, quad=np.eye(3)
         )
         z = PrimalDualPoint(x=np.zeros(3), y=np.zeros((n, n)))
-        assert check_wsrcq(problem, z).verdict == HOLDS
-        assert check_cn(problem, z).verdict == HOLDS
+        assert check_wsrcq(frame_at(problem, z)).verdict == HOLDS
+        assert check_cn(frame_at(problem, z)).verdict == HOLDS
 
     def test_ssosc_holds_on_definite_interior(self):
         # Q positive definite, G positive definite: app = R^m, form = Q
@@ -208,71 +210,57 @@ class TestConditionCheckers:
         )
         ied = make_ied(big_g(problem, z))
         assert ied.q == 0 and ied.n_beta == 0
-        assert check_ssosc(problem, z).verdict == HOLDS
+        assert check_ssosc(frame_at(problem, z)).verdict == HOLDS
 
 
 class TestHeuristics:
     def test_sonc_convex_case(self):
         problem, z = constant_g_fixture([1.0, 2.0], q=0)
-        result = check_sonc_heuristic(problem, z, samples=100, seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin >= 0.0
 
     def test_sonc_zero_form(self):
         problem, z = constant_g_fixture([0.0, 0.0], q=0)
-        result = check_sonc_heuristic(problem, z, samples=50, seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_sonc_detects_negative_curvature(self):
         problem, z = constant_g_fixture([-1.0, -1.0], q=0)
-        result = check_sonc_heuristic(problem, z, samples=100, seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
         assert result.verdict == HEURISTIC_FAILS
-
-    def test_sonc_sample_validation(self):
-        problem, z = constant_g_fixture([1.0])
-        with pytest.raises(ValueError):
-            check_sonc_heuristic(problem, z, samples=0)
 
     def test_srcq_reference_fails(self):
         problem, z_bar = degenerate_fixture()
-        result = check_srcq_heuristic(problem, z_bar, seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z_bar), seed=0)
         assert result.verdict == HEURISTIC_FAILS
 
     def test_srcq_synth_holds(self):
         problem, z_star = synth_nondegenerate(seed=3, n=5, m=6)
-        result = check_srcq_heuristic(problem, z_star, seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z_star), seed=0)
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin < 1.0 - 1e-4
-
-    @pytest.mark.parametrize("restarts", [0, -3])
-    def test_srcq_restart_validation(self, restarts):
-        # a probe without restarts probes nothing, so it may not report a verdict
-        problem, z_bar = degenerate_fixture()
-        with pytest.raises(ValueError):
-            check_srcq_heuristic(problem, z_bar, restarts=restarts)
-        with pytest.raises(ValueError):
-            diagnose(problem, z_bar, srcq_restarts=restarts)
 
     def test_srcq_not_applicable_off_complementarity(self):
         rng = np.random.default_rng(7)
         problem = random_problem(rng, 4, 5)
         z = random_point(rng, problem)
         assert residual(problem, z).norm > 1e-3
-        result = check_srcq_heuristic(problem, z, seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z), seed=0)
         assert result.verdict == NOT_APPLICABLE
 
 
 class TestInjectivity:
     def test_reference_frozen(self):
         problem, z_bar = degenerate_fixture()
-        margin = injectivity_margin(problem, z_bar)
+        margin = injectivity_margin(frame_at(problem, z_bar))
         assert margin == pytest.approx(SIGMA_MIN_REFERENCE, rel=1e-9)
         assert margin > 1e-6
 
     def test_degenerate_point_near_zero(self):
         problem, z = constant_g_fixture([1.0, 1.0])
-        assert injectivity_margin(problem, z) <= 1e-8
+        assert injectivity_margin(frame_at(problem, z)) <= 1e-8
 
     def test_consistency_with_weak_pair(self):
         # injectivity of the on-stratum differential iff W-SOC plus W-SRCQ
@@ -285,10 +273,10 @@ class TestInjectivity:
         fixtures.append(constant_g_fixture([1.0, -1.0]))
         fixtures.append(constant_g_fixture([-1.0, -1.0]))
         for problem, z in fixtures:
-            ied = make_ied(big_g(problem, z))
-            wsoc = check_wsoc(problem, z, ied)
-            wsrcq = check_wsrcq(problem, z, ied)
-            sigma = injectivity_margin(problem, z, ied)
+            frame = frame_at(problem, z)
+            wsoc = check_wsoc(frame)
+            wsrcq = check_wsrcq(frame)
+            sigma = injectivity_margin(frame)
             margins = [abs(wsoc.margin), wsrcq.margin, sigma]
             if any(margin_tol / 10 <= m <= margin_tol * 10 for m in margins):
                 continue
@@ -307,7 +295,7 @@ class TestStructuralImplications:
         for problem, z in fixtures:
             if z is None:
                 z = random_point(rng, problem)
-            report = diagnose(problem, z, seed=0, sonc_samples=10, srcq_restarts=2)
+            report = diagnose(problem, z, seed=0)
             if report.constraint_nondegeneracy.holds:
                 assert report.w_srcq.holds
             if report.s_sosc.holds:
@@ -334,14 +322,14 @@ class TestIedInvariance:
         for seed in range(5):
             rotated = rotate_within_eigenspaces(ied, seed=seed)
             for checker in (check_wsoc, check_wsrcq, check_cn, check_ssosc):
-                base = checker(problem, z_bar, ied)
-                alt = checker(problem, z_bar, rotated)
+                base = checker(TangentFrame(problem, z_bar, ied))
+                alt = checker(TangentFrame(problem, z_bar, rotated))
                 assert base.verdict == alt.verdict
                 if np.isfinite(base.margin):
                     assert np.isclose(base.margin, alt.margin, atol=1e-8)
             assert np.isclose(
-                injectivity_margin(problem, z_bar, ied),
-                injectivity_margin(problem, z_bar, rotated),
+                injectivity_margin(TangentFrame(problem, z_bar, ied)),
+                injectivity_margin(TangentFrame(problem, z_bar, rotated)),
                 atol=1e-8,
             )
 
@@ -349,14 +337,12 @@ class TestIedInvariance:
         # sampled margins move with the basis; the verdicts must not
         problem, z_bar = degenerate_fixture()
         ied = make_ied(big_g(problem, z_bar))
-        base_sonc = check_sonc_heuristic(problem, z_bar, samples=100, seed=0, ied=ied)
-        base_srcq = check_srcq_heuristic(problem, z_bar, seed=0, ied=ied)
+        base_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, ied), seed=0)
+        base_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, ied), seed=0)
         for seed in range(3):
             rotated = rotate_within_eigenspaces(ied, seed=seed)
-            alt_sonc = check_sonc_heuristic(
-                problem, z_bar, samples=100, seed=0, ied=rotated
-            )
-            alt_srcq = check_srcq_heuristic(problem, z_bar, seed=0, ied=rotated)
+            alt_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, rotated), seed=0)
+            alt_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, rotated), seed=0)
             assert alt_sonc.verdict == base_sonc.verdict
             assert alt_srcq.verdict == base_srcq.verdict
 

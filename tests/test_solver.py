@@ -16,7 +16,7 @@ from support import (
 )
 
 from sgnsdp.errors import InertiaViolation, LineSearchFailure
-from sgnsdp.kkt import assemble_dF, big_g, residual, tangent_coords
+from sgnsdp.kkt import TangentFrame, assemble_dF, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
@@ -28,6 +28,7 @@ from sgnsdp.solver import (
     MAX_ITER,
     STALLED,
     SolverConfig,
+    _point_state,
     armijo_search,
     correct,
     delta_lower_modulus,
@@ -79,6 +80,9 @@ class TestConfig:
             {"max_iter": 0},
             {"mu_min": 0.0},
             {"mu_min": 1.0, "mu_max": 0.5},
+            {"tol": float("nan")},
+            {"delta": float("nan")},
+            {"zero_tol": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -103,13 +107,13 @@ class TestNormalDirections:
     def test_zero_at_solution(self):
         problem, z_bar = degenerate_fixture()
         res = residual(problem, z_bar)
-        w1, w2 = normal_dirs(problem, z_bar, res.ied, res)
+        w1, w2 = normal_dirs(TangentFrame(problem, z_bar, res.ied), res)
         assert frob(w1) == 0.0 and frob(w2) == 0.0
 
     def test_scalar_boundary_values(self):
         problem, z = scalar_boundary()
         res = residual(problem, z)
-        w1, w2 = normal_dirs(problem, z, res.ied, res)
+        w1, w2 = normal_dirs(TangentFrame(problem, z, res.ied), res)
         assert np.allclose(w1, [[-1.0]]) and np.allclose(w2, [[0.0]])
 
     def test_zero_without_beta(self):
@@ -118,7 +122,7 @@ class TestNormalDirections:
         z = random_point(rng, problem)
         res = residual(problem, z)
         assert res.ied.n_beta == 0
-        w1, w2 = normal_dirs(problem, z, res.ied, res)
+        w1, w2 = normal_dirs(TangentFrame(problem, z, res.ied), res)
         assert frob(w1) == 0.0 and frob(w2) == 0.0
 
     def test_cone_membership_and_normality(self):
@@ -126,7 +130,7 @@ class TestNormalDirections:
         for trial in range(10):
             problem, z = corrected_random_point(rng, 4, 5, n_zero=2)
             res = residual(problem, z)
-            w1, w2 = normal_dirs(problem, z, res.ied, res)
+            w1, w2 = normal_dirs(TangentFrame(problem, z, res.ied), res)
             for w in (w1, w2):
                 assert frob(normal_project_pi2(res.ied, w) - w) <= 1e-12
             assert np.max(np.linalg.eigvalsh(w1)) <= 1e-12
@@ -138,8 +142,9 @@ class TestNormalStep:
         problem, z = scalar_boundary()
         res = residual(problem, z)
         assert res.phi == 0.5
-        w1, _ = normal_dirs(problem, z, res.ied, res)
-        cand = normal_step(problem, z, w1, 1)
+        frame = TangentFrame(problem, z, res.ied)
+        w1, _ = normal_dirs(frame, res)
+        cand = normal_step(frame, w1, 1)
         assert np.allclose(cand.x, [0.0]) and np.allclose(cand.y, [[-1.0]])
         after = residual(problem, cand)
         assert after.phi == 0.0  # KKT pair of: minimize x subject to x >= 0
@@ -147,17 +152,19 @@ class TestNormalStep:
     def test_absent_when_zero(self):
         problem, z = scalar_boundary()
         res = residual(problem, z)
-        _, w2 = normal_dirs(problem, z, res.ied, res)
-        assert normal_step(problem, z, w2, 2) is None
+        frame = TangentFrame(problem, z, res.ied)
+        _, w2 = normal_dirs(frame, res)
+        assert normal_step(frame, w2, 2) is None
 
     def test_inconsistent_adjoint_is_signalled(self):
         from sgnsdp.errors import NumericalInconsistency
 
         broken, z = broken_scalar_boundary()
         res = residual(broken, z)
-        w1, _ = normal_dirs(broken, z, res.ied, res)
+        frame = TangentFrame(broken, z, res.ied)
+        w1, _ = normal_dirs(frame, res)
         with pytest.raises(NumericalInconsistency):
-            normal_step(broken, z, w1, 1)
+            normal_step(frame, w1, 1)
 
     def test_decrease_identities(self):
         rng = np.random.default_rng(2)
@@ -165,11 +172,12 @@ class TestNormalStep:
         while seen < 20:
             problem, z = corrected_random_point(rng, 4, 5, n_zero=2)
             res = residual(problem, z)
-            w1, w2 = normal_dirs(problem, z, res.ied, res)
+            frame = TangentFrame(problem, z, res.ied)
+            w1, w2 = normal_dirs(frame, res)
             for which, w in ((1, w1), (2, w2)):
                 if frob(w) == 0.0:
                     continue
-                cand = normal_step(problem, z, w, which)
+                cand = normal_step(frame, w, which)
                 drop = res.phi - residual(problem, cand).phi
                 w_sq = float(np.sum(w * w))
                 dg_sq = float(np.sum(problem.adjoint_dg(z.x, w) ** 2))
@@ -189,24 +197,24 @@ class TestLmDirection:
         )
         z = point([0.0], [[1.0]])
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
-        v, mu = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
+        frame = TangentFrame(problem, z, res.ied)
+        v, mu = lm_direction(assemble_dF(frame), res, SolverConfig())
         assert mu == 2.0
         assert np.allclose(v.as_vec(), [2.0 / 11.0, -5.0 / 11.0], atol=1e-14)
 
     def test_scalar_boundary_fixture(self):
         problem, z = scalar_boundary()
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
-        v, mu = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
+        frame = TangentFrame(problem, z, res.ied)
+        v, mu = lm_direction(assemble_dF(frame), res, SolverConfig())
         assert mu == 1.0
         assert np.allclose(v.as_vec(), [1.0 / 3.0], atol=1e-14)
 
     def test_zero_residual_gives_zero_direction(self):
         problem, z_bar = degenerate_fixture()
         res = residual(problem, z_bar)
-        frame = tangent_coords(problem, z_bar, res.ied)
-        v, _ = lm_direction(frame, SolverConfig(), res, assemble_dF(frame))
+        frame = TangentFrame(problem, z_bar, res.ied)
+        v, _ = lm_direction(assemble_dF(frame), res, SolverConfig())
         assert v.norm == 0.0
 
 
@@ -216,11 +224,11 @@ class TestRetractPoint:
         problem = random_problem(rng, 3, 4)
         z = random_point(rng, problem)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         from sgnsdp.kkt import TangentVector
 
         v = TangentVector(frame=frame, v_x=np.zeros(4), coeffs=np.zeros(frame.dim_tangent))
-        back = retract_point(problem, z, v)
+        back = retract_point(v)
         assert np.allclose(back.x, z.x)
         assert frob(back.y - z.y) <= 1e-12 * max(1.0, frob(z.y))
 
@@ -238,12 +246,12 @@ class TestRetractPoint:
         problem = random_problem(rng, 3, 4)
         z = random_point(rng, problem)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         from sgnsdp.kkt import TangentVector
 
         raw = 1e-3 * rng.standard_normal(frame.dim)
         v = TangentVector(frame=frame, v_x=raw[:4], coeffs=raw[4:])
-        moved = retract_point(problem, z, v)
+        moved = retract_point(v)
         expected = big_g(problem, z) + v.matrix
         assert frob(big_g(problem, moved) - expected) <= 1e-11
 
@@ -254,22 +262,22 @@ class TestArmijo:
         problem, z_star = synth_nondegenerate(seed=5, n=5, m=6)
         z = point_on_stratum(rng, problem, z_star, 1e-3)
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
-        v, _ = lm_direction(frame, SolverConfig(), res, jac)
+        v, _ = lm_direction(jac, res, SolverConfig())
         dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
-        _, _, j = armijo_search(problem, z, res, v, dphi, SolverConfig())
+        _, _, j = armijo_search(res, v, dphi, SolverConfig())
         assert j == 0
 
     def test_nondescent_rejected(self):
         problem, z = scalar_boundary()
         res = residual(problem, z)
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         from sgnsdp.kkt import TangentVector
 
         v = TangentVector(frame=frame, v_x=np.zeros(1), coeffs=np.zeros(0))
         with pytest.raises(LineSearchFailure):
-            armijo_search(problem, z, res, v, 0.0, SolverConfig())
+            armijo_search(res, v, 0.0, SolverConfig())
 
     def test_backtracking_on_curved_problem(self):
         problem = Oscillatory()
@@ -278,13 +286,13 @@ class TestArmijo:
         z = point([0.3], [[0.7]])
         for _ in range(40):
             res = residual(problem, z)
-            frame = tangent_coords(problem, z, res.ied)
+            frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
-            v, _ = lm_direction(frame, config, res, jac)
+            v, _ = lm_direction(jac, res, config)
             dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
             if not dphi < 0:
                 break
-            z_new, res_new, j = armijo_search(problem, z, res, v, dphi, config)
+            z_new, res_new, j = armijo_search(res, v, dphi, config)
             assert res_new.phi < res.phi
             seen_positive_j = seen_positive_j or j >= 1
             z = z_new
@@ -300,13 +308,13 @@ class TestArmijo:
         checked = 0
         for _ in range(30):
             res = residual(problem, z)
-            frame = tangent_coords(problem, z, res.ied)
+            frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
-            v, mu = lm_direction(frame, config, res, jac)
+            v, mu = lm_direction(jac, res, config)
             dphi = float(jac.apply_adjoint(res.as_vec()) @ v.as_vec())
             if not dphi < 0:
                 break
-            z_new, res_new, j = armijo_search(problem, z, res, v, dphi, config)
+            z_new, res_new, j = armijo_search(res, v, dphi, config)
             step = config.rho**j
             decrease = res.phi - res_new.phi
             assert decrease >= -0.5 * config.eta * step * dphi
@@ -315,7 +323,7 @@ class TestArmijo:
                 checked += 1
                 prev = config.rho ** (j - 1)
                 try:
-                    trial = retract_point(problem, z, v.scaled(prev))
+                    trial = retract_point(v.scaled(prev))
                 except InertiaViolation:
                     pass  # the larger trial failed by leaving the stratum
                 else:
@@ -328,13 +336,13 @@ class TestArmijo:
 class TestSlmn:
     def test_stall_at_solution(self):
         problem, z_bar = degenerate_fixture()
-        outcome = slmn(problem, z_bar, SolverConfig())
+        outcome = slmn(_point_state(problem, z_bar, SolverConfig()), SolverConfig())
         assert outcome.stalled and outcome.kind == "stall"
         assert stationarity_measure(problem, z_bar) == 0.0
 
     def test_picks_normal_candidate_on_boundary(self):
         problem, z = scalar_boundary()
-        outcome = slmn(problem, z, SolverConfig())
+        outcome = slmn(_point_state(problem, z, SolverConfig()), SolverConfig())
         assert outcome.kind == "normal1"
         assert outcome.res.phi == 0.0
 
@@ -343,7 +351,7 @@ class TestSlmn:
         problem = random_problem(rng, 3, 4)
         z = random_point(rng, problem)
         assert residual(problem, z).ied.n_beta == 0
-        outcome = slmn(problem, z, SolverConfig())
+        outcome = slmn(_point_state(problem, z, SolverConfig()), SolverConfig())
         assert outcome.kind == "lm"
         assert not outcome.stalled
 
@@ -352,7 +360,7 @@ class TestSlmn:
         for trial in range(5):
             problem, z = corrected_random_point(rng, 4, 6, n_zero=1)
             before = make_ied(big_g(problem, z)).inertia
-            outcome = slmn(problem, z, SolverConfig())
+            outcome = slmn(_point_state(problem, z, SolverConfig()), SolverConfig())
             if outcome.kind != "lm":
                 continue
             assert make_ied(big_g(problem, outcome.z)).inertia == before
@@ -371,9 +379,9 @@ class TestSlmn:
 
         problem, z = corrected_random_point(np.random.default_rng(1), 4, 5, n_zero=2)
         res = residual(problem, z)
-        assert all(frob(w) > 0.0 for w in original(problem, z, res.ied, res))
+        assert all(frob(w) > 0.0 for w in original(TangentFrame(problem, z, res.ied), res))
         monkeypatch.setattr(sgnsdp.solver, "normal_dirs", counting)
-        slmn(problem, z, SolverConfig())
+        slmn(_point_state(problem, z, SolverConfig()), SolverConfig())
         assert len(calls) == 1
 
 
@@ -499,7 +507,7 @@ class TestSgnSolve:
         z = result.z
         res = residual(problem, z)
         assert res.phi > 1e-6  # genuinely not a KKT pair
-        frame = tangent_coords(problem, z, res.ied)
+        frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
 
         rng = np.random.default_rng(0)

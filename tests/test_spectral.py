@@ -174,6 +174,10 @@ class TestIed:
         with pytest.raises(ValueError):
             make_ied(np.eye(2), zero_tol=-1.0)
 
+    def test_nan_zero_tol_rejected(self):
+        with pytest.raises(ValueError):
+            make_ied(np.eye(2), zero_tol=float("nan"))
+
 
 class TestProjections:
     def test_diagonal(self):
