@@ -9,15 +9,22 @@ the tangent-space isomorphism is the block operator
     [ Hess_xx L - dg dg*   dg  ]
     [       -dg*           xi  ]
 
-assembled here as a dense matrix.  All tangent inner products are taken
-in (v_x, H) coordinates with the Frobenius product on the matrix part.
-Every block is sliced from :func:`constraint_stack`, built once per
-frame (:class:`TangentFrame`): A[i] = apply_dg(x, e_i) and its rotation
-P^T A[i] P into the eigenbasis of G(z).  Rows are the m residual
-components, then the unrotated ``sym_to_vec`` coordinates of the matrix
-residual (the layout of :meth:`KktResidual.as_vec`); columns are the m
-primal unit directions, then the tangent pairs (k, l) of
-:func:`tangent_pairs`.
+All tangent inner products are taken in (v_x, H) coordinates with the
+Frobenius product on the matrix part.  Every block is sliced from
+:func:`constraint_stack`, built once per frame (:class:`TangentFrame`):
+A[i] = apply_dg(x, e_i) and its rotation P^T A[i] P into the eigenbasis
+of G(z).  Rows are the m residual components, then the unrotated
+``sym_to_vec`` coordinates of the matrix residual (the layout of
+:meth:`KktResidual.as_vec`); columns are the m primal unit directions,
+then the T tangent pairs (k, l) of :func:`tangent_pairs`.
+
+The operator is kept in rotated block form.  Rotating the matrix rows
+by the orthogonal map sym_to_vec(X) -> sym_to_vec(P^T X P) changes
+neither J^T J nor J^T r, and in rotated rows the xi block is diagonal:
+xi_kl on the row of pair (k, l) and zero on the beta-beta rows.  So the
+normal equations are formed from the m x m, n_sym x m and m x T blocks
+and the T values of xi alone (:class:`AssembledJacobian`); the dense
+n_sym x T block is built only when the dense matrix is asked for.
 """
 
 from dataclasses import dataclass
@@ -37,6 +44,7 @@ from .spectral import (
     tangent_matrix,
     tangent_pairs,
     triu_pairs,
+    vec_to_sym,
 )
 
 
@@ -134,6 +142,12 @@ class TangentFrame:
         return tangent_pairs(self.ied)
 
     @cached_property
+    def weights(self) -> np.ndarray:
+        """Per tangent pair: 1 on the diagonal, sqrt(2) off it."""
+        k, l = self.pairs.T
+        return np.where(k == l, 1.0, SQRT2)
+
+    @cached_property
     def stack(self):
         """``(a, at)`` of :func:`constraint_stack` at ``z``."""
         return constraint_stack(self.problem, self.z.x, self.ied)
@@ -181,23 +195,76 @@ class TangentVector:
 
 @dataclass(frozen=True)
 class AssembledJacobian:
-    """Dense differential of F along the stratum, in frame coordinates.
+    """Differential of F along the stratum, in frame coordinates, by blocks.
 
     Columns follow (e_1..e_m, tangent pairs); rows are the m residual
     components followed by the orthonormal coordinates of the matrix
-    residual.  ``gram`` caches J^T J for the regularized normal
-    equations.
+    residual.  With the pair weights w of ``frame.weights``, the blocks
+    are
+
+    * ``hm`` = Hess L - C^T C (m x m), the top-left block;
+    * ``c_mat`` = C = sym_to_vec(a).T (n_sym x m), so -C is the
+      bottom-left block;
+    * ``tr`` = w * at[:, k, l] (m x T), the top-right block;
+    * ``xi_t`` = xi[k, l] (T), the bottom-right block in rotated rows.
+
+    ``gram`` (J^T J, cached) and :meth:`apply_adjoint` are formed from
+    the blocks; ``matrix``, the dense J, is built on first use.
     """
 
-    matrix: np.ndarray
     frame: TangentFrame
+    hm: np.ndarray
+    c_mat: np.ndarray
+    tr: np.ndarray
+    xi_t: np.ndarray
 
     @cached_property
     def gram(self) -> np.ndarray:
-        return self.matrix.T @ self.matrix
+        hm, c_mat, tr, xi_t = self.hm, self.c_mat, self.tr, self.xi_t
+        m = hm.shape[0]
+        gram = np.empty((m + xi_t.size, m + xi_t.size))
+        gram[:m, :m] = hm.T @ hm + c_mat.T @ c_mat
+        gram[:m, m:] = hm.T @ tr - tr * xi_t
+        gram[m:, :m] = gram[:m, m:].T
+        gram[m:, m:] = tr.T @ tr
+        gram[m:, m:][np.diag_indices(xi_t.size)] += xi_t**2
+        return gram
 
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ w
+        """J^T w; the matrix part of ``w`` is rotated into the eigenbasis."""
+        ied = self.frame.ied
+        m = self.hm.shape[0]
+        w1, w2 = w[:m], w[m:]
+        k, l = self.frame.pairs.T
+        rotated = ied.basis.T @ vec_to_sym(w2, ied.n) @ ied.basis
+        return np.concatenate([
+            self.hm.T @ w1 - self.c_mat.T @ w2,
+            self.tr.T @ w1 + self.xi_t * self.frame.weights * rotated[k, l],
+        ])
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense J, with the xi block in unrotated rows."""
+        frame = self.frame
+        ied = frame.ied
+        m = self.hm.shape[0]
+        k, l = frame.pairs.T
+        iu, ju, scale = triu_pairs(ied.n)
+        matrix = np.empty((m + iu.size, m + frame.dim_tangent))
+        matrix[:m, :m] = self.hm
+        matrix[m:, :m] = -self.c_mat
+        matrix[:m, m:] = self.tr
+        # entry ((i, j), (k, l)) of the xi block is
+        # s_ij w_kl/2 xi_kl (P_ik P_jl + P_il P_jk), filled in place
+        rows_i = ied.basis[iu] * scale[:, None]
+        rows_j = ied.basis[ju]
+        block = matrix[m:, m:]
+        np.multiply(rows_i[:, k], rows_j[:, l], out=block)
+        swapped = rows_i[:, l]
+        swapped *= rows_j[:, k]
+        block += swapped
+        block *= 0.5 * frame.weights * self.xi_t
+        return matrix
 
     def sigma_min(self) -> float:
         if self.matrix.shape[1] == 0:
@@ -206,34 +273,24 @@ class AssembledJacobian:
 
 
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
-    """Assemble the block operator from the frame's constraint stack.
+    """Slice the Jacobian blocks from the frame's constraint stack.
 
     A coordinate direction (v_x, H) maps to
     (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  With
-    C = sym_to_vec(a) and w = 1 on diagonal pairs, sqrt(2) off them:
+    C = sym_to_vec(a) and the pair weights w of ``frame.weights``:
 
         [ Hess L - C^T C     w * at[:, k, l]               ]
         [      -C            sym_to_vec(P (xi o E_kl) P^T)  ]
+
+    Only the first three blocks and xi[k, l] are formed here.
     """
-    ied = frame.ied
-    m = frame.problem.m
     a, at = frame.stack
     k, l = frame.pairs.T
-    w = np.where(k == l, 1.0, SQRT2)
-    iu, ju, scale = triu_pairs(ied.n)
     c_mat = sym_to_vec(a).T
-    matrix = np.empty((m + iu.size, m + frame.dim_tangent))
-    matrix[:m, :m] = frame.hess - c_mat.T @ c_mat
-    matrix[m:, :m] = -c_mat
-    matrix[:m, m:] = at[:, k, l] * w
-    # entry ((i, j), (k, l)) of the xi block is
-    # s_ij w_kl/2 xi_kl (P_ik P_jl + P_il P_jk), filled in place
-    rows_i = ied.basis[iu] * scale[:, None]
-    rows_j = ied.basis[ju]
-    block = matrix[m:, m:]
-    np.multiply(rows_i[:, k], rows_j[:, l], out=block)
-    swapped = rows_i[:, l]
-    swapped *= rows_j[:, k]
-    block += swapped
-    block *= 0.5 * w * ied.xi[k, l]
-    return AssembledJacobian(matrix=matrix, frame=frame)
+    return AssembledJacobian(
+        frame=frame,
+        hm=frame.hess - c_mat.T @ c_mat,
+        c_mat=c_mat,
+        tr=at[:, k, l] * frame.weights,
+        xi_t=frame.ied.xi[k, l],
+    )

@@ -177,7 +177,7 @@ def check_cn(frame: TangentFrame) -> ConditionResult:
 
 
 def injectivity_margin(frame: TangentFrame) -> float:
-    """Smallest singular value of the assembled on-stratum differential."""
+    """Smallest singular value of the on-stratum differential, from its dense matrix."""
     return assemble_dF(frame).sigma_min()
 
 

@@ -70,16 +70,16 @@ class SolverConfig:
             raise ValueError("eta must lie in (1/2, 1)")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-        if not self.tol >= 0.0:
-            raise ValueError("tol must be nonnegative")
+        if not 0.0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError("tol must be nonnegative and finite")
         if self.max_iter < 1 or self.max_backtracks < 0:
             raise ValueError("iteration budgets must be positive")
         if not 0.0 < self.mu_min <= self.mu_max:
             raise ValueError("need 0 < mu_min <= mu_max")
-        if self.zero_tol is not None and not self.zero_tol >= 0.0:
-            raise ValueError("zero_tol must be nonnegative")
+        if self.zero_tol is not None and not 0.0 <= self.zero_tol < np.inf:
+            raise ValueError("zero_tol must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,8 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
 
     Both live in the normal space of the stratum (only the beta-beta
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
-    vanish exactly at KKT pairs.
+    vanish exactly at KKT pairs.  dg(F1) = sum_i F1_i A[i] is read from
+    the frame's constraint stack.
     """
     ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
@@ -139,7 +140,7 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
         zero = np.zeros((n, n))
         return zero, zero.copy()
     pb = ied.basis[:, p:r]
-    dg_f1 = frame.problem.apply_dg(frame.z.x, res.f1)
+    dg_f1 = np.tensordot(res.f1, frame.stack[0], axes=1)
     block1 = -(pb.T @ dg_f1 @ pb)
     block2 = -(pb.T @ (dg_f1 + res.f2) @ pb)
     w1 = sym(pb @ nsd_part(block1) @ pb.T)
@@ -176,16 +177,23 @@ def normal_step(
     return PrimalDualPoint(x=z.x.copy(), y=sym(z.y + t_star * w))
 
 
-def lm_direction(jac: AssembledJacobian, res: KktResidual, config: SolverConfig):
+def lm_direction(
+    jac: AssembledJacobian,
+    res: KktResidual,
+    config: SolverConfig,
+    pulled: np.ndarray | None = None,
+):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
     Solves (mu I + J^T J) v = -J^T r with mu = ||F(z)||^2 clamped to the
-    configured range, through a Cholesky factorization.  A failed
-    factorization retries with mu increased tenfold; five failures raise
-    :class:`LinearSolveFailure`.
+    configured range, through a Cholesky factorization.  J^T J is
+    ``jac.gram``, formed from the Jacobian's blocks without the dense
+    matrix; ``pulled`` is J^T r when the caller already holds it.  A
+    failed factorization retries with mu increased tenfold; five
+    failures raise :class:`LinearSolveFailure`.
     """
     r_vec = res.as_vec()
-    rhs = -jac.apply_adjoint(r_vec)
+    rhs = -(jac.apply_adjoint(r_vec) if pulled is None else pulled)
     mu = float(np.clip(float(r_vec @ r_vec), config.mu_min, config.mu_max))
     frame = jac.frame
     dim = frame.dim
@@ -286,6 +294,7 @@ class _PointState:
 
     res: KktResidual
     jac: AssembledJacobian
+    pulled: np.ndarray          # J^T r, the gradient of phi along the stratum
     w1: np.ndarray
     w2: np.ndarray
     v_lm: TangentVector | None
@@ -303,14 +312,16 @@ def _point_state(problem, z, config, res=None) -> _PointState:
         res = residual(problem, z, config.zero_tol)
     frame = TangentFrame(problem, z, res.ied)
     jac = assemble_dF(frame)
+    pulled = jac.apply_adjoint(res.as_vec())
     w1, w2 = normal_dirs(frame, res)
     try:
-        v_lm, mu = lm_direction(jac, res, config)
+        v_lm, mu = lm_direction(jac, res, config, pulled)
         lm_error = None
     except LinearSolveFailure as exc:
         v_lm, mu, lm_error = None, np.nan, str(exc)
     return _PointState(
-        res=res, jac=jac, w1=w1, w2=w2, v_lm=v_lm, mu=mu, lm_error=lm_error,
+        res=res, jac=jac, pulled=pulled, w1=w1, w2=w2,
+        v_lm=v_lm, mu=mu, lm_error=lm_error,
     )
 
 
@@ -358,7 +369,7 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     problem, z, res = frame.problem, frame.z, state.res
     candidates = []
     if state.v_lm is not None and state.v_lm.norm > 0.0:
-        dphi = float(state.jac.apply_adjoint(res.as_vec()) @ state.v_lm.as_vec())
+        dphi = float(state.pulled @ state.v_lm.as_vec())
         try:
             z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
             step = config.rho**j

@@ -218,8 +218,8 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
     basis, lam = eig_sym(a)
     if zero_tol is None:
         zero_tol = default_zero_tol(lam)
-    if not zero_tol >= 0:
-        raise ValueError("zero_tol must be nonnegative")
+    if not 0 <= zero_tol < np.inf:
+        raise ValueError("zero_tol must be nonnegative and finite")
     n = lam.shape[0]
     p = int(np.sum(lam > zero_tol))
     q = int(np.sum(lam < -zero_tol))

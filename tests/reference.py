@@ -14,12 +14,14 @@ They share no code with the library's constraint stack or its Jacobian
 assembly, so agreement is evidence for both.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from support import coeffs_from_matrix, frob_inner, normal_project_pi2
 
 from sgnsdp.errors import SgnsdpError
-from sgnsdp.kkt import AssembledJacobian, TangentFrame, assemble_dF, residual
+from sgnsdp.kkt import TangentFrame, assemble_dF, residual
 from sgnsdp.regularity import (
     HEURISTIC_FAILS,
     HEURISTIC_HOLDS,
@@ -145,8 +147,8 @@ def _blocks(ied, k):
     return ied.p <= k < r, k >= r
 
 
-def assemble_dF_by_columns(problem, z, frame) -> AssembledJacobian:
-    """The Jacobian one column at a time through the problem callbacks."""
+def assemble_dF_by_columns(problem, z, frame) -> SimpleNamespace:
+    """The dense Jacobian, as ``.matrix``, one column at a time through the callbacks."""
     ied = frame.ied
     m, n = problem.m, ied.n
     n_sym = n * (n + 1) // 2
@@ -162,7 +164,7 @@ def assemble_dF_by_columns(problem, z, frame) -> AssembledJacobian:
         top = problem.adjoint_dg(z.x, h)
         cols.append(np.concatenate([top, sym_to_vec(stratum_differential(ied, h))]))
     matrix = np.stack(cols, axis=1) if cols else np.zeros((m + n_sym, 0))
-    return AssembledJacobian(matrix=matrix, frame=frame)
+    return SimpleNamespace(matrix=matrix)
 
 
 def _rotated_images(problem, z, ied):

@@ -99,7 +99,8 @@ class TestSolve:
         assert main(["solve", str(problem_path), "--zero-tol", "-1"]) == 3
         assert main(["solve", str(problem_path), "--seed", "-5"]) == 3
         for flag in ("--tol", "--delta", "--zero-tol"):
-            assert main(["solve", str(problem_path), flag, "nan"]) == 3
+            for value in ("nan", "inf"):
+                assert main(["solve", str(problem_path), flag, value]) == 3
 
     def test_default_flags_echo_solver_config(self, reference_files, capsys):
         problem_path, _ = reference_files
@@ -174,6 +175,7 @@ class TestDiagnose:
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "-1"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--seed", "-5"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "nan"]) == 3
+        assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "inf"]) == 3
 
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
         problem_path = tmp_path / "overflow.json"

@@ -27,6 +27,7 @@ from support import (
     random_point,
     random_problem,
     rotate_within_eigenspaces,
+    stratum_matrix,
 )
 
 import sgnsdp.regularity
@@ -166,16 +167,16 @@ class TestCallbackBudget:
         "start, kind, calls",
         [
             ("zeros", "normal1",
-             {"eval_g": 4, "apply_dg": 12, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
+             {"eval_g": 4, "apply_dg": 10, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
             ("near-beta", "corrected-lm",
-             {"eval_g": 5, "apply_dg": 17, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
+             {"eval_g": 5, "apply_dg": 15, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
         ],
     )
     def test_one_solver_iteration_reads_each_frame_once(self, start, kind, calls):
         # one frame per point state: at the start, at the corrected point
         # when the correction is tried, and at the accepted point; each
         # reads m apply_dg and m apply_hess_lagrangian, and normal_dirs
-        # adds one apply_dg where the beta block is nonempty
+        # reads dg(F1) from the frame's stack, not from the problem
         problem, z_bar = degenerate_fixture()
         if start == "zeros":
             z0 = point(np.zeros(5), np.zeros((4, 4)))
@@ -227,6 +228,47 @@ def test_jacobian_matches_column_reference(case):
     ref = assemble_dF_by_columns(problem, z, frame).matrix
     assert jac.shape == ref.shape
     assert np.linalg.norm(jac - ref) <= REL * max(1.0, np.linalg.norm(ref))
+
+
+def _assert_blocks_match_dense(jac, seed):
+    dense = jac.matrix
+    gram = dense.T @ dense
+    assert jac.gram.shape == gram.shape
+    assert np.linalg.norm(jac.gram - gram) <= REL * max(1.0, np.linalg.norm(gram))
+    w = np.random.default_rng(seed).standard_normal(dense.shape[0])
+    pulled = dense.T @ w
+    assert np.linalg.norm(jac.apply_adjoint(w) - pulled) <= REL * max(
+        1.0, np.linalg.norm(pulled)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_points(), st.integers(0, 2**16))
+def test_normal_equations_match_dense_products(case, seed):
+    problem, z, ied = case
+    _assert_blocks_match_dense(assemble_dF(TangentFrame(problem, z, ied)), seed)
+
+
+def _point_with_g(problem, target, seed):
+    """A point at a random x whose G(z) is ``target``."""
+    x = np.random.default_rng(seed).standard_normal(problem.m)
+    return point(x, target - problem.eval_g(x))
+
+
+@pytest.mark.parametrize(
+    "n, m, p, q",
+    [(4, 0, 1, 1), (3, 4, 0, 0), (5, 6, 0, 2), (5, 6, 2, 0), (4, 3, 4, 0), (4, 3, 0, 4)],
+    ids=["m-zero", "T-zero", "p-zero", "q-zero", "no-beta", "all-gamma"],
+)
+def test_normal_equations_match_dense_products_at_the_edges(n, m, p, q):
+    rng = np.random.default_rng(n + 10 * m + 100 * p + 1000 * q)
+    problem = random_problem(rng, n, m)
+    z = _point_with_g(problem, stratum_matrix(rng, n, p, q), seed=m)
+    frame = TangentFrame(problem, z, make_ied(big_g(problem, z)))
+    assert (frame.ied.p, frame.ied.q) == (p, q)
+    if (p, q) == (0, 0):
+        assert frame.dim_tangent == 0
+    _assert_blocks_match_dense(assemble_dF(frame), seed=0)
 
 
 @settings(max_examples=60, deadline=None)

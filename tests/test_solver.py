@@ -1,7 +1,9 @@
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
+import scipy.linalg
 from reference import dir_derivative_phi
 from support import (
     Oscillatory,
@@ -15,8 +17,9 @@ from support import (
     random_problem,
 )
 
+import sgnsdp.solver
 from sgnsdp.errors import InertiaViolation, LineSearchFailure
-from sgnsdp.kkt import TangentFrame, assemble_dF, big_g, residual
+from sgnsdp.kkt import AssembledJacobian, TangentFrame, assemble_dF, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
@@ -83,6 +86,9 @@ class TestConfig:
             {"tol": float("nan")},
             {"delta": float("nan")},
             {"zero_tol": float("nan")},
+            {"tol": float("inf")},
+            {"delta": float("inf")},
+            {"zero_tol": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -216,6 +222,72 @@ class TestLmDirection:
         frame = TangentFrame(problem, z_bar, res.ied)
         v, _ = lm_direction(assemble_dF(frame), res, SolverConfig())
         assert v.norm == 0.0
+
+
+def _far_start(problem, z_bar, seed):
+    """``z_bar`` plus a random perturbation of norm in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    dx = rng.standard_normal(problem.m)
+    dy = sym(rng.standard_normal((problem.n, problem.n)))
+    scale = rng.uniform(0.5, 2.0) / np.sqrt(np.sum(dx**2) + np.sum(dy**2))
+    return PrimalDualPoint(x=z_bar.x + scale * dx, y=z_bar.y + scale * dy)
+
+
+FAR_SOLVES = [
+    *[(degenerate_fixture, start) for start in range(5)],
+    *[(lambda seed=seed: synth_nondegenerate(seed=seed, n=5, m=6), seed) for seed in range(3)],
+    (lambda: synth_nondegenerate(seed=3000, n=30, m=40), 3000),
+]
+
+
+class TestStructuredNormalEquations:
+    @pytest.mark.parametrize(
+        "build, start", FAR_SOLVES,
+        ids=[*[f"fixture{i}" for i in range(5)], *[f"synth5x6-{i}" for i in range(3)],
+             "synth30x40"],
+    )
+    def test_late_directions_match_a_qr_solve(self, build, start, monkeypatch):
+        # the LM direction from the block Gram is within 10x of the error
+        # of a Cholesky solve on the dense matrix.T @ matrix, both measured
+        # against a QR solve of [J; sqrt(mu) I] u = [-r; 0]
+        problem, z_bar = build()
+        late = deque(maxlen=6)
+        original = lm_direction
+
+        def recording(jac, res, config, *args):
+            out = original(jac, res, config, *args)
+            late.append((jac, res, out))
+            return out
+
+        monkeypatch.setattr(sgnsdp.solver, "lm_direction", recording)
+        assert sgn_solve(problem, _far_start(problem, z_bar, start)).status == CONVERGED
+        assert len(late) == 6
+        for jac, res, (v, mu) in late:
+            dense, r_vec = jac.matrix, res.as_vec()
+            dim = dense.shape[1]
+            qmat, rmat = np.linalg.qr(np.vstack([dense, np.sqrt(mu) * np.eye(dim)]))
+            exact = scipy.linalg.solve_triangular(
+                rmat, qmat.T @ np.concatenate([-r_vec, np.zeros(dim)])
+            )
+            cho = scipy.linalg.cho_factor(dense.T @ dense + mu * np.eye(dim))
+            by_dense = scipy.linalg.cho_solve(cho, -(dense.T @ r_vec))
+            scale = np.linalg.norm(exact)
+            if scale == 0.0:
+                continue
+            err = np.linalg.norm(v.as_vec() - exact) / scale
+            err_dense = np.linalg.norm(by_dense - exact) / scale
+            assert err <= 10.0 * max(err_dense, np.finfo(float).eps), (mu, err, err_dense)
+
+    @pytest.mark.parametrize(
+        "build, start", [FAR_SOLVES[0], FAR_SOLVES[5]], ids=["fixture", "synth5x6"]
+    )
+    def test_solve_never_builds_the_dense_matrix(self, build, start, monkeypatch):
+        def refuse(jac):
+            raise AssertionError("the dense Jacobian was built")
+
+        monkeypatch.setattr(AssembledJacobian, "matrix", property(refuse))
+        problem, z_bar = build()
+        assert sgn_solve(problem, _far_start(problem, z_bar, start)).status == CONVERGED
 
 
 class TestRetractPoint:

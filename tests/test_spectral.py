@@ -178,6 +178,11 @@ class TestIed:
         with pytest.raises(ValueError):
             make_ied(np.eye(2), zero_tol=float("nan"))
 
+    def test_infinite_zero_tol_rejected(self):
+        # an infinite threshold would classify every eigenvalue as zero
+        with pytest.raises(ValueError):
+            make_ied(np.diag([1.0, 0.0, 0.0, -1.0]), zero_tol=float("inf"))
+
 
 class TestProjections:
     def test_diagonal(self):
