@@ -10,21 +10,18 @@ the tangent-space isomorphism is the block operator
     [       -dg*           xi  ]
 
 All tangent inner products are taken in (v_x, H) coordinates with the
-Frobenius product on the matrix part.  Every block is sliced from
-:func:`constraint_stack`, built once per frame (:class:`TangentFrame`):
-A[i] = apply_dg(x, e_i) and its rotation P^T A[i] P into the eigenbasis
-of G(z).  Rows are the m residual components, then the unrotated
-``sym_to_vec`` coordinates of the matrix residual (the layout of
-:meth:`KktResidual.as_vec`); columns are the m primal unit directions,
-then the T tangent pairs (k, l) of :func:`tangent_pairs`.
-
-The operator is kept in rotated block form.  Rotating the matrix rows
-by the orthogonal map sym_to_vec(X) -> sym_to_vec(P^T X P) changes
-neither J^T J nor J^T r, and in rotated rows the xi block is diagonal:
-xi_kl on the row of pair (k, l) and zero on the beta-beta rows.  So the
-normal equations are formed from the m x m, n_sym x m and m x T blocks
-and the T values of xi alone (:class:`AssembledJacobian`); the dense
-n_sym x T block is built only when the dense matrix is asked for.
+Frobenius product on the matrix part.  Everything at a point is kept in
+the eigenbasis P of G(z) that its :class:`TangentFrame` carries: the
+frame's one constraint stack is the rotated P^T apply_dg(x, e_i) P of
+:func:`constraint_stack`, the matrix residual is read in the rotated
+coordinates sym_to_vec(P^T F2 P) (:meth:`TangentFrame.coords`), and the
+Jacobian's rows are the m residual components followed by those
+coordinates.  Columns are the m primal unit directions, then the T
+tangent pairs (k, l), which sit at the rows ``frame.rows`` of the
+``sym_to_vec`` layout.  In these rows the xi block is diag(xi_kl) on the
+tangent rows and zero on the beta-beta rows, so the Jacobian is four
+blocks sliced from the stack (:class:`AssembledJacobian`) and the
+rotation is never undone.
 """
 
 from dataclasses import dataclass
@@ -36,13 +33,11 @@ from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
-    SQRT2,
     make_ied,
+    pair_mask,
     project_psd,
     sym,
     sym_to_vec,
-    tangent_matrix,
-    tangent_pairs,
     triu_pairs,
     vec_to_sym,
 )
@@ -69,10 +64,6 @@ class KktResidual:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.f1**2) + np.sum(self.f2**2)))
 
-    def as_vec(self) -> np.ndarray:
-        """Coefficients of F in (R^m, orthonormal symmetric basis)."""
-        return np.concatenate([self.f1, sym_to_vec(self.f2)])
-
 
 def residual(
     problem: NlsdpProblem, z: PrimalDualPoint, zero_tol: float | None = None
@@ -91,19 +82,18 @@ def residual(
     return KktResidual(f1=f1, f2=sym(f2), ied=ied)
 
 
-def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED):
-    """The constraint derivative at ``x`` as a stack, plain and rotated.
+def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED) -> np.ndarray:
+    """The constraint derivative at ``x``, rotated into the eigenbasis of ``ied``.
 
-    Returns ``(a, at)``: ``a[i] = apply_dg(x, e_i)`` for the m unit
-    vectors (shape m x n x n, from m ``apply_dg`` calls) and
-    ``at[i] = P^T a[i] P`` in the eigenbasis P of ``ied``, symmetrized.
+    Returns the m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the
+    m unit vectors, from m ``apply_dg`` calls.
     """
     m, n = problem.m, ied.n
     a = np.zeros((m, n, n))
     for i, e in enumerate(np.eye(m)):
         a[i] = problem.apply_dg(x, e)
     at = ied.basis.T @ a @ ied.basis
-    return a, 0.5 * (at + at.transpose(0, 2, 1))
+    return 0.5 * (at + at.transpose(0, 2, 1))
 
 
 def hess_lagrangian_matrix(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
@@ -125,12 +115,14 @@ class TangentFrame:
 
     The solver steps and the regularity checks take the frame alone.
     Coordinates are (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at
-    G(z) for an ambient pair (v_x, v_y); the frame carries the
-    tangent-pair enumeration of the matrix part.  It is also the one
-    cache of the derivative data at ``z``: the constraint stack and
-    Hess_xx L are built on first use, so the Jacobian and every
-    regularity check read the problem once per frame.  ``ied`` must
-    decompose G(z).
+    G(z) for an ambient pair (v_x, v_y); the coefficients of H are its
+    rotated ``sym_to_vec`` coordinates at the tangent rows ``rows``, the
+    pairs (k, l), k <= l, not both in beta.  The frame's eigenbasis P
+    (``ied.basis``) is the one coordinate system of the derivative data
+    at ``z``, and the frame is its one cache: the rotated constraint
+    stack and Hess_xx L are built on first use, so the Jacobian and
+    every regularity check read the problem once per frame.  ``ied``
+    must decompose G(z).
     """
 
     problem: NlsdpProblem
@@ -138,18 +130,19 @@ class TangentFrame:
     ied: IED
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """Position of each tangent pair in the ``sym_to_vec`` layout."""
+        return np.flatnonzero(~pair_mask(self.ied, ("bb",)))
+
+    @cached_property
     def pairs(self) -> np.ndarray:
-        return tangent_pairs(self.ied)
+        """The tangent pairs (k, l), one row each, in the order of ``rows``."""
+        iu, ju, _ = triu_pairs(self.ied.n)
+        return np.stack([iu[self.rows], ju[self.rows]], axis=1)
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        """Per tangent pair: 1 on the diagonal, sqrt(2) off it."""
-        k, l = self.pairs.T
-        return np.where(k == l, 1.0, SQRT2)
-
-    @cached_property
-    def stack(self):
-        """``(a, at)`` of :func:`constraint_stack` at ``z``."""
+    def stack(self) -> np.ndarray:
+        """The rotated constraint stack of :func:`constraint_stack` at ``z``."""
         return constraint_stack(self.problem, self.z.x, self.ied)
 
     @cached_property
@@ -159,11 +152,21 @@ class TangentFrame:
 
     @property
     def dim_tangent(self) -> int:
-        return self.pairs.shape[0]
+        return self.rows.size
 
     @property
     def dim(self) -> int:
         return self.problem.m + self.dim_tangent
+
+    def coords(self, res: KktResidual) -> np.ndarray:
+        """F in the Jacobian's row layout: [F1; sym_to_vec(P^T F2 P)].
+
+        P is this frame's eigenbasis, which need not be that of
+        ``res.ied`` when the frame re-draws the basis within eigenvalue
+        clusters.
+        """
+        basis = self.ied.basis
+        return np.concatenate([res.f1, sym_to_vec(basis.T @ res.f2 @ basis)])
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,11 @@ class TangentVector:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return tangent_matrix(self.frame.ied, self.coeffs)
+        """P (sum_t c_t E_t) P^T, E_t the unit matrix at tangent row t."""
+        ied = self.frame.ied
+        flat = np.zeros(ied.n * (ied.n + 1) // 2)
+        flat[self.frame.rows] = self.coeffs
+        return sym(ied.basis @ vec_to_sym(flat, ied.n) @ ied.basis.T)
 
     @property
     def norm(self) -> float:
@@ -198,18 +205,18 @@ class AssembledJacobian:
     """Differential of F along the stratum, in frame coordinates, by blocks.
 
     Columns follow (e_1..e_m, tangent pairs); rows are the m residual
-    components followed by the orthonormal coordinates of the matrix
-    residual.  With the pair weights w of ``frame.weights``, the blocks
-    are
+    components followed by the rotated coordinates of the matrix
+    residual (:meth:`TangentFrame.coords`).  With C = sym_to_vec(at).T,
+    the rotated stack ``at`` read as n_sym x m columns, the blocks are
 
     * ``hm`` = Hess L - C^T C (m x m), the top-left block;
-    * ``c_mat`` = C = sym_to_vec(a).T (n_sym x m), so -C is the
-      bottom-left block;
-    * ``tr`` = w * at[:, k, l] (m x T), the top-right block;
-    * ``xi_t`` = xi[k, l] (T), the bottom-right block in rotated rows.
+    * ``c_mat`` = C (n_sym x m), so -C is the bottom-left block;
+    * ``tr`` = C[rows].T (m x T), the top-right block;
+    * ``xi_t`` = xi[k, l] (T), the bottom-right block: diag(xi_t) on the
+      tangent rows, zero on the beta-beta rows.
 
-    ``gram`` (J^T J, cached) and :meth:`apply_adjoint` are formed from
-    the blocks; ``matrix``, the dense J, is built on first use.
+    ``gram`` (J^T J, cached), :meth:`apply_adjoint` and ``matrix`` (the
+    dense J, built on first use) are formed from the blocks.
     """
 
     frame: TangentFrame
@@ -231,39 +238,23 @@ class AssembledJacobian:
         return gram
 
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
-        """J^T w; the matrix part of ``w`` is rotated into the eigenbasis."""
-        ied = self.frame.ied
+        """J^T w, for ``w`` in the Jacobian's row layout."""
         m = self.hm.shape[0]
         w1, w2 = w[:m], w[m:]
-        k, l = self.frame.pairs.T
-        rotated = ied.basis.T @ vec_to_sym(w2, ied.n) @ ied.basis
         return np.concatenate([
             self.hm.T @ w1 - self.c_mat.T @ w2,
-            self.tr.T @ w1 + self.xi_t * self.frame.weights * rotated[k, l],
+            self.tr.T @ w1 + self.xi_t * w2[self.frame.rows],
         ])
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """The dense J, with the xi block in unrotated rows."""
-        frame = self.frame
-        ied = frame.ied
-        m = self.hm.shape[0]
-        k, l = frame.pairs.T
-        iu, ju, scale = triu_pairs(ied.n)
-        matrix = np.empty((m + iu.size, m + frame.dim_tangent))
+        """The dense J: the four blocks placed into zeros."""
+        m, n_sym, dim_t = self.hm.shape[0], self.c_mat.shape[0], self.xi_t.size
+        matrix = np.zeros((m + n_sym, m + dim_t))
         matrix[:m, :m] = self.hm
         matrix[m:, :m] = -self.c_mat
         matrix[:m, m:] = self.tr
-        # entry ((i, j), (k, l)) of the xi block is
-        # s_ij w_kl/2 xi_kl (P_ik P_jl + P_il P_jk), filled in place
-        rows_i = ied.basis[iu] * scale[:, None]
-        rows_j = ied.basis[ju]
-        block = matrix[m:, m:]
-        np.multiply(rows_i[:, k], rows_j[:, l], out=block)
-        swapped = rows_i[:, l]
-        swapped *= rows_j[:, k]
-        block += swapped
-        block *= 0.5 * frame.weights * self.xi_t
+        matrix[m + self.frame.rows, m + np.arange(dim_t)] = self.xi_t
         return matrix
 
     def sigma_min(self) -> float:
@@ -273,24 +264,23 @@ class AssembledJacobian:
 
 
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
-    """Slice the Jacobian blocks from the frame's constraint stack.
+    """Slice the Jacobian blocks from the frame's rotated constraint stack.
 
     A coordinate direction (v_x, H) maps to
-    (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  With
-    C = sym_to_vec(a) and the pair weights w of ``frame.weights``:
+    (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  In the frame's
+    rows, with C = sym_to_vec(at).T:
 
-        [ Hess L - C^T C     w * at[:, k, l]               ]
-        [      -C            sym_to_vec(P (xi o E_kl) P^T)  ]
+        [ Hess L - C^T C     C[rows].T ]
+        [      -C            diag(xi_t) on the tangent rows ]
 
-    Only the first three blocks and xi[k, l] are formed here.
+    where xi_t = xi[k, l] over the tangent pairs.
     """
-    a, at = frame.stack
     k, l = frame.pairs.T
-    c_mat = sym_to_vec(a).T
+    c_mat = sym_to_vec(frame.stack).T
     return AssembledJacobian(
         frame=frame,
         hm=frame.hess - c_mat.T @ c_mat,
         c_mat=c_mat,
-        tr=at[:, k, l] * frame.weights,
+        tr=c_mat[frame.rows].T,
         xi_t=frame.ied.xi[k, l],
     )

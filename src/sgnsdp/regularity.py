@@ -1,13 +1,15 @@
 """Numeric evaluation of problem-level regularity conditions.
 
 Every check takes a :class:`TangentFrame`, the one handle for a
-primal-dual point z with the IED of G(z) = g(x) + y, and works in
-eigenbasis coordinates: it slices the frame's rotated stack
-P^T apply_dg(x, e_i) P of :func:`constraint_stack` by the blocks of
+primal-dual point z with the IED of G(z) = g(x) + y, and works in the
+frame's eigenbasis P: it slices the frame's one constraint stack,
+P^T apply_dg(x, e_i) P of :func:`constraint_stack`, by the blocks of
 :func:`pair_mask`.  Rotation is an isometry, so span margins equal
 those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
 equivalent to injectivity of the on-stratum differential of the KKT
-residual, which is what the cross-validation in the tests exploits.
+residual, which is what the cross-validation in the tests exploits;
+:func:`injectivity_margin` reads that differential from the same stack,
+with its matrix rows in the same eigenbasis.
 SONC and SRCQ have no finite certificate here and are evaluated by
 clearly labelled heuristics (sampling, alternating projections); they
 inform diagnostics only and never steer the solver.
@@ -72,7 +74,7 @@ def _constraint_rows(frame: TangentFrame, include_bb: bool):
     """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
     iu, ju, _ = triu_pairs(frame.ied.n)
     pick = pair_mask(frame.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
-    return frame.stack[1][:, iu[pick], ju[pick]].T
+    return frame.stack[:, iu[pick], ju[pick]].T
 
 
 def _right_singular(mat, full_matrices=True):
@@ -116,7 +118,7 @@ def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
     if p and q:
         lam = frame.ied.eigenvalues
         root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
-        scaled = np.einsum("ia,ijk,jk->ajk", basis, frame.stack[1][:, :p, r:], root)
+        scaled = np.einsum("ia,ijk,jk->ajk", basis, frame.stack[:, :p, r:], root)
         flat = scaled.reshape(basis.shape[1], -1)
         out += 2.0 * (flat @ flat.T)
     return sym(out)
@@ -158,7 +160,7 @@ def _span_check(frame: TangentFrame, include_bb):
     n_sym = n * (n + 1) // 2
     blocks = ("aa", "ab", "ag", "bb") if include_bb else ("aa", "ab", "ag")
     free = np.eye(n_sym)[:, pair_mask(frame.ied, blocks)]
-    stacked = np.hstack([sym_to_vec(frame.stack[1]).T, free])
+    stacked = np.hstack([sym_to_vec(frame.stack).T, free])
     if stacked.shape[1] < n_sym:
         return ConditionResult(FAILS, 0.0)
     svals = np.linalg.svd(stacked, compute_uv=False)
@@ -199,7 +201,7 @@ def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     rng = np.random.default_rng(seed)
     p, r = frame.ied.p, frame.ied.n - frame.ied.q
     form = quad_form_matrix(frame, basis)
-    at_bb = frame.stack[1][:, p:r, p:r]
+    at_bb = frame.stack[:, p:r, p:r]
     coeffs = rng.standard_normal((SONC_SAMPLES, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
@@ -247,7 +249,7 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(sym_to_vec(frame.stack[1]), full_matrices=False)
+    vt, rank = _right_singular(sym_to_vec(frame.stack), full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block

@@ -130,8 +130,8 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
 
     Both live in the normal space of the stratum (only the beta-beta
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
-    vanish exactly at KKT pairs.  dg(F1) = sum_i F1_i A[i] is read from
-    the frame's constraint stack.
+    vanish exactly at KKT pairs.  The beta-beta block of P^T dg(F1) P is
+    sum_i F1_i at[i][beta, beta], read from the frame's rotated stack.
     """
     ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
@@ -140,9 +140,8 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
         zero = np.zeros((n, n))
         return zero, zero.copy()
     pb = ied.basis[:, p:r]
-    dg_f1 = np.tensordot(res.f1, frame.stack[0], axes=1)
-    block1 = -(pb.T @ dg_f1 @ pb)
-    block2 = -(pb.T @ (dg_f1 + res.f2) @ pb)
+    block1 = -np.tensordot(res.f1, frame.stack[:, p:r, p:r], axes=1)
+    block2 = block1 - pb.T @ res.f2 @ pb
     w1 = sym(pb @ nsd_part(block1) @ pb.T)
     w2 = sym(pb @ psd_part(block2) @ pb.T)
     return w1, w2
@@ -181,26 +180,27 @@ def lm_direction(
     jac: AssembledJacobian,
     res: KktResidual,
     config: SolverConfig,
-    pulled: np.ndarray | None = None,
+    pulled: np.ndarray,
 ):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
     Solves (mu I + J^T J) v = -J^T r with mu = ||F(z)||^2 clamped to the
     configured range, through a Cholesky factorization.  J^T J is
     ``jac.gram``, formed from the Jacobian's blocks without the dense
-    matrix; ``pulled`` is J^T r when the caller already holds it.  A
-    failed factorization retries with mu increased tenfold; five
-    failures raise :class:`LinearSolveFailure`.
+    matrix, and ``pulled`` is J^T r, ``jac.apply_adjoint`` of the
+    frame's ``coords(res)``.  A failed factorization retries with mu
+    increased tenfold; five failures raise :class:`LinearSolveFailure`.
     """
-    r_vec = res.as_vec()
-    rhs = -(jac.apply_adjoint(r_vec) if pulled is None else pulled)
-    mu = float(np.clip(float(r_vec @ r_vec), config.mu_min, config.mu_max))
+    rhs = -pulled
+    mu = float(np.clip(2.0 * res.phi, config.mu_min, config.mu_max))
     frame = jac.frame
     dim = frame.dim
     if dim == 0:
         return TangentVector(frame=frame, v_x=np.zeros(0), coeffs=np.zeros(0)), mu
+    diagonal = np.diag_indices(dim)
     for _ in range(6):
-        system = jac.gram + mu * np.eye(dim)
+        system = jac.gram.copy()
+        system[diagonal] += mu
         try:
             cho = scipy.linalg.cho_factor(system)
             u = scipy.linalg.cho_solve(cho, rhs)
@@ -312,7 +312,7 @@ def _point_state(problem, z, config, res=None) -> _PointState:
         res = residual(problem, z, config.zero_tol)
     frame = TangentFrame(problem, z, res.ied)
     jac = assemble_dF(frame)
-    pulled = jac.apply_adjoint(res.as_vec())
+    pulled = jac.apply_adjoint(frame.coords(res))
     w1, w2 = normal_dirs(frame, res)
     try:
         v_lm, mu = lm_direction(jac, res, config, pulled)
@@ -343,7 +343,6 @@ class SlmnOutcome:
     res: KktResidual
     kind: str                   # lm | normal1 | normal2 | stall
     backtracks: int
-    mu: float
     step_norm: float
 
     @property
@@ -391,7 +390,7 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     if not viable:
         return SlmnOutcome(
             z=z, res=res, kind="stall",
-            backtracks=0, mu=state.mu, step_norm=0.0,
+            backtracks=0, step_norm=0.0,
         )
     best_phi = min(c[2].phi for c in viable)
     kind, z_new, res_new, j, step_norm = next(
@@ -399,7 +398,7 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     )
     return SlmnOutcome(
         z=z_new, res=res_new, kind=kind,
-        backtracks=j, mu=state.mu, step_norm=step_norm,
+        backtracks=j, step_norm=step_norm,
     )
 
 

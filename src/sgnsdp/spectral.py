@@ -6,12 +6,13 @@ index sets alpha (positive), beta (zero within a tolerance) and gamma
 (negative).  Fixing the sizes ``p = |alpha|`` and ``q = |gamma|`` pins a
 smooth stratum of the symmetric matrices on which the PSD projector is
 differentiable; this module provides that projector, the threshold-free
-PSD and NSD parts, the tangent-pair coordinates of a stratum
-(:func:`tangent_pairs`, :func:`tangent_matrix`) and a fixed-inertia
+PSD and NSD parts, the block selection of :func:`pair_mask` (the tangent
+pairs of a stratum are the pairs not both in beta) and a fixed-inertia
 retraction.  The projector's on-stratum differential enters the solver
-only through the xi block of ``kkt.assemble_dF``; its matrix form, the
-tangent/normal projections and a tangent basis are test oracles in
-``tests/reference.py`` and ``tests/support.py``.
+only through the xi block of ``kkt.assemble_dF``, diagonal in the
+eigenbasis; its matrix form, the tangent/normal projections and a
+tangent basis are test oracles in ``tests/reference.py`` and
+``tests/support.py``.
 
 Two flat layouts are used for symmetric matrices and must not be mixed:
 
@@ -151,8 +152,9 @@ class IED:
     """Indexed eigenvalue decomposition of a symmetric matrix.
 
     ``basis`` is orthogonal with columns ordered by nonincreasing
-    eigenvalue; ``alpha``/``beta``/``gamma`` partition the indices into
-    eigenvalues above ``zero_tol``, within it, and below ``-zero_tol``.
+    eigenvalue; the first ``p`` indices (alpha) hold the eigenvalues
+    above ``zero_tol``, the last ``q`` (gamma) those below ``-zero_tol``
+    and the ``n_beta`` between them (beta) those within it.
     The basis within an eigenvalue cluster is whatever the eigensolver
     returned; every consumer is required to be invariant to that choice.
 
@@ -166,9 +168,6 @@ class IED:
     matrix: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
     p: int
     q: int
     zero_tol: float
@@ -181,10 +180,6 @@ class IED:
     @property
     def n_beta(self) -> int:
         return self.n - self.p - self.q
-
-    @property
-    def inertia(self) -> tuple:
-        return (self.p, self.q)
 
 
 def _xi_from_classification(eigenvalues, p, q):
@@ -220,16 +215,12 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
         zero_tol = default_zero_tol(lam)
     if not 0 <= zero_tol < np.inf:
         raise ValueError("zero_tol must be nonnegative and finite")
-    n = lam.shape[0]
     p = int(np.sum(lam > zero_tol))
     q = int(np.sum(lam < -zero_tol))
     return IED(
         matrix=a,
         basis=basis,
         eigenvalues=lam,
-        alpha=np.arange(0, p),
-        beta=np.arange(p, n - q),
-        gamma=np.arange(n - q, n),
         p=p,
         q=q,
         zero_tol=float(zero_tol),
@@ -273,29 +264,6 @@ def pair_mask(ied: IED, blocks) -> np.ndarray:
     iu, ju, _ = triu_pairs(ied.n)
     codes = [3 * "abg".index(b[0]) + "abg".index(b[1]) for b in blocks]
     return np.isin(3 * block[iu] + block[ju], codes)
-
-
-def tangent_pairs(ied: IED) -> np.ndarray:
-    """Index pairs (k, l), k <= l, not both in beta, in upper-triangle order."""
-    iu, ju, _ = triu_pairs(ied.n)
-    keep = ~pair_mask(ied, ("bb",))
-    return np.stack([iu[keep], ju[keep]], axis=1)
-
-
-def tangent_matrix(ied: IED, coeffs: np.ndarray) -> np.ndarray:
-    """Tangent matrix P (sum_t c_t E_t) P^T from tangent-basis coefficients.
-
-    E_kk = e_k e_k^T and E_kl = (e_k e_l^T + e_l e_k^T)/sqrt(2) for k < l,
-    over :func:`tangent_pairs`.  Leading axes of ``coeffs`` are batch
-    axes: coefficients of shape (..., T) give matrices of shape (..., n, n).
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    k, l = tangent_pairs(ied).T
-    ht = np.zeros(coeffs.shape[:-1] + (ied.n, ied.n))
-    ht[..., k, l] = coeffs / np.where(k == l, 1.0, SQRT2)
-    ht[..., l, k] = ht[..., k, l]
-    out = ied.basis @ ht @ ied.basis.T
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from support import coeffs_from_matrix, frob_inner, normal_project_pi2
+from support import coeffs_from_matrix, frob_inner, normal_project_pi2, tangent_matrix
 
 from sgnsdp.errors import SgnsdpError
 from sgnsdp.kkt import TangentFrame, assemble_dF, residual
@@ -35,7 +35,6 @@ from sgnsdp.spectral import (
     psd_part,
     sym,
     sym_to_vec,
-    tangent_matrix,
     vec_to_sym,
 )
 
@@ -122,7 +121,7 @@ def dir_derivative_phi(problem, z, v_x, v_y, res=None, jac=None) -> float:
     h2 = normal_project_pi2(ied, h)
     h1 = h - h2
     u1 = np.concatenate([v_x, coeffs_from_matrix(frame, h1)])
-    pulled = jac.apply_adjoint(res.as_vec())
+    pulled = jac.apply_adjoint(frame.coords(res))
     term_tangent = float(pulled @ u1)
     dg_f1 = problem.apply_dg(z.x, res.f1)
     term_neg = frob_inner(dg_f1, nsd_part(h2))

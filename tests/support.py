@@ -1,11 +1,12 @@
 """Shared fixture builders and test utilities for the test suite.
 
 Besides the random builders this holds the stratum utilities that only
-tests call: tangent/normal projections, a tangent basis, re-drawn
-eigenbases, the frame at a point (with the IED of G(z) by default), the
-coordinate isomorphism of a tangent frame, point helpers, the
-off-stratum curve of the 4x4 fixture and the stratum-restricted
-error-bound probe.
+tests call: the tangent pairs and tangent matrices of an IED,
+tangent/normal projections, a tangent basis, re-drawn eigenbases, the
+frame at a point (with the IED of G(z) by default), the coordinate
+isomorphism of a tangent frame, the unrotated coordinates of a
+residual, point helpers, the off-stratum curve of the 4x4 fixture and
+the stratum-restricted error-bound probe.
 """
 
 from dataclasses import replace
@@ -13,16 +14,17 @@ from dataclasses import replace
 import numpy as np
 
 from sgnsdp.errors import InertiaViolation
-from sgnsdp.kkt import TangentFrame, TangentVector, big_g, residual
+from sgnsdp.kkt import KktResidual, TangentFrame, TangentVector, big_g, residual
 from sgnsdp.model import AffineQuadraticProblem, NlsdpProblem, PrimalDualPoint
 from sgnsdp.solver import retract_point
 from sgnsdp.spectral import (
     IED,
     SQRT2,
     make_ied,
+    pair_mask,
     sym,
-    tangent_matrix,
-    tangent_pairs,
+    sym_to_vec,
+    triu_pairs,
 )
 
 
@@ -60,6 +62,34 @@ def project_nsd(ied: IED) -> np.ndarray:
     r = ied.n - ied.q
     pg = ied.basis[:, r:]
     return sym(pg @ (ied.eigenvalues[r:, None] * pg.T))
+
+
+def tangent_pairs(ied: IED) -> np.ndarray:
+    """Index pairs (k, l), k <= l, not both in beta, in upper-triangle order."""
+    iu, ju, _ = triu_pairs(ied.n)
+    keep = ~pair_mask(ied, ("bb",))
+    return np.stack([iu[keep], ju[keep]], axis=1)
+
+
+def tangent_matrix(ied: IED, coeffs: np.ndarray) -> np.ndarray:
+    """Tangent matrix P (sum_t c_t E_t) P^T from tangent-basis coefficients.
+
+    E_kk = e_k e_k^T and E_kl = (e_k e_l^T + e_l e_k^T)/sqrt(2) for k < l,
+    over :func:`tangent_pairs`.  Leading axes of ``coeffs`` are batch
+    axes: coefficients of shape (..., T) give matrices of shape (..., n, n).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    k, l = tangent_pairs(ied).T
+    ht = np.zeros(coeffs.shape[:-1] + (ied.n, ied.n))
+    ht[..., k, l] = coeffs / np.where(k == l, 1.0, SQRT2)
+    ht[..., l, k] = ht[..., k, l]
+    out = ied.basis @ ht @ ied.basis.T
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def residual_vec(res: KktResidual) -> np.ndarray:
+    """Coefficients of F in (R^m, orthonormal symmetric basis), unrotated."""
+    return np.concatenate([res.f1, sym_to_vec(res.f2)])
 
 
 def stratum_dimension(n: int, p: int, q: int) -> int:

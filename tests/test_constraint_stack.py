@@ -26,6 +26,7 @@ from support import (
     point,
     random_point,
     random_problem,
+    residual_vec,
     rotate_within_eigenspaces,
     stratum_matrix,
 )
@@ -55,14 +56,16 @@ from sgnsdp.regularity import (
     SRCQ_ITERATIONS,
     _constraint_rows,
     check_cn,
+    check_sonc_heuristic,
     check_srcq_heuristic,
     check_ssosc,
     check_wsoc,
     check_wsrcq,
     diagnose,
+    injectivity_margin,
 )
-from sgnsdp.solver import SolverConfig, sgn_solve
-from sgnsdp.spectral import make_ied
+from sgnsdp.solver import SolverConfig, _point_state, sgn_solve, slmn
+from sgnsdp.spectral import make_ied, sym_to_vec, vec_to_sym
 
 REL = 1e-12
 
@@ -191,6 +194,21 @@ class TestCallbackBudget:
         assert [rec.step_kind for rec in result.trace] == [kind]
         assert counting.calls == calls
 
+    def test_frame_reads_no_apply_dg_after_its_stack(self):
+        # the Jacobian, J^T r, the LM and normal steps and every check
+        # read the rotated stack; none goes back to apply_dg
+        problem, z = corrected_random_point(np.random.default_rng(5), 4, 5, n_zero=2)
+        counting = CountingProblem(problem)
+        state = _point_state(counting, z, SolverConfig())
+        frame = state.jac.frame
+        assert counting.calls["apply_dg"] == problem.m
+        assert state.jac.matrix.shape[1] == frame.dim
+        for check in (check_wsoc, check_wsrcq, check_cn, check_ssosc,
+                      check_sonc_heuristic, check_srcq_heuristic, injectivity_margin):
+            check(frame)
+        slmn(state, SolverConfig())
+        assert counting.calls["apply_dg"] == problem.m
+
     def test_second_assembly_on_a_frame_reads_nothing(self):
         problem, z = corrected_random_point(np.random.default_rng(4), 4, 5, n_zero=2)
         counting = CountingProblem(problem)
@@ -204,18 +222,31 @@ class TestCallbackBudget:
 class TestStack:
     def test_m_zero(self):
         problem, z = corrected_random_point(np.random.default_rng(0), 3, 0)
-        a, at = constraint_stack(problem, z.x, make_ied(big_g(problem, z)))
-        assert a.shape == at.shape == (0, 3, 3)
+        at = constraint_stack(problem, z.x, make_ied(big_g(problem, z)))
+        assert at.shape == (0, 3, 3)
 
     def test_rotation_and_symmetry(self):
         problem, z = corrected_random_point(np.random.default_rng(1), 5, 4)
         ied = make_ied(big_g(problem, z))
-        a, at = constraint_stack(problem, z.x, ied)
+        at = constraint_stack(problem, z.x, ied)
         for i in range(problem.m):
-            e = np.eye(problem.m)[i]
-            assert np.array_equal(a[i], problem.apply_dg(z.x, e))
-            assert np.allclose(at[i], ied.basis.T @ a[i] @ ied.basis, atol=1e-14)
+            a_i = problem.apply_dg(z.x, np.eye(problem.m)[i])
+            assert np.allclose(at[i], ied.basis.T @ a_i @ ied.basis, atol=1e-14)
         assert np.array_equal(at, at.transpose(0, 2, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_points())
+def test_coords_are_an_isometry(case):
+    # the residual in the frame's rows has the norm of F, whichever
+    # eigenbasis the frame drew
+    problem, z, ied = case
+    res = residual(problem, z)
+    coords = TangentFrame(problem, z, ied).coords(res)
+    norm = np.linalg.norm(residual_vec(res))
+    assert coords.shape == (problem.m + ied.n * (ied.n + 1) // 2,)
+    assert abs(np.linalg.norm(coords) - norm) <= 1e-14 * max(1.0, norm)
+    assert abs(res.norm - norm) <= 1e-14 * max(1.0, norm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,6 +257,10 @@ def test_jacobian_matches_column_reference(case):
     frame = TangentFrame(problem, z, ied)
     jac = assemble_dF(frame).matrix
     ref = assemble_dF_by_columns(problem, z, frame).matrix
+    # the reference's matrix rows, rotated into the frame's eigenbasis
+    m, basis = problem.m, ied.basis
+    mats = vec_to_sym(ref[m:].T, ied.n)
+    ref = np.vstack([ref[:m], sym_to_vec(basis.T @ mats @ basis).T])
     assert jac.shape == ref.shape
     assert np.linalg.norm(jac - ref) <= REL * max(1.0, np.linalg.norm(ref))
 

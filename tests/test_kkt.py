@@ -175,7 +175,7 @@ class TestAssembledJacobian:
             res = residual(problem, z)
             frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
-            base = res.as_vec()
+            base = frame.coords(res)
             idx = int(rng.integers(0, frame.dim))
             u = np.zeros(frame.dim)
             u[idx] = 1.0
@@ -185,7 +185,7 @@ class TestAssembledJacobian:
             # at the cancellation noise floor instead, which also passes
             for t in (1e-4, 1e-5, 1e-6):
                 moved = retract_point(v.scaled(t))
-                quotient = (residual(problem, moved).as_vec() - base) / t
+                quotient = (frame.coords(residual(problem, moved)) - base) / t
                 err = np.linalg.norm(quotient - column)
                 assert err <= 100.0 * t + 1e-9 / t * 1e-6
 
@@ -213,7 +213,7 @@ class TestDirectionalDerivative:
             val = dir_derivative_phi(problem, z, v_x, v_y, res, jac)
             _, h = to_coords(frame, v_x, v_y)
             u = np.concatenate([v_x, coeffs_from_matrix(frame, h)])
-            expected = res.as_vec() @ (jac.matrix @ u)
+            expected = frame.coords(res) @ (jac.matrix @ u)
             assert val == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     def test_positive_homogeneity(self):
@@ -258,7 +258,7 @@ class TestDirectionalDerivative:
         res = residual(problem, z_bar)
         frame = TangentFrame(problem, z_bar, res.ied)
         jac = assemble_dF(frame)
-        assert np.linalg.norm(jac.apply_adjoint(res.as_vec())) == 0.0
+        assert np.linalg.norm(jac.apply_adjoint(frame.coords(res))) == 0.0
         w1, w2 = normal_dirs(frame, res)
         assert frob(w1) == 0.0 and frob(w2) == 0.0
         rng = np.random.default_rng(10)

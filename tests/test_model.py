@@ -200,7 +200,7 @@ class TestReferenceFixture:
         assert res.norm == 0.0
         big = big_g(problem, z_bar)
         assert np.array_equal(big, np.diag([1.0, 0.0, 0.0, -1.0]))
-        assert res.ied.inertia == (1, 1)
+        assert (res.ied.p, res.ied.q) == (1, 1)
 
     def test_perturbed_curve_band(self):
         problem, _ = degenerate_fixture()

@@ -22,7 +22,6 @@ ALLOWED = {
     "save_problem": "README API",
     "point_to_dict": "README API",
     "stationarity_measure": "README API",
-    "IED.inertia": "public result attribute",
     "ConditionResult.holds": "public result attribute",
 }
 
