@@ -22,12 +22,22 @@ tangent pairs (k, l), which sit at the rows ``frame.rows`` of the
 tangent rows and zero on the beta-beta rows, so the Jacobian is four
 blocks sliced from the stack (:class:`AssembledJacobian`) and the
 rotation is never undone.
+
+The LM system min ||J u + r||^2 + mu ||u||^2 is solved in one of two
+regimes, chosen by its order m + T at ``solver.STRUCTURED_MIN_ORDER``
+(256).  Below it the solver factors the Gram J^T J + mu I formed from
+the blocks (``AssembledJacobian.gram``), an (m + T)^3 / 3 Cholesky that
+is the faster choice at that size.  From it on,
+:meth:`AssembledJacobian.solve_regularized` eliminates the tangent pairs
+from the blocks and factors only an m x m matrix and a QR core of at
+most 2m + |S| unknowns, S the pairs with 0 < xi_t^2 <= ``LARGE_XI_SQ``.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
@@ -41,6 +51,12 @@ from .spectral import (
     triu_pairs,
     vec_to_sym,
 )
+
+
+# Tangent pairs with xi_t^2 above this are eliminated through K = I + M M^T
+# in AssembledJacobian.solve_regularized; the rest of the nonzero ones
+# stay in its QR core.
+LARGE_XI_SQ = 1e-2
 
 
 def big_g(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
@@ -86,13 +102,10 @@ def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED) -> np.ndarr
     """The constraint derivative at ``x``, rotated into the eigenbasis of ``ied``.
 
     Returns the m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the
-    m unit vectors, from m ``apply_dg`` calls.
+    m unit vectors, from one ``problem.dg_stack(x)`` call: m ``apply_dg``
+    calls unless the problem overrides it.
     """
-    m, n = problem.m, ied.n
-    a = np.zeros((m, n, n))
-    for i, e in enumerate(np.eye(m)):
-        a[i] = problem.apply_dg(x, e)
-    at = ied.basis.T @ a @ ied.basis
+    at = ied.basis.T @ problem.dg_stack(x) @ ied.basis
     return 0.5 * (at + at.transpose(0, 2, 1))
 
 
@@ -215,8 +228,13 @@ class AssembledJacobian:
     * ``xi_t`` = xi[k, l] (T), the bottom-right block: diag(xi_t) on the
       tangent rows, zero on the beta-beta rows.
 
-    ``gram`` (J^T J, cached), :meth:`apply_adjoint` and ``matrix`` (the
-    dense J, built on first use) are formed from the blocks.
+    :meth:`apply`, :meth:`apply_adjoint`, ``gram`` (J^T J, cached) and
+    ``matrix`` (the dense J, built on first use) are formed from the
+    blocks.  The LM system min ||J u + r||^2 + mu ||u||^2 has two
+    solvers, and ``solver.lm_direction`` picks one by the order m + T:
+    below ``solver.STRUCTURED_MIN_ORDER`` (256) the Cholesky factor of
+    ``gram + mu I``, from there on :meth:`solve_regularized`, which
+    reads the blocks alone and never forms ``gram`` or ``matrix``.
     """
 
     frame: TangentFrame
@@ -237,6 +255,14 @@ class AssembledJacobian:
         gram[m:, m:][np.diag_indices(xi_t.size)] += xi_t**2
         return gram
 
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """J u, for ``u`` in the Jacobian's column layout."""
+        m = self.hm.shape[0]
+        v_x, c = u[:m], u[m:]
+        bottom = -(self.c_mat @ v_x)
+        bottom[self.frame.rows] += self.xi_t * c
+        return np.concatenate([self.hm @ v_x + self.tr @ c, bottom])
+
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
         """J^T w, for ``w`` in the Jacobian's row layout."""
         m = self.hm.shape[0]
@@ -245,6 +271,80 @@ class AssembledJacobian:
             self.hm.T @ w1 - self.c_mat.T @ w2,
             self.tr.T @ w1 + self.xi_t * w2[self.frame.rows],
         ])
+
+    def solve_regularized(self, r: np.ndarray, mu: float) -> np.ndarray:
+        """The u minimizing ||J u + r||^2 + mu ||u||^2, from the four blocks.
+
+        ``r`` is in the Jacobian's row layout and ``mu`` > 0.  The tangent
+        pairs are eliminated in three groups, so that only an m x m
+        Cholesky factor and one QR of at most 2m + |S| unknowns remain:
+
+        * xi_t = 0 (the beta-gamma and gamma-gamma pairs): their columns
+          touch only the m F1 rows, so a thin SVD U S V^T of their
+          m x T_Z block trades them for k <= m columns U S; the pairs'
+          coefficients are V w, the rest of their span only adds to the
+          regularizer.
+        * xi_t^2 > ``LARGE_XI_SQ``: a Givens rotation folds the pair's
+          row into its sqrt(mu) row, leaving rho_t = sqrt(xi_t^2 + mu) on
+          the pair and a row that sees only x.  With M = tr_L / rho the
+          pairs then drop out exactly, which whitens the F1 rows by the
+          Cholesky factor of K = I + M M^T; rho^2 >= ``LARGE_XI_SQ``
+          bounds the condition number of K.
+        * the core holds x, w and the pairs S with 0 < xi_t^2 <=
+          ``LARGE_XI_SQ``.  The rows that see only x are compressed to
+          m + 1 rows by a QR, and the core is solved by one QR of its
+          augmented least-squares rows.
+        """
+        hm, c_mat, tr, xi_t = self.hm, self.c_mat, self.tr, self.xi_t
+        m, rows = hm.shape[0], self.frame.rows
+        r1, r2 = r[:m], r[m:]
+        zero = xi_t == 0.0
+        large = xi_t**2 > LARGE_XI_SQ
+        small = ~zero & ~large
+        # xi = 0: compress the pairs to k <= m columns
+        u_z, s_z, vt_z = np.linalg.svd(tr[:, zero], full_matrices=False)
+        k, n_small = s_z.size, int(np.count_nonzero(small))
+        # large xi: rotate each pair's row into its sqrt(mu) row
+        rho = np.sqrt(xi_t[large] ** 2 + mu)
+        cos, sin = xi_t[large] / rho, np.sqrt(mu) / rho
+        c_large, r2_large = c_mat[rows[large]], r2[rows[large]]
+        m_mat = tr[:, large] / rho
+        kmat = m_mat @ m_mat.T
+        kmat[np.diag_indices(m)] += 1.0
+        chol = scipy.linalg.cho_factor(kmat, lower=True)
+        # the F1 rows without the large pairs: [x | w | S | constant]
+        top = np.hstack([
+            hm + (m_mat * cos) @ c_large,
+            u_z * s_z,
+            tr[:, small],
+            (r1 - m_mat @ (cos * r2_large))[:, None],
+        ])
+        # rows that see only x: beta-beta and xi = 0 rows, and the
+        # rotated rows of the large pairs; the small pairs' rows go to the core
+        weight = np.ones(c_mat.shape[0])
+        weight[rows[large]] = sin
+        weight[rows[small]] = 0.0
+        x_only = np.linalg.qr(weight[:, None] * np.hstack([-c_mat, r2[:, None]]), mode="r")
+        dim = m + k + n_small
+        core = np.vstack([
+            scipy.linalg.solve_triangular(chol[0], top, lower=True),
+            np.hstack([x_only[:, :m], np.zeros((x_only.shape[0], k + n_small)), x_only[:, m:]]),
+            np.hstack([
+                -c_mat[rows[small]], np.zeros((n_small, k)),
+                np.diag(xi_t[small]), r2[rows[small], None],
+            ]),
+            np.hstack([np.sqrt(mu) * np.eye(dim), np.zeros((dim, 1))]),
+        ])
+        tri = np.linalg.qr(core, mode="r")
+        sol = scipy.linalg.solve_triangular(tri[:dim, :dim], -tri[:dim, dim])
+        v_x = sol[:m]
+        # the large pairs from the F1 rows at the solution
+        d = -(m_mat.T @ scipy.linalg.cho_solve(chol, top[:, :-1] @ sol + top[:, -1]))
+        coeffs = np.empty(xi_t.size)
+        coeffs[zero] = vt_z.T @ sol[m:m + k]
+        coeffs[large] = (d - cos * (r2_large - c_large @ v_x)) / rho
+        coeffs[small] = sol[m + k:]
+        return np.concatenate([v_x, coeffs])
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -41,7 +41,9 @@ class NlsdpProblem(ABC):
     direction (a symmetric matrix); ``adjoint_dg(x, s)`` is its adjoint
     (a primal vector), so <apply_dg(x, v), S> = <v, adjoint_dg(x, S)>.
     ``apply_hess_lagrangian`` applies the x-Hessian of
-    L(x, y) = f(x) + <y, g(x)>.
+    L(x, y) = f(x) + <y, g(x)>.  ``dg_stack(x)`` stacks ``apply_dg`` over
+    the unit vectors; the solver and the checks read the constraint
+    derivative through it.
     """
 
     @property
@@ -73,6 +75,18 @@ class NlsdpProblem(ABC):
     def apply_hess_lagrangian(
         self, x: np.ndarray, y: np.ndarray, v: np.ndarray
     ) -> np.ndarray: ...
+
+    def dg_stack(self, x: np.ndarray) -> np.ndarray:
+        """The m x n x n stack of ``apply_dg(x, e_i)`` over the m unit vectors.
+
+        The default makes m ``apply_dg`` calls; a problem that holds its
+        constraint derivative may return it directly.  Callers do not
+        modify the result.
+        """
+        stack = np.zeros((self.m, self.n, self.n))
+        for i, e in enumerate(np.eye(self.m)):
+            stack[i] = self.apply_dg(x, e)
+        return stack
 
 
 class AffineQuadraticProblem(NlsdpProblem):
@@ -135,6 +149,11 @@ class AffineQuadraticProblem(NlsdpProblem):
 
     def apply_hess_lagrangian(self, x, y, v):
         return self.quad @ v
+
+    def dg_stack(self, x):
+        # g is affine, so the stack is the constant A_1..A_m; a subclass
+        # that overrides apply_dg must override this too
+        return self.a
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     of restarts 0..i.
     """
     ied = frame.ied
-    f2 = sym(project_psd(ied) - frame.problem.eval_g(frame.z.x))  # the residual's F2
+    # the residual's F2, with g(x) = G(z) - y read from the frame
+    f2 = sym(project_psd(ied) - (ied.matrix - frame.z.y))
     if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
         return ConditionResult(NOT_APPLICABLE, np.nan)
     n, p, n_beta = ied.n, ied.p, ied.n_beta
@@ -343,7 +344,8 @@ def diagnose(
 
     The checks and the Jacobian of :func:`injectivity_margin` share one
     :class:`TangentFrame`, so the constraint stack and Hess_xx L are
-    built once: m ``apply_dg`` and m ``apply_hess_lagrangian`` calls.
+    built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and m
+    ``apply_hess_lagrangian`` calls.  g(x) is evaluated once, for G(z).
     """
     frame = TangentFrame(problem, z, make_ied(big_g(problem, z), zero_tol))
     return RegularityReport(

@@ -20,6 +20,7 @@ s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
 D-stationary points of phi.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +177,12 @@ def normal_step(
     return PrimalDualPoint(x=z.x.copy(), y=sym(z.y + t_star * w))
 
 
+# System order m + T from which lm_direction solves from the Jacobian's
+# blocks (AssembledJacobian.solve_regularized) instead of factoring the
+# dense Gram: below it the dense Cholesky is the faster of the two.
+STRUCTURED_MIN_ORDER = 256
+
+
 def lm_direction(
     jac: AssembledJacobian,
     res: KktResidual,
@@ -184,12 +191,25 @@ def lm_direction(
 ):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
-    Solves (mu I + J^T J) v = -J^T r with mu = ||F(z)||^2 clamped to the
-    configured range, through a Cholesky factorization.  J^T J is
-    ``jac.gram``, formed from the Jacobian's blocks without the dense
-    matrix, and ``pulled`` is J^T r, ``jac.apply_adjoint`` of the
-    frame's ``coords(res)``.  A failed factorization retries with mu
-    increased tenfold; five failures raise :class:`LinearSolveFailure`.
+    Solves min ||J u + r||^2 + mu ||u||^2, that is
+    (mu I + J^T J) u = -J^T r, with mu = ||F(z)||^2 clamped to the
+    configured range; ``pulled`` is J^T r, ``jac.apply_adjoint`` of the
+    frame's ``coords(res)``.  The system order m + T picks the solver:
+
+    * below ``STRUCTURED_MIN_ORDER`` (256), a Cholesky factorization of
+      ``jac.gram`` + mu I, the Gram formed from the Jacobian's blocks;
+    * from it on, ``jac.solve_regularized``, which eliminates the
+      tangent pairs from the blocks and factors only an m x m matrix and
+      a QR core of at most 2m + |S| unknowns, so neither ``gram`` nor the
+      dense ``matrix`` is formed.  It costs about m^2 (n_sym + T) plus
+      the core's QR, against (m + T)^3 / 3 for the Cholesky, but it
+      carries more fixed work, so the dense path stays the faster one on
+      small systems.
+
+    An attempt fails when its factorization fails or the normal
+    equations' residual exceeds 1e-10 max(1, ||J^T r||); it is retried
+    with mu increased tenfold.  After six failed attempts
+    :class:`LinearSolveFailure` is raised.
     """
     rhs = -pulled
     mu = float(np.clip(2.0 * res.phi, config.mu_min, config.mu_max))
@@ -197,22 +217,35 @@ def lm_direction(
     dim = frame.dim
     if dim == 0:
         return TangentVector(frame=frame, v_x=np.zeros(0), coeffs=np.zeros(0)), mu
-    diagonal = np.diag_indices(dim)
+    if dim >= STRUCTURED_MIN_ORDER:
+        solve = functools.partial(_structured_solve, jac, frame.coords(res), rhs)
+    else:
+        solve = functools.partial(_dense_solve, jac, rhs)
     for _ in range(6):
-        system = jac.gram.copy()
-        system[diagonal] += mu
         try:
-            cho = scipy.linalg.cho_factor(system)
-            u = scipy.linalg.cho_solve(cho, rhs)
+            u, lin_res = solve(mu)
         except scipy.linalg.LinAlgError:
             mu = max(10.0 * mu, 1e-12)
             continue
-        lin_res = float(np.linalg.norm(system @ u - rhs))
         if lin_res <= 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
             m = frame.problem.m
             return TangentVector(frame=frame, v_x=u[:m], coeffs=u[m:]), mu
         mu = max(10.0 * mu, 1e-12)
     raise LinearSolveFailure("regularized Gauss-Newton system is numerically singular")
+
+
+def _dense_solve(jac: AssembledJacobian, rhs: np.ndarray, mu: float):
+    """u from the Cholesky factor of ``jac.gram`` + mu I, with its residual."""
+    system = jac.gram.copy()
+    system[np.diag_indices(rhs.size)] += mu
+    u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), rhs)
+    return u, float(np.linalg.norm(system @ u - rhs))
+
+
+def _structured_solve(jac: AssembledJacobian, r: np.ndarray, rhs: np.ndarray, mu: float):
+    """u from ``jac.solve_regularized``, with its normal equations' residual."""
+    u = jac.solve_regularized(r, mu)
+    return u, float(np.linalg.norm(jac.apply_adjoint(jac.apply(u)) + mu * u - rhs))
 
 
 def retract_point(v: TangentVector) -> PrimalDualPoint:

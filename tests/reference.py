@@ -9,7 +9,8 @@ The reference implementations are the straightforward constructions
 the vectorised library code must match: the stratum Jacobian built
 column by column through ``adjoint_dg`` and :func:`stratum_differential`,
 the regularity quantities built by explicit loops over matrix entries
-in the eigenbasis, and the SRCQ probe iterating on full n x n matrices.
+in the eigenbasis, the SRCQ probe iterating on full n x n matrices and
+the LM system solved by QR of the dense Jacobian.
 They share no code with the library's constraint stack or its Jacobian
 assembly, so agreement is evidence for both.
 """
@@ -17,6 +18,7 @@ assembly, so agreement is evidence for both.
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
 
 from support import coeffs_from_matrix, frob_inner, normal_project_pi2, tangent_matrix
 
@@ -300,3 +302,37 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
         if worst > 1.0 - 0.1 * alignment_tol:
             break
     return (HEURISTIC_HOLDS if worst < 1.0 - alignment_tol else HEURISTIC_FAILS), worst
+
+
+def lm_solve_errors(jac, r, mu):
+    """Errors of the structured and the dense Cholesky LM solve against QR.
+
+    The reference solves the least-squares problem A u ~ b, with
+    A = [J; sqrt(mu) I] and b = [-r; 0], by QR of the dense J.  Returns
+    the relative errors (structured, dense) of
+    ``jac.solve_regularized(r, mu)`` and of a Cholesky solve of
+    (J^T J + mu I) u = -J^T r, and the first-order error bound
+    eps (kappa + kappa^2 eta) of the problem, kappa the condition number
+    of A and eta = ||A u - b|| / (||A|| ||u||); None when the solution is
+    zero.  Propagates the ``LinAlgError`` of a failed Cholesky
+    factorization.
+    """
+    dense = jac.matrix
+    dim = dense.shape[1]
+    aug = np.vstack([dense, np.sqrt(mu) * np.eye(dim)])
+    target = np.concatenate([-r, np.zeros(dim)])
+    qmat, rmat = np.linalg.qr(aug)
+    exact = scipy.linalg.solve_triangular(rmat, qmat.T @ target)
+    cho = scipy.linalg.cho_factor(dense.T @ dense + mu * np.eye(dim))
+    by_dense = scipy.linalg.cho_solve(cho, -(dense.T @ r))
+    scale = np.linalg.norm(exact)
+    if scale == 0.0:
+        return None
+    svals = np.linalg.svd(aug, compute_uv=False)
+    kappa = svals[0] / svals[-1]
+    eta = np.linalg.norm(aug @ exact - target) / (svals[0] * scale)
+    return (
+        np.linalg.norm(jac.solve_regularized(r, mu) - exact) / scale,
+        np.linalg.norm(by_dense - exact) / scale,
+        np.finfo(float).eps * (kappa + kappa**2 * eta),
+    )

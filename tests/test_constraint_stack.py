@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reference import (
     assemble_dF_by_columns,
     constraint_rows,
+    lm_solve_errors,
     second_order_margin,
     span_margin,
     srcq_probe,
@@ -34,6 +35,7 @@ from support import (
 import sgnsdp.regularity
 import sgnsdp.spectral
 from sgnsdp.kkt import (
+    LARGE_XI_SQ,
     TangentFrame,
     assemble_dF,
     big_g,
@@ -65,7 +67,7 @@ from sgnsdp.regularity import (
     injectivity_margin,
 )
 from sgnsdp.solver import SolverConfig, _point_state, sgn_solve, slmn
-from sgnsdp.spectral import make_ied, sym_to_vec, vec_to_sym
+from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
 
 REL = 1e-12
 
@@ -167,6 +169,19 @@ class TestCallbackBudget:
         assert counting.calls["apply_hess_lagrangian"] == problem.m
 
     @pytest.mark.parametrize(
+        "build",
+        [degenerate_fixture, lambda: synth_nondegenerate(seed=4000, n=5, m=6)],
+        ids=["fixture", "synth4000"],
+    )
+    def test_diagnose_evaluates_g_once(self, build):
+        # the SRCQ probe reads g(x) = G(z) - y from the frame
+        problem, z = build()
+        counting = CountingProblem(problem)
+        report = diagnose(counting, z)
+        assert counting.calls["eval_g"] == 1
+        assert report.to_dict() == diagnose(problem, z).to_dict()
+
+    @pytest.mark.parametrize(
         "start, kind, calls",
         [
             ("zeros", "normal1",
@@ -220,6 +235,20 @@ class TestCallbackBudget:
 
 
 class TestStack:
+    @pytest.mark.parametrize("n, m", [(3, 0), (5, 4)])
+    def test_affine_stack_is_the_default_stack(self, n, m):
+        # the affine override returns A_1..A_m, bit for bit what the
+        # default's m apply_dg calls give
+        problem, z = corrected_random_point(np.random.default_rng(n + m), n, m)
+        stack = problem.dg_stack(z.x)
+        assert stack.shape == (m, n, n)
+        assert np.array_equal(stack, NlsdpProblem.dg_stack(problem, z.x))
+        ied = make_ied(big_g(problem, z))
+        assert np.array_equal(
+            constraint_stack(problem, z.x, ied),
+            constraint_stack(CountingProblem(problem), z.x, ied),
+        )
+
     def test_m_zero(self):
         problem, z = corrected_random_point(np.random.default_rng(0), 3, 0)
         at = constraint_stack(problem, z.x, make_ied(big_g(problem, z)))
@@ -304,6 +333,62 @@ def test_normal_equations_match_dense_products_at_the_edges(n, m, p, q):
     if (p, q) == (0, 0):
         assert frame.dim_tangent == 0
     _assert_blocks_match_dense(assemble_dF(frame), seed=0)
+
+
+def _assert_structured_solve_matches_qr(jac, r, mu):
+    # within 10x of the dense Cholesky solve's error against QR, or of the
+    # problem's first-order error bound, which the QR reference itself
+    # only meets: where J is rank deficient the dense solve and QR can
+    # share an error the structured solve does not make
+    errors = lm_solve_errors(jac, r, mu)
+    if errors is not None:
+        err, err_dense, bound = errors
+        assert err <= 10.0 * max(err_dense, bound), (mu, err, err_dense, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_points(), st.sampled_from([1e-12, 1e-8, 1e-4, 1.0, 1e4]))
+def test_structured_solve_matches_qr(case, mu):
+    problem, z, ied = case
+    frame = TangentFrame(problem, z, ied)
+    assume(frame.dim > 0)
+    try:
+        _assert_structured_solve_matches_qr(
+            assemble_dF(frame), frame.coords(residual(problem, z)), mu
+        )
+    except np.linalg.LinAlgError:
+        assume(False)  # no dense error to compare with
+
+
+@pytest.mark.parametrize(
+    "m, eigenvalues",
+    [
+        (0, [1.0, 0.0, -0.5, -2.0]),
+        (4, [0.0, 0.0, 0.0]),
+        (6, [2.0, 1.0, 0.5, 0.0, 0.0]),
+        (6, [0.0, 0.0, -0.7, -1.5, -2.0]),
+        (3, [-0.5, -1.0, -1.5, -2.0]),
+        (3, [0.5, 1.0, 1.5, 2.0]),
+        (5, [2.0, 0.01, 0.003, 0.0, -1.0, -3.0]),
+    ],
+    ids=["m-zero", "T-zero", "no-zero-xi", "no-large-xi", "all-gamma", "all-alpha",
+         "small-xi-core"],
+)
+def test_structured_solve_at_the_edges(m, eigenvalues):
+    n = len(eigenvalues)
+    rng = np.random.default_rng(n + 10 * m)
+    problem = random_problem(rng, n, m)
+    basis = haar_orthogonal(rng, n)
+    target = sym(basis @ (np.array(eigenvalues)[:, None] * basis.T))
+    z = _point_with_g(problem, target, seed=m)
+    frame = TangentFrame(problem, z, make_ied(big_g(problem, z)))
+    jac = assemble_dF(frame)
+    if jac.xi_t.size:
+        assert np.any(jac.xi_t**2 > LARGE_XI_SQ) == (eigenvalues[0] > 0)
+        assert np.any(jac.xi_t == 0.0) == (eigenvalues[-1] < 0)
+    r = frame.coords(residual(problem, z))
+    for mu in (1e-12, 1e-8, 1e-4, 1.0, 1e4):
+        _assert_structured_solve_matches_qr(jac, r, mu)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.linalg
-from reference import dir_derivative_phi
+from reference import dir_derivative_phi, lm_solve_errors
 from support import (
     Oscillatory,
     OverflowingConstraint,
@@ -291,6 +291,65 @@ class TestStructuredNormalEquations:
         monkeypatch.setattr(AssembledJacobian, "matrix", property(refuse))
         problem, z_bar = build()
         assert sgn_solve(problem, _far_start(problem, z_bar, start)).status == CONVERGED
+
+
+class TestStructuredSolve:
+    @pytest.mark.parametrize(
+        "build, start", FAR_SOLVES,
+        ids=[*[f"fixture{i}" for i in range(5)], *[f"synth5x6-{i}" for i in range(3)],
+             "synth30x40"],
+    )
+    def test_every_far_solve_frame_matches_a_qr_solve(self, build, start, monkeypatch):
+        # solve_regularized, called directly at each frame and mu that
+        # lm_direction saw, is within 10x of the dense Cholesky error
+        problem, z_bar = build()
+        seen = []
+        original = lm_direction
+
+        def recording(jac, res, config, *args):
+            out = original(jac, res, config, *args)
+            seen.append((jac, res, out[1]))
+            return out
+
+        monkeypatch.setattr(sgnsdp.solver, "lm_direction", recording)
+        assert sgn_solve(problem, _far_start(problem, z_bar, start)).status == CONVERGED
+        assert seen
+        for jac, res, mu in seen:
+            errors = lm_solve_errors(jac, jac.frame.coords(res), mu)
+            if errors is None:
+                continue
+            err, err_dense, _ = errors
+            assert err <= 10.0 * max(err_dense, np.finfo(float).eps), (mu, err, err_dense)
+
+    def test_large_solve_forms_neither_gram_nor_matrix(self, monkeypatch):
+        def refuse(jac):
+            raise AssertionError("a dense (m + T) array was formed")
+
+        monkeypatch.setattr(AssembledJacobian, "gram", property(refuse))
+        monkeypatch.setattr(AssembledJacobian, "matrix", property(refuse))
+        problem, z_bar = synth_nondegenerate(seed=3000, n=30, m=40)
+        assert sgn_solve(problem, _far_start(problem, z_bar, 3000)).status == CONVERGED
+
+    def test_order_picks_the_solver(self, monkeypatch):
+        # with the crossover lowered to 1 the fixture's directions come from
+        # solve_regularized, and agree with the dense path's
+        problem, z_bar = degenerate_fixture()
+        z = _far_start(problem, z_bar, 0)
+        res = residual(problem, z)
+        frame = TangentFrame(problem, z, res.ied)
+        jac = assemble_dF(frame)
+        pulled = jac.apply_adjoint(frame.coords(res))
+        dense, mu = lm_direction(jac, res, SolverConfig(), pulled)
+
+        def refuse(jac):
+            raise AssertionError("the Gram was formed")
+
+        monkeypatch.setattr(sgnsdp.solver, "STRUCTURED_MIN_ORDER", 1)
+        monkeypatch.setattr(AssembledJacobian, "gram", property(refuse))
+        fresh = assemble_dF(TangentFrame(problem, z, res.ied))
+        structured, mu_structured = lm_direction(fresh, res, SolverConfig(), pulled)
+        assert mu_structured == mu
+        assert np.allclose(structured.as_vec(), dense.as_vec(), rtol=1e-10, atol=1e-12)
 
 
 class TestRetractPoint:
