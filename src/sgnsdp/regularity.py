@@ -10,9 +10,24 @@ equivalent to injectivity of the on-stratum differential of the KKT
 residual, which is what the cross-validation in the tests exploits;
 :func:`injectivity_margin` reads that differential from the same stack,
 with its matrix rows in the same eigenbasis.
-SONC and SRCQ have no finite certificate here and are evaluated by
-clearly labelled heuristics (sampling, alternating projections); they
-inform diagnostics only and never steer the solver.
+
+SONC and SRCQ are settled from the exact checks where those decide
+(:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
+check that settled them:
+
+* SRCQ holds where constraint nondegeneracy does (margin: CN's span
+  margin), fails where W-SRCQ fails (W-SRCQ's margin) and, with at most
+  one zero eigenvalue, fails where CN fails (CN's margin).  It is
+  not-applicable off complementarity.
+* SONC holds where the form of S-SOSC has lambda_min >= -1e-8 on app,
+  which contains the SONC cone, and with at most one zero eigenvalue
+  it fails otherwise (margin: that lambda_min either way).
+
+Only with two or more zero eigenvalues, where that takes a semidefinite
+certificate, do the clearly labelled heuristics run: the SRCQ probe
+(alternating projections) where CN fails and W-SRCQ holds, the SONC
+sampler where lambda_min < -1e-8.  Their verdicts read ``heuristic-*``.
+None of these checks steers the solver.
 
 The tolerances are fixed: a margin must exceed ``DEFAULT_MARGIN_TOL``
 (1e-8) for an exact check to hold, singular values below ``RANK_TOL``
@@ -23,6 +38,7 @@ counts are fixed too: the SONC heuristic draws ``SONC_SAMPLES`` (200)
 directions and the SRCQ probe runs ``SRCQ_RESTARTS`` (20) restarts.
 The eigenvalue classification is that of the frame's IED; :func:`diagnose`
 builds it with :func:`make_ied`, adaptive unless ``zero_tol`` is given.
+The report echoes all four tolerances.
 """
 
 from dataclasses import dataclass
@@ -184,8 +200,66 @@ def injectivity_margin(frame: TangentFrame) -> float:
 
 
 # ---------------------------------------------------------------------------
-# heuristics
+# SONC and SRCQ: settled from the exact checks, sampled where they cannot
 # ---------------------------------------------------------------------------
+
+def _near_complementary(frame: TangentFrame) -> bool:
+    """Whether the residual's F2, with g(x) = G(z) - y read from the
+    frame, vanishes to 1e-6 relative: where SRCQ applies."""
+    ied = frame.ied
+    f2 = sym(project_psd(ied) - (ied.matrix - frame.z.y))
+    return frob(f2) <= 1e-6 * max(1.0, frob(ied.matrix))
+
+
+def check_sonc(frame: TangentFrame, s_sosc: ConditionResult, seed: int = 0) -> ConditionResult:
+    """Second order necessary condition, from ``s_sosc`` where it decides.
+
+    ``s_sosc`` is :func:`check_ssosc` at ``frame``; its margin is
+    lambda_min of the form on app (infinite when app is {0}).  The SONC
+    cone, the directions in app with a PSD beta-beta image, lies in app,
+    so lambda_min >= -DEFAULT_MARGIN_TOL settles ``holds``.  With at most
+    one beta index the cone is app or a half-space of it, and the form
+    is even, so lambda_min settles the verdict either way.  The settled
+    margin is lambda_min; otherwise :func:`check_sonc_heuristic` runs.
+    """
+    if s_sosc.margin >= -DEFAULT_MARGIN_TOL:
+        return ConditionResult(HOLDS, s_sosc.margin)
+    if frame.ied.n_beta <= 1:
+        return ConditionResult(FAILS, s_sosc.margin)
+    return check_sonc_heuristic(frame, seed=seed)
+
+
+def check_srcq(
+    frame: TangentFrame, w_srcq: ConditionResult, cn: ConditionResult, seed: int = 0
+) -> ConditionResult:
+    """Strict Robinson qualification, from ``w_srcq`` and ``cn`` where they decide.
+
+    ``w_srcq`` and ``cn`` are :func:`check_wsrcq` and :func:`check_cn` at
+    ``frame``.  Off complementarity SRCQ is not-applicable.  Otherwise
+    SRCQ fails exactly when a nonzero D on the trailing (beta u gamma)
+    block with an NSD beta-beta block has dg* D = 0, and:
+
+    * CN holds: no nonzero such D exists at all, so SRCQ holds (Bonnans
+      and Shapiro 2000), with CN's margin;
+    * W-SRCQ fails: such a D exists with D_bb = 0, so SRCQ fails, with
+      W-SRCQ's margin;
+    * CN fails with at most one beta index: such a D exists with a
+      scalar D_bb, and one of +-D has D_bb <= 0, so SRCQ fails, with
+      CN's margin.
+
+    Only where CN fails, W-SRCQ holds and beta has two or more indices
+    does :func:`check_srcq_heuristic` run.
+    """
+    if not _near_complementary(frame):
+        return ConditionResult(NOT_APPLICABLE, np.nan)
+    if cn.holds:
+        return cn
+    if not w_srcq.holds:
+        return w_srcq
+    if frame.ied.n_beta <= 1:
+        return cn
+    return check_srcq_heuristic(frame, seed=seed)
+
 
 def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     """Sampled second order necessary condition.
@@ -194,6 +268,8 @@ def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     beta-gamma and gamma-gamma blocks, keeps those whose beta-beta image
     is PSD, and evaluates the second order form.  A negative kept sample refutes the condition;
     absence of one is evidence, not proof, hence the heuristic verdicts.
+    :func:`diagnose` runs it only where :func:`check_sonc` cannot settle
+    SONC: the form is indefinite on app and beta has two or more indices.
     """
     basis = app_basis(frame)
     if basis.shape[1] == 0:
@@ -226,6 +302,8 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     alternates projections between the two sets from random starts and
     reports the largest limiting alignment.  Requires near
     complementarity at ``z``, otherwise not-applicable.
+    :func:`diagnose` runs it only where :func:`check_srcq` cannot settle
+    SRCQ: CN fails, W-SRCQ holds and beta has two or more indices.
 
     In eigenbasis coordinates the polar cone holds the matrices that live
     on the trailing (beta u gamma) block with an NSD beta-beta block, so
@@ -244,11 +322,9 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     restarts after i are dropped and the margin is the largest alignment
     of restarts 0..i.
     """
-    ied = frame.ied
-    # the residual's F2, with g(x) = G(z) - y read from the frame
-    f2 = sym(project_psd(ied) - (ied.matrix - frame.z.y))
-    if frob(f2) > 1e-6 * max(1.0, frob(ied.matrix)):
+    if not _near_complementary(frame):
         return ConditionResult(NOT_APPLICABLE, np.nan)
+    ied = frame.ied
     n, p, n_beta = ied.n, ied.p, ied.n_beta
     vt, rank = _right_singular(sym_to_vec(frame.stack), full_matrices=False)
     if rank == vt.shape[1]:
@@ -311,6 +387,7 @@ class RegularityReport:
     p: int
     q: int
     eigenvalues: np.ndarray
+    zero_tol: float
 
     def to_dict(self) -> dict:
         conditions = {
@@ -331,6 +408,12 @@ class RegularityReport:
             "eigenvalues": [float(v) for v in self.eigenvalues],
         }
         doc["sigma_min_dF"] = float(self.sigma_min_dF)
+        doc["tolerances"] = {
+            "zero_tol": self.zero_tol,
+            "margin_tol": DEFAULT_MARGIN_TOL,
+            "rank_tol": RANK_TOL,
+            "srcq_alignment_tol": SRCQ_ALIGNMENT_TOL,
+        }
         return doc
 
 
@@ -346,17 +429,22 @@ def diagnose(
     :class:`TangentFrame`, so the constraint stack and Hess_xx L are
     built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and m
     ``apply_hess_lagrangian`` calls.  g(x) is evaluated once, for G(z).
+    SONC and SRCQ are settled from S-SOSC, W-SRCQ and CN where those
+    decide (:func:`check_sonc`, :func:`check_srcq`); ``seed`` seeds the
+    samplers that run where they cannot.
     """
     frame = TangentFrame(problem, z, make_ied(big_g(problem, z), zero_tol))
+    w_srcq, cn, s_sosc = check_wsrcq(frame), check_cn(frame), check_ssosc(frame)
     return RegularityReport(
         w_soc=check_wsoc(frame),
-        w_srcq=check_wsrcq(frame),
-        constraint_nondegeneracy=check_cn(frame),
-        s_sosc=check_ssosc(frame),
-        sonc=check_sonc_heuristic(frame, seed=seed),
-        srcq=check_srcq_heuristic(frame, seed=seed),
+        w_srcq=w_srcq,
+        constraint_nondegeneracy=cn,
+        s_sosc=s_sosc,
+        sonc=check_sonc(frame, s_sosc, seed=seed),
+        srcq=check_srcq(frame, w_srcq, cn, seed=seed),
         sigma_min_dF=injectivity_margin(frame),
         p=frame.ied.p,
         q=frame.ied.q,
         eigenvalues=frame.ied.eigenvalues.copy(),
+        zero_tol=frame.ied.zero_tol,
     )

@@ -262,8 +262,10 @@ def pair_mask(ied: IED, blocks) -> np.ndarray:
     """
     block = np.repeat([0, 1, 2], [ied.p, ied.n_beta, ied.q])
     iu, ju, _ = triu_pairs(ied.n)
-    codes = [3 * "abg".index(b[0]) + "abg".index(b[1]) for b in blocks]
-    return np.isin(3 * block[iu] + block[ju], codes)
+    table = np.zeros(9, dtype=bool)  # indexed by 3 * row block + column block
+    for b in blocks:
+        table[3 * "abg".index(b[0]) + "abg".index(b[1])] = True
+    return table[3 * block[iu] + block[ju]]
 
 
 # ---------------------------------------------------------------------------

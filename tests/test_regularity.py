@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from support import (
     degenerate_fixture_curve,
     error_bound_probe,
@@ -11,6 +13,8 @@ from support import (
     rotate_within_eigenspaces,
 )
 
+import sgnsdp.regularity
+from sgnsdp.errors import ConstructionFailure
 from sgnsdp.kkt import TangentFrame, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
@@ -19,15 +23,21 @@ from sgnsdp.model import (
     synth_nondegenerate,
 )
 from sgnsdp.regularity import (
+    DEFAULT_MARGIN_TOL,
     FAILS,
     HEURISTIC_FAILS,
     HEURISTIC_HOLDS,
     HOLDS,
     NOT_APPLICABLE,
+    RANK_TOL,
+    SRCQ_ALIGNMENT_TOL,
+    ConditionResult,
     app_basis,
     appl_basis,
     check_cn,
+    check_sonc,
     check_sonc_heuristic,
+    check_srcq,
     check_srcq_heuristic,
     check_ssosc,
     check_wsoc,
@@ -36,7 +46,7 @@ from sgnsdp.regularity import (
     injectivity_margin,
     quad_form_matrix,
 )
-from sgnsdp.spectral import make_ied, sym
+from sgnsdp.spectral import make_ied, pair_mask, sym, sym_to_vec, vec_to_sym
 
 # pinned after first computation at the degenerate fixture's solution
 SIGMA_MIN_REFERENCE = 0.40753645318366233
@@ -310,9 +320,215 @@ class TestSynthReport:
         assert report.w_srcq.verdict == HOLDS
         assert report.constraint_nondegeneracy.verdict == HOLDS
         assert report.s_sosc.verdict == HOLDS
-        assert report.sonc.verdict == HEURISTIC_HOLDS
-        assert report.srcq.verdict == HEURISTIC_HOLDS
+        # settled exactly: CN certifies SRCQ, the form on app certifies SONC
+        assert report.sonc.verdict == HOLDS
+        assert report.srcq.verdict == HOLDS
         assert report.sigma_min_dF > 1e-6
+
+
+def complementary_pair(rng, n, p, n_beta, m, spd_quad):
+    """Affine problem and a complementary pair z = (0, y) with G(z) of
+    inertia (p, n_beta, n - p - n_beta) in a random eigenbasis.
+
+    The objective data are random, so z need not be a KKT pair: only
+    complementarity, which SRCQ asks for, holds.
+    """
+    basis = haar_orthogonal(rng, n)
+    lam = np.zeros(n)
+    lam[:p] = rng.uniform(0.5, 2.0, size=p)
+    lam[p + n_beta :] = -rng.uniform(0.5, 2.0, size=n - p - n_beta)
+    g_star = sym(basis @ (np.maximum(lam, 0.0)[:, None] * basis.T))
+    y_star = sym(basis @ (np.minimum(lam, 0.0)[:, None] * basis.T))
+    shape = random_problem(rng, n, m, spd_quad=spd_quad)
+    problem = AffineQuadraticProblem(
+        c=shape.c, a0=g_star, a_list=list(shape.a), quad=shape.quad
+    )
+    return problem, PrimalDualPoint(x=np.zeros(m), y=y_star)
+
+
+@st.composite
+def regularity_cases(draw):
+    """(problem, z): a synth (n, m) KKT pair, n <= 6, or a complementary
+    pair with |beta| <= 2, possibly indefinite Q, and m at most the
+    number of trailing-block entries, so that CN often fails."""
+    seed = draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 6))
+        m = draw(st.integers(n, 2 * n + 2))
+        try:
+            return synth_nondegenerate(seed=seed, n=n, m=m)
+        except ConstructionFailure:
+            assume(False)
+    n = draw(st.integers(2, 6))
+    n_beta = draw(st.integers(0, min(2, n)))
+    p = draw(st.integers(0, n - n_beta))
+    trailing = n - p
+    m = draw(st.integers(1, max(1, trailing * (trailing + 1) // 2)))
+    spd_quad = draw(st.booleans())
+    return complementary_pair(np.random.default_rng(seed), n, p, n_beta, m, spd_quad)
+
+
+def settled(frame, seed=0):
+    """(W-SRCQ, CN, S-SOSC, SRCQ, SONC) at ``frame``, as diagnose forms them."""
+    w_srcq, cn, s_sosc = check_wsrcq(frame), check_cn(frame), check_ssosc(frame)
+    return (w_srcq, cn, s_sosc, check_srcq(frame, w_srcq, cn, seed=seed),
+            check_sonc(frame, s_sosc, seed=seed))
+
+
+class TestSettledVerdicts:
+    @pytest.fixture
+    def sampler_calls(self, monkeypatch):
+        calls = []
+        for name in ("check_srcq_heuristic", "check_sonc_heuristic"):
+            original = getattr(sgnsdp.regularity, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sgnsdp.regularity, name, spy)
+        return calls
+
+    def test_no_sampler_runs_where_cn_and_the_form_decide(self, sampler_calls):
+        problem, z_star = synth_nondegenerate(seed=3, n=6, m=8)
+        report = diagnose(problem, z_star, seed=0)
+        assert sampler_calls == []
+        assert report.srcq == report.constraint_nondegeneracy
+        assert report.sonc == ConditionResult(HOLDS, report.s_sosc.margin)
+
+    def test_the_probe_still_runs_at_the_fixture(self, sampler_calls):
+        # CN fails with |beta| = 2 and W-SRCQ holds: no span check decides
+        problem, z_bar = degenerate_fixture()
+        report = diagnose(problem, z_bar, seed=0)
+        assert sampler_calls == ["check_srcq_heuristic"]
+        assert report.srcq.verdict == HEURISTIC_FAILS
+        assert report.sonc == ConditionResult(HOLDS, 0.0)  # lambda_min = 0 on app
+
+    @pytest.mark.parametrize("seed, cn_margin", [(5011, 0.0033), (6014, 0.0101)])
+    def test_cn_settles_srcq_where_the_probe_misreads_it(self, seed, cn_margin):
+        # the probe reports heuristic-fails at these pairs, with alignments
+        # 0.99999 and 0.99990: its sets meet almost tangentially
+        problem, z_star = synth_nondegenerate(seed=seed, n=5, m=6)
+        report = diagnose(problem, z_star, seed=0)
+        assert report.constraint_nondegeneracy.margin == pytest.approx(cn_margin, abs=1e-4)
+        assert report.srcq.verdict == HOLDS
+        assert report.srcq.margin == report.constraint_nondegeneracy.margin
+
+    def test_srcq_not_applicable_off_complementarity(self):
+        rng = np.random.default_rng(7)
+        problem = random_problem(rng, 4, 5)
+        z = random_point(rng, problem)
+        srcq = settled(frame_at(problem, z))[3]
+        assert srcq.verdict == NOT_APPLICABLE and np.isnan(srcq.margin)
+
+    def test_report_echoes_its_tolerances(self):
+        problem, z_star = synth_nondegenerate(seed=3, n=6, m=8)
+        expected = {
+            "margin_tol": DEFAULT_MARGIN_TOL,
+            "rank_tol": RANK_TOL,
+            "srcq_alignment_tol": SRCQ_ALIGNMENT_TOL,
+        }
+        doc = diagnose(problem, z_star, zero_tol=1e-7).to_dict()
+        assert doc["tolerances"] == {"zero_tol": 1e-7, **expected}
+        adaptive = make_ied(big_g(problem, z_star)).zero_tol
+        doc = diagnose(problem, z_star).to_dict()
+        assert doc["tolerances"] == {"zero_tol": adaptive, **expected}
+
+
+@settings(max_examples=60, deadline=None)
+@given(regularity_cases())
+def test_settled_verdicts_follow_the_classical_implications(case):
+    problem, z = case
+    w_srcq, cn, s_sosc, srcq, sonc = settled(frame_at(problem, z))
+    assert srcq.verdict != NOT_APPLICABLE  # every case is complementary
+    if cn.holds:
+        assert srcq.verdict == HOLDS
+    if not w_srcq.holds:
+        assert srcq.verdict == FAILS
+    if s_sosc.holds:
+        assert sonc.verdict == HOLDS
+
+
+@settings(max_examples=40, deadline=None)
+@given(regularity_cases(), st.integers(0, 2**16))
+def test_settled_verdicts_do_not_change_under_rotation(case, rotation):
+    problem, z = case
+    ied = make_ied(big_g(problem, z))
+    base = settled(TangentFrame(problem, z, ied))
+    alt = settled(TangentFrame(problem, z, rotate_within_eigenspaces(ied, rotation)))
+    for one, other in zip(base, alt):
+        if one.verdict in (HEURISTIC_HOLDS, HEURISTIC_FAILS):
+            continue
+        assert one.verdict == other.verdict
+        if np.isfinite(one.margin):
+            assert np.isclose(one.margin, other.margin, atol=1e-8)
+
+
+@st.composite
+def small_beta_cn_failures(draw):
+    """Complementary pairs with |beta| <= 1 and fewer constraints than
+    trailing-block entries, so that CN fails."""
+    n = draw(st.integers(2, 6))
+    n_beta = draw(st.integers(0, 1))
+    p = draw(st.integers(0, n - 2))
+    trailing = n - p
+    m = draw(st.integers(1, trailing * (trailing + 1) // 2 - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    return complementary_pair(rng, n, p, n_beta, m, draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_beta_cn_failures())
+def test_small_beta_failures_carry_a_certificate(case):
+    # a nonzero D with dg* D = 0, zero alpha rows and D_bb <= 0 refutes SRCQ
+    problem, z = case
+    frame = frame_at(problem, z)
+    ied = frame.ied
+    trailing = pair_mask(ied, ("bb", "bg", "gg"))
+    _, _, vt = np.linalg.svd(sym_to_vec(frame.stack)[:, trailing])
+    coords = np.zeros(trailing.size)
+    coords[trailing] = vt[-1]  # m < trailing.sum(): a null vector
+    rotated = vec_to_sym(coords, ied.n)
+    p, r = ied.p, ied.n - ied.q
+    if r > p and rotated[p, p] > 0:
+        rotated = -rotated
+    d = ied.basis @ rotated @ ied.basis.T
+    assert np.linalg.norm(d) == pytest.approx(1.0)
+    assert np.linalg.norm(problem.adjoint_dg(z.x, d)) <= 1e-10
+    assert np.linalg.norm(d @ ied.basis[:, :p]) <= 1e-12
+    beta = ied.basis[:, p:r]
+    assert np.all(np.linalg.eigvalsh(beta.T @ d @ beta) <= 1e-12)
+    w_srcq, cn, _, srcq, _ = settled(frame)
+    assert not cn.holds
+    assert srcq.verdict == FAILS
+    assert srcq.margin == (cn.margin if w_srcq.holds else w_srcq.margin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6), st.integers(0, 1), st.integers(0, 6), st.integers(1, 8),
+    st.integers(0, 2**31),
+)
+def test_small_beta_sonc_failures_carry_a_direction(n, n_beta, p, m, seed):
+    # with |beta| <= 1 the form's bottom eigenvector on app, signed to a
+    # PSD beta-beta image, lies in the SONC cone and refutes SONC
+    problem, z = complementary_pair(
+        np.random.default_rng(seed), n, min(p, n - n_beta), n_beta, m, spd_quad=False
+    )
+    frame = frame_at(problem, z)
+    s_sosc = check_ssosc(frame)
+    sonc = check_sonc(frame, s_sosc)
+    assert sonc.margin == s_sosc.margin
+    assert sonc.verdict == (HOLDS if s_sosc.margin >= -DEFAULT_MARGIN_TOL else FAILS)
+    if sonc.verdict == FAILS:
+        p, r = frame.ied.p, frame.ied.n - frame.ied.q
+        basis = app_basis(frame)
+        v = basis @ np.linalg.eigh(quad_form_matrix(frame, basis))[1][:, 0]
+        image = np.tensordot(v, frame.stack[:, p:r, p:r], axes=1)
+        if np.any(image < 0):  # a scalar beta-beta block
+            v, image = -v, -image
+        assert np.all(image >= 0)
+        assert quad_form_matrix(frame, v[:, None])[0, 0] < -DEFAULT_MARGIN_TOL
 
 
 class TestIedInvariance:

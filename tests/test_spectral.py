@@ -23,6 +23,7 @@ from sgnsdp.spectral import (
     make_ied,
     nsd_part,
     pack_sym,
+    pair_mask,
     packed_length,
     project_psd,
     psd_part,
@@ -140,6 +141,22 @@ class TestStacks:
         assert np.array_equal(scale, np.where(iu == ju, 1.0, np.sqrt(2.0)))
         with pytest.raises(ValueError):
             scale[0] = 2.0
+
+    def test_pair_mask_matches_an_entry_loop(self):
+        names = ("aa", "ab", "ag", "bb", "bg", "gg")
+        rng = np.random.default_rng(0)
+        for n in range(1, 6):
+            for p in range(n + 1):
+                for q in range(n - p + 1):
+                    lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
+                    ied = make_ied(np.diag(lam))
+                    side = np.repeat(list("abg"), [p, n - p - q, q])
+                    for _ in range(4):
+                        blocks = tuple(b for b in names if rng.random() < 0.5)
+                        expected = [side[i] + side[j] in blocks for i, j in zip(*np.triu_indices(n))]
+                        mask = pair_mask(ied, blocks)
+                        assert mask.dtype == bool
+                        assert mask.tolist() == expected
 
 
 class TestIed:
