@@ -72,7 +72,7 @@ class KktResidual:
     f2: np.ndarray
     ied: IED
 
-    @property
+    @cached_property
     def phi(self) -> float:
         return 0.5 * (float(np.sum(self.f1**2)) + float(np.sum(self.f2**2)))
 

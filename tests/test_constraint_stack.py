@@ -413,6 +413,45 @@ def test_regularity_margins_match_loop_reference(case):
         assert result.verdict == _verdict(ref)
 
 
+def _equal_constraints(rng, n, m):
+    """``random_problem`` with its first two constraint matrices equal."""
+    problem = random_problem(rng, n, m)
+    mats = problem.a.copy()
+    mats[1] = mats[0]
+    return AffineQuadraticProblem(c=problem.c, a0=problem.a0, a_list=mats, quad=problem.quad)
+
+
+@pytest.mark.parametrize(
+    "n, m, p, q, build",
+    [
+        (4, 1, 1, 2, random_problem),       # k > m for both checks
+        (3, 6, 0, 2, random_problem),       # |F| <= m: C_F is the core's top block
+        (4, 3, 4, 0, random_problem),       # G positive definite, |F| > m: margin 1
+        (4, 3, 2, 1, _equal_constraints),   # rank-deficient C_F
+    ],
+    ids=["k-above-m", "free-at-most-m", "positive-definite", "equal-constraints"],
+)
+def test_regularity_margins_match_loop_reference_at_the_edges(n, m, p, q, build):
+    rng = np.random.default_rng(n + 10 * m + 100 * p + 1000 * q)
+    problem = build(rng, n, m)
+    z = _point_with_g(problem, stratum_matrix(rng, n, p, q), seed=m)
+    ied = make_ied(big_g(problem, z))
+    assert (ied.p, ied.q) == (p, q)
+    test_regularity_margins_match_loop_reference.hypothesis.inner_test((problem, z, ied))
+    if p == n:
+        frame = TangentFrame(problem, z, ied)
+        assert check_wsrcq(frame).margin == check_cn(frame).margin == 1.0
+
+
+def test_regularity_margins_match_loop_reference_without_constraints():
+    # m = 0: the core is empty for W-SRCQ (margin 1), and CN has k = 1 > m
+    problem, z = _no_constraints()
+    ied = make_ied(big_g(problem, z))
+    test_regularity_margins_match_loop_reference.hypothesis.inner_test((problem, z, ied))
+    frame = TangentFrame(problem, z, ied)
+    assert (check_wsrcq(frame).margin, check_cn(frame).margin) == (1.0, 0.0)
+
+
 def _off_complementarity():
     rng = np.random.default_rng(7)
     problem = random_problem(rng, 4, 5)

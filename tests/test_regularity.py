@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
@@ -221,6 +222,24 @@ class TestConditionCheckers:
         ied = make_ied(big_g(problem, z))
         assert ied.q == 0 and ied.n_beta == 0
         assert check_ssosc(frame_at(problem, z)).verdict == HOLDS
+
+    def test_span_checks_factor_cores_of_order_at_most_2m(self, monkeypatch):
+        # at (30, 40) X = [C | E_F] has 465 rows; the margins must come
+        # from SVDs of order at most 2m = 80
+        problem, z = synth_nondegenerate(seed=4200, n=30, m=40)
+        frame = frame_at(problem, z)
+        assert frame.stack.shape == (40, 30, 30)  # built outside the spies
+        shapes = []
+        for owner, name in ((np.linalg, "svd"), (scipy.linalg.lapack, "dgesdd")):
+            def spy(a, *args, _real=getattr(owner, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        results = [check_wsrcq(frame), check_cn(frame)]
+        assert all(result.verdict == HOLDS for result in results)
+        assert len(shapes) >= 2
+        assert all(rows <= 2 * problem.m and cols <= 2 * problem.m for rows, cols in shapes)
 
 
 class TestHeuristics:
