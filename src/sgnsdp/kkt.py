@@ -44,11 +44,10 @@ from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
     make_ied,
-    pair_mask,
     project_psd,
     sym,
     sym_to_vec,
-    triu_pairs,
+    tangent_layout,
     vec_to_sym,
 )
 
@@ -74,7 +73,7 @@ class KktResidual:
 
     @cached_property
     def phi(self) -> float:
-        return 0.5 * (float(np.sum(self.f1**2)) + float(np.sum(self.f2**2)))
+        return 0.5 * (float((self.f1**2).sum()) + float((self.f2**2).sum()))
 
     @property
     def norm(self) -> float:
@@ -82,15 +81,21 @@ class KktResidual:
 
 
 def residual(
-    problem: NlsdpProblem, z: PrimalDualPoint, zero_tol: float | None = None
+    problem: NlsdpProblem,
+    z: PrimalDualPoint,
+    zero_tol: float | None = None,
+    g_val: np.ndarray | None = None,
 ) -> KktResidual:
     """Evaluate the KKT residual; phi(z) is available as ``.phi``.
 
-    Raises :class:`NumericalError` when g(x) has a non-finite entry,
-    before G(z) is formed from it.
+    ``g_val`` is g(z.x) when the caller has evaluated it already (a
+    retraction does); otherwise it is evaluated here.  Raises
+    :class:`NumericalError` when g(x) has a non-finite entry, before
+    G(z) is formed from it.
     """
-    g_val = problem.eval_g(z.x)
-    if not np.all(np.isfinite(g_val)):
+    if g_val is None:
+        g_val = problem.eval_g(z.x)
+    if not np.isfinite(g_val).all():
         raise NumericalError("g(x) contains non-finite entries", order=g_val.shape[-1])
     ied = make_ied(g_val + z.y, zero_tol)
     f1 = problem.grad_f(z.x) + problem.adjoint_dg(z.x, z.y)
@@ -144,14 +149,13 @@ class TangentFrame:
 
     @cached_property
     def rows(self) -> np.ndarray:
-        """Position of each tangent pair in the ``sym_to_vec`` layout."""
-        return np.flatnonzero(~pair_mask(self.ied, ("bb",)))
+        """Position of each tangent pair in the ``sym_to_vec`` layout (read-only)."""
+        return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[0]
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """The tangent pairs (k, l), one row each, in the order of ``rows``."""
-        iu, ju, _ = triu_pairs(self.ied.n)
-        return np.stack([iu[self.rows], ju[self.rows]], axis=1)
+        """The tangent pairs (k, l), one row each, in the order of ``rows`` (read-only)."""
+        return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[1]
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -198,12 +202,9 @@ class TangentVector:
         flat[self.frame.rows] = self.coeffs
         return sym(ied.basis @ vec_to_sym(flat, ied.n) @ ied.basis.T)
 
-    @property
+    @cached_property
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.v_x**2) + np.sum(self.coeffs**2)))
-
-    def scaled(self, t: float) -> "TangentVector":
-        return TangentVector(frame=self.frame, v_x=t * self.v_x, coeffs=t * self.coeffs)
+        return float(np.sqrt((self.v_x**2).sum() + (self.coeffs**2).sum()))
 
     def as_vec(self) -> np.ndarray:
         return np.concatenate([self.v_x, self.coeffs])

@@ -135,7 +135,10 @@ class AffineQuadraticProblem(NlsdpProblem):
     def eval_g(self, x):
         if self.m == 0:
             return self.a0.copy()
-        return self.a0 + np.tensordot(x, self.a, axes=1)
+        # np.tensordot(x, self.a, axes=1) without its Python overhead:
+        # the same (1, m) by (m, n^2) product, reshaped
+        flat = np.dot(np.reshape(x, (1, -1)), self.a.reshape(self.m, -1))
+        return self.a0 + flat.reshape(self.n, self.n)
 
     def apply_dg(self, x, v):
         if self.m == 0:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     InertiaViolation,
@@ -44,9 +45,8 @@ from .kkt import (
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
+    eig_sym,
     frob,
-    nsd_part,
-    psd_part,
     retract_fixed_inertia,
     sym,
 )
@@ -133,6 +133,9 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
     vanish exactly at KKT pairs.  The beta-beta block of P^T dg(F1) P is
     sum_i F1_i at[i][beta, beta], read from the frame's rotated stack.
+    W1 is the NSD part of that block's negative, W2 the PSD part of the
+    negative minus the block of P^T F2 P; one stacked eigendecomposition
+    serves both.
     """
     ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
@@ -141,10 +144,16 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
         zero = np.zeros((n, n))
         return zero, zero.copy()
     pb = ied.basis[:, p:r]
-    block1 = -np.tensordot(res.f1, frame.stack[:, p:r, p:r], axes=1)
-    block2 = block1 - pb.T @ res.f2 @ pb
-    w1 = sym(pb @ nsd_part(block1) @ pb.T)
-    w2 = sym(pb @ psd_part(block2) @ pb.T)
+    # np.tensordot(res.f1, beta-beta blocks, axes=1) without its Python
+    # overhead: the same (1, m) by (m, |beta|^2) product, reshaped
+    m, k = res.f1.size, r - p
+    flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
+    block1 = -flat.reshape(k, k)
+    basis, lam = eig_sym(sym(np.stack([block1, block1 - pb.T @ res.f2 @ pb])))
+    clipped = np.stack([np.minimum(lam[0], 0.0), np.maximum(lam[1], 0.0)])
+    parts = sym(basis @ (clipped[..., None] * np.swapaxes(basis, -1, -2)))
+    w1 = sym(pb @ parts[0] @ pb.T)
+    w2 = sym(pb @ parts[1] @ pb.T)
     return w1, w2
 
 
@@ -160,12 +169,12 @@ def normal_step(
     ||W2||^4 / (2 (||W2||^2 + ||dg* W2||^2)) for the second; tests verify
     both against direct evaluation.
     """
-    w_sq = float(np.sum(w * w))
+    w_sq = float((w * w).sum())
     if w_sq == 0.0:
         return None
     z = frame.z
     dg_w = frame.problem.adjoint_dg(z.x, w)
-    dg_sq = float(np.sum(dg_w**2))
+    dg_sq = float((dg_w**2).sum())
     if which == 1:
         if dg_sq == 0.0:
             raise NumericalInconsistency(
@@ -212,7 +221,7 @@ def lm_direction(
     :class:`LinearSolveFailure` is raised.
     """
     rhs = -pulled
-    mu = float(np.clip(2.0 * res.phi, config.mu_min, config.mu_max))
+    mu = float(min(max(2.0 * res.phi, config.mu_min), config.mu_max))
     frame = jac.frame
     dim = frame.dim
     if dim == 0:
@@ -227,7 +236,7 @@ def lm_direction(
         except scipy.linalg.LinAlgError:
             mu = max(10.0 * mu, 1e-12)
             continue
-        if lin_res <= 1e-10 * max(1.0, float(np.linalg.norm(rhs))):
+        if lin_res <= 1e-10 * max(1.0, frob(rhs)):
             m = frame.problem.m
             return TangentVector(frame=frame, v_x=u[:m], coeffs=u[m:]), mu
         mu = max(10.0 * mu, 1e-12)
@@ -235,31 +244,52 @@ def lm_direction(
 
 
 def _dense_solve(jac: AssembledJacobian, rhs: np.ndarray, mu: float):
-    """u from the Cholesky factor of ``jac.gram`` + mu I, with its residual."""
+    """u from the Cholesky factor of ``jac.gram`` + mu I, with its residual.
+
+    The system is not checked for non-finite entries: a factorization
+    of one fails or leaves a non-finite residual, and ``lm_direction``
+    treats either as a failed attempt.
+    """
     system = jac.gram.copy()
     system[np.diag_indices(rhs.size)] += mu
-    u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(system), rhs)
-    return u, float(np.linalg.norm(system @ u - rhs))
+    factor, lower = scipy.linalg.cho_factor(system, check_finite=False)
+    u, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+    return u, frob(system @ u - rhs)
 
 
 def _structured_solve(jac: AssembledJacobian, r: np.ndarray, rhs: np.ndarray, mu: float):
     """u from ``jac.solve_regularized``, with its normal equations' residual."""
     u = jac.solve_regularized(r, mu)
-    return u, float(np.linalg.norm(jac.apply_adjoint(jac.apply(u)) + mu * u - rhs))
+    return u, frob(jac.apply_adjoint(jac.apply(u)) + mu * u - rhs)
 
 
-def retract_point(v: TangentVector) -> PrimalDualPoint:
-    """Move from the point of ``v.frame`` along ``v``, back onto the stratum.
+@dataclass(frozen=True)
+class RetractedPoint(PrimalDualPoint):
+    """A point that :func:`retract_point` reached, with ``g`` = g(x).
+
+    The line search hands ``g`` to the trial's residual, so g is
+    evaluated once per trial point.
+    """
+
+    g: np.ndarray
+
+
+def retract_point(v: TangentVector, step: float = 1.0) -> RetractedPoint:
+    """Move from the point of ``v.frame`` along ``step * v``, back onto the stratum.
 
     The primal part steps linearly; the multiplier is adjusted so that
     G at the new point equals the fixed-inertia retraction of
-    G(z) + H.  Propagates :class:`InertiaViolation` from the retraction.
+    G(z) + step H.  ``v.matrix`` (H) is built once per vector, so the
+    trials of a line search share it.  Propagates
+    :class:`InertiaViolation` from the retraction.
     """
     frame = v.frame
-    x_new = frame.z.x + v.v_x
-    g_new = retract_fixed_inertia(frame.ied, v.matrix)
-    y_new = g_new - frame.problem.eval_g(x_new)
-    return PrimalDualPoint(x=x_new, y=sym(y_new))
+    x_new = frame.z.x + step * v.v_x
+    g_ret = retract_fixed_inertia(frame.ied, step * v.matrix)
+    g_new = frame.problem.eval_g(x_new)
+    return RetractedPoint(x=x_new, y=sym(g_ret - g_new), g=g_new)
 
 
 def armijo_search(
@@ -276,6 +306,11 @@ def armijo_search(
     direction phi(R_z(v)) = phi(z) + phi'(z; v)/2 + o(||v||^2), so with
     eta in (1/2, 1) the unit step passes asymptotically, which is what
     drives the local quadratic rate.
+
+    Each trial evaluates g once, in the retraction.  The trials scale
+    one tangent matrix by rho^j; for a power of two such as the default
+    rho = 1/2 that scaling is exact, so the trial equals a retraction
+    along the scaled vector bit for bit.
     """
     if not dphi < 0.0:
         raise LineSearchFailure(f"not a descent direction: phi' = {dphi:g}")
@@ -284,8 +319,8 @@ def armijo_search(
     step = 1.0
     for j in range(config.max_backtracks + 1):
         try:
-            trial = retract_point(v.scaled(step))
-            trial_res = residual(problem, trial, config.zero_tol)
+            trial = retract_point(v, step)
+            trial_res = residual(problem, trial, config.zero_tol, trial.g)
         except (InertiaViolation, NumericalError):
             # leaving the stratum or overflowing the trial or its
             # residual all just reject this step size
@@ -411,11 +446,11 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
         except LineSearchFailure:
             pass
     for which, w, kind in ((1, state.w1, "normal1"), (2, state.w2, "normal2")):
-        if float(np.sum(w * w)) == 0.0:
-            continue
         try:
             cand = normal_step(frame, w, which)
         except NumericalInconsistency:
+            continue
+        if cand is None:
             continue
         cand_res = residual(problem, cand, config.zero_tol)
         candidates.append((kind, cand, cand_res, 0, float(frob(cand.y - z.y))))
@@ -447,8 +482,11 @@ def sgn_solve(
     from the corrected point if that strictly decreases the merit, and
     from the uncorrected point otherwise.  The merit sequence is
     nonincreasing by construction.  Terminates with ``converged``,
-    ``max-iter``, or ``stalled`` when no candidate makes progress; no
-    exception escapes from degenerate steps.
+    ``max-iter``, or ``stalled`` when no candidate makes progress.  A
+    step that fails numerically (a singular LM system, an exhausted line
+    search, a trial that leaves the stratum or overflows) is skipped,
+    but a start whose g(x0) or G(z0) has a non-finite entry raises
+    :class:`NumericalError` from its first residual.
     """
     config = config or SolverConfig()
     z = z0
@@ -485,7 +523,7 @@ def sgn_solve(
             IterationRecord(
                 index=k,
                 phi=state.res.phi,
-                norm_f1=float(np.linalg.norm(state.res.f1)),
+                norm_f1=frob(state.res.f1),
                 norm_f2=frob(state.res.f2),
                 stationarity=s_val,
                 p=state.res.ied.p,

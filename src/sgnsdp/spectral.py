@@ -6,13 +6,13 @@ index sets alpha (positive), beta (zero within a tolerance) and gamma
 (negative).  Fixing the sizes ``p = |alpha|`` and ``q = |gamma|`` pins a
 smooth stratum of the symmetric matrices on which the PSD projector is
 differentiable; this module provides that projector, the threshold-free
-PSD and NSD parts, the block selection of :func:`pair_mask` (the tangent
-pairs of a stratum are the pairs not both in beta) and a fixed-inertia
-retraction.  The projector's on-stratum differential enters the solver
-only through the xi block of ``kkt.assemble_dF``, diagonal in the
-eigenbasis; its matrix form, the tangent/normal projections and a
-tangent basis are test oracles in ``tests/reference.py`` and
-``tests/support.py``.
+NSD part, the block selection of :func:`pair_mask` (the tangent pairs of
+a stratum are the pairs not both in beta, cached per stratum index by
+:func:`tangent_layout`) and a fixed-inertia retraction.  The projector's
+on-stratum differential enters the solver only through the xi block of
+``kkt.assemble_dF``, diagonal in the eigenbasis; its matrix form, the
+tangent/normal projections, a tangent basis and the threshold-free PSD
+part are test oracles in ``tests/reference.py`` and ``tests/support.py``.
 
 Two flat layouts are used for symmetric matrices and must not be mixed:
 
@@ -24,8 +24,9 @@ Two flat layouts are used for symmetric matrices and must not be mixed:
   sqrt(2), so Euclidean inner products equal Frobenius inner products.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,12 +37,17 @@ SQRT2 = np.sqrt(2.0)
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetrize, killing round-off skew from products; acts on the last two axes."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def frob(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(a))
+    """Frobenius norm (the 2-norm of a vector).
+
+    The sum of squares that ``np.linalg.norm`` takes, without its
+    Python overhead, so the result is the same to the bit.
+    """
+    x = np.asarray(a, dtype=float).ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,10 @@ def eig_sym(a: np.ndarray):
     """Eigendecompose a symmetric matrix with eigenvalues sorted nonincreasing.
 
     Acts on the last two axes, so it decomposes a stack of matrices in
-    one call; a non-finite entry anywhere in the stack raises.
+    one call; a non-finite entry anywhere in the stack raises.  ``a``
+    must be symmetric: it is not symmetrized here (callers pass the
+    output of :func:`sym` or a sum of such matrices), and the
+    eigensolver reads its lower triangle only.
 
     Returns
     -------
@@ -124,14 +133,14 @@ def eig_sym(a: np.ndarray):
     eigenvalues : (..., n) nonincreasing
     """
     a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(
             "eigendecomposition input contains non-finite entries",
             norm=frob(a[np.isfinite(a)]),  # of the finite entries
             order=a.shape[-1],
         )
     try:
-        lam, basis = np.linalg.eigh(sym(a))
+        lam, basis = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigendecomposition failed: {exc}",
@@ -157,12 +166,6 @@ class IED:
     and the ``n_beta`` between them (beta) those within it.
     The basis within an eigenvalue cluster is whatever the eigensolver
     returned; every consumer is required to be invariant to that choice.
-
-    ``xi`` is the coefficient matrix of the projector's directional
-    derivative: entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j)
-    with beta eigenvalues treated as exact zeros, so 1 wherever both
-    indices are nonnegative (equal pairs by the 0/0 := 1 convention) and
-    0 when both sit in gamma.
     """
 
     matrix: np.ndarray
@@ -171,7 +174,6 @@ class IED:
     p: int
     q: int
     zero_tol: float
-    xi: np.ndarray
 
     @property
     def n(self) -> int:
@@ -181,23 +183,27 @@ class IED:
     def n_beta(self) -> int:
         return self.n - self.p - self.q
 
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Coefficient matrix of the projector's directional derivative.
 
-def _xi_from_classification(eigenvalues, p, q):
-    # 1 on the alpha x (alpha u beta) and beta x beta blocks, the
-    # projector difference quotient on alpha x gamma, 0 elsewhere;
-    # equal eigenvalues follow the 0/0 := 1 convention on the
-    # nonnegative side and 0 on the gamma side.
-    n = eigenvalues.shape[0]
-    xi = np.zeros((n, n))
-    r = n - q  # first gamma index
-    xi[:r, :r] = 1.0
-    if p and q:
-        la = eigenvalues[:p][:, None]
-        lg = eigenvalues[r:][None, :]
-        block = la / (la - lg)
-        xi[:p, r:] = block
-        xi[r:, :p] = block.T
-    return xi
+        Entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j)
+        with beta eigenvalues treated as exact zeros, so 1 wherever both
+        indices are nonnegative (equal pairs by the 0/0 := 1 convention)
+        and 0 when both sit in gamma.  Built on first use: only the
+        points that get a Jacobian read it.
+        """
+        n, p, q = self.n, self.p, self.q
+        xi = np.zeros((n, n))
+        r = n - q  # first gamma index
+        xi[:r, :r] = 1.0
+        if p and q:
+            la = self.eigenvalues[:p][:, None]
+            lg = self.eigenvalues[r:][None, :]
+            block = la / (la - lg)
+            xi[:p, r:] = block
+            xi[r:, :p] = block.T
+        return xi
 
 
 def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
@@ -224,7 +230,6 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
         p=p,
         q=q,
         zero_tol=float(zero_tol),
-        xi=_xi_from_classification(lam, p, q),
     )
 
 
@@ -238,15 +243,9 @@ def project_psd(ied: IED) -> np.ndarray:
     return sym(pa @ (ied.eigenvalues[: ied.p, None] * pa.T))
 
 
-def psd_part(a: np.ndarray) -> np.ndarray:
-    """Threshold-free PSD part: clip eigenvalues at zero; maps stacks too."""
-    basis, lam = eig_sym(a)
-    return sym(basis @ (np.maximum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
-
-
 def nsd_part(a: np.ndarray) -> np.ndarray:
     """Threshold-free NSD part: clip eigenvalues at zero from above; maps stacks too."""
-    basis, lam = eig_sym(a)
+    basis, lam = eig_sym(sym(a))
     return sym(basis @ (np.minimum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
 
 
@@ -268,6 +267,25 @@ def pair_mask(ied: IED, blocks) -> np.ndarray:
     return table[3 * block[iu] + block[ju]]
 
 
+@lru_cache(maxsize=256)
+def tangent_layout(n: int, p: int, q: int):
+    """The tangent pairs of the stratum with index (n, p, q).
+
+    Returns ``rows``, the position of each pair (k, l), k <= l, not both
+    in beta, in the ``np.triu_indices(n)`` order (the pairs that
+    ``pair_mask(ied, ("bb",))`` leaves out), and ``pairs``, the (k, l)
+    of each row.  With k <= l, a pair is in beta x beta exactly when
+    k >= p and l < n - q.  Cached per stratum index, so the arrays are
+    read-only.
+    """
+    iu, ju, _ = triu_pairs(n)
+    rows = np.flatnonzero((iu < p) | (ju >= n - q))
+    pairs = np.stack([iu[rows], ju[rows]], axis=1)
+    for arr in (rows, pairs):
+        arr.flags.writeable = False
+    return rows, pairs
+
+
 # ---------------------------------------------------------------------------
 # retraction
 # ---------------------------------------------------------------------------
@@ -276,14 +294,14 @@ def retract_fixed_inertia(ied: IED, h: np.ndarray) -> np.ndarray:
     """Project ``matrix + h`` back onto the stratum of ``ied``.
 
     Eigendecomposes the target, keeps the top ``p`` and bottom ``q``
-    eigenvalues by position, and zeroes the middle ones.  Raises
-    :class:`InertiaViolation` when the target no longer has ``p``
-    eigenvalues above the zero tolerance or ``q`` below its negative;
-    line searches treat that as a rejected trial.
+    eigenvalues by position, and zeroes the middle ones.  ``h`` must be
+    symmetric, like ``ied.matrix``, so that the target is symmetric as
+    it stands.  Raises :class:`InertiaViolation` when the target no
+    longer has ``p`` eigenvalues above the zero tolerance or ``q`` below
+    its negative; line searches treat that as a rejected trial.
     """
     p, q, n = ied.p, ied.q, ied.n
-    target = sym(ied.matrix + h)
-    basis, lam = eig_sym(target)
+    basis, lam = eig_sym(ied.matrix + h)
     tol = ied.zero_tol
     if p and lam[p - 1] <= tol:
         raise InertiaViolation(

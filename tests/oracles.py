@@ -14,9 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from support import psd_part
+
 from sgnsdp.kkt import residual
 from sgnsdp.model import NlsdpProblem, PrimalDualPoint
-from sgnsdp.spectral import IED, psd_part, retract_fixed_inertia, sym
+from sgnsdp.spectral import IED, retract_fixed_inertia, sym
 
 
 def fd_curve_derivative(ied: IED, h_tangent: np.ndarray, t_list) -> list:

@@ -20,7 +20,13 @@ from types import SimpleNamespace
 import numpy as np
 import scipy.linalg
 
-from support import coeffs_from_matrix, frob_inner, normal_project_pi2, tangent_matrix
+from support import (
+    coeffs_from_matrix,
+    frob_inner,
+    normal_project_pi2,
+    psd_part,
+    tangent_matrix,
+)
 
 from sgnsdp.errors import SgnsdpError
 from sgnsdp.kkt import TangentFrame, assemble_dF, residual
@@ -34,7 +40,6 @@ from sgnsdp.regularity import (
 from sgnsdp.spectral import (
     frob,
     nsd_part,
-    psd_part,
     sym,
     sym_to_vec,
     vec_to_sym,

@@ -1,12 +1,13 @@
 """Shared fixture builders and test utilities for the test suite.
 
 Besides the random builders this holds the stratum utilities that only
-tests call: the tangent pairs and tangent matrices of an IED,
-tangent/normal projections, a tangent basis, re-drawn eigenbases, the
-frame at a point (with the IED of G(z) by default), the coordinate
-isomorphism of a tangent frame, the unrotated coordinates of a
-residual, point helpers, the off-stratum curve of the 4x4 fixture and
-the stratum-restricted error-bound probe.
+tests call: the threshold-free PSD part, the tangent pairs and tangent
+matrices of an IED, tangent/normal projections, a tangent basis,
+re-drawn eigenbases, the frame at a point (with the IED of G(z) by
+default), the coordinate isomorphism of a tangent frame, a scaled
+tangent vector, the unrotated coordinates of a residual, point helpers,
+the off-stratum curve of the 4x4 fixture and the stratum-restricted
+error-bound probe.
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ from sgnsdp.solver import retract_point
 from sgnsdp.spectral import (
     IED,
     SQRT2,
+    eig_sym,
     make_ied,
     pair_mask,
     sym,
@@ -56,6 +58,12 @@ def point_distance(a: PrimalDualPoint, b: PrimalDualPoint) -> float:
 # ---------------------------------------------------------------------------
 # stratum utilities
 # ---------------------------------------------------------------------------
+
+def psd_part(a: np.ndarray) -> np.ndarray:
+    """Threshold-free PSD part: clip eigenvalues at zero; maps stacks too."""
+    basis, lam = eig_sym(sym(a))
+    return sym(basis @ (np.maximum(lam, 0.0)[..., None] * np.swapaxes(basis, -1, -2)))
+
 
 def project_nsd(ied: IED) -> np.ndarray:
     """Metric projection onto the NSD cone: keep the gamma eigenpairs."""
@@ -96,6 +104,11 @@ def stratum_dimension(n: int, p: int, q: int) -> int:
     """dim of the fixed-inertia manifold: n(p+q) - (p+q)(p+q-1)/2."""
     r = p + q
     return n * r - r * (r - 1) // 2
+
+
+def scaled(v: TangentVector, t: float) -> TangentVector:
+    """The tangent vector ``t * v`` on the same frame."""
+    return TangentVector(frame=v.frame, v_x=t * v.v_x, coeffs=t * v.coeffs)
 
 
 def tangent_basis(ied: IED) -> list:

@@ -22,6 +22,7 @@ from support import (
     random_problem,
     random_tangent,
     rotate_within_eigenspaces,
+    scaled,
     stratum_matrix,
 )
 
@@ -195,7 +196,7 @@ def test_criterion_05_derivative_oracles():
         u /= np.linalg.norm(u)
         v = TangentVector(frame=frame, v_x=u[: problem.m], coeffs=u[problem.m :])
         t = 1e-6
-        moved = retract_point(v.scaled(t))
+        moved = retract_point(scaled(v, t))
         quotient = (frame.coords(residual(problem, moved)) - base) / t
         column = jac.matrix @ u
         worst_jac = max(

@@ -66,7 +66,7 @@ from sgnsdp.regularity import (
     diagnose,
     injectivity_margin,
 )
-from sgnsdp.solver import SolverConfig, _point_state, sgn_solve, slmn
+from sgnsdp.solver import SolverConfig, _point_state, armijo_search, sgn_solve, slmn
 from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
 
 REL = 1e-12
@@ -185,16 +185,18 @@ class TestCallbackBudget:
         "start, kind, calls",
         [
             ("zeros", "normal1",
-             {"eval_g": 4, "apply_dg": 10, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
+             {"eval_g": 3, "apply_dg": 10, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
             ("near-beta", "corrected-lm",
-             {"eval_g": 5, "apply_dg": 15, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
+             {"eval_g": 4, "apply_dg": 15, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
         ],
     )
     def test_one_solver_iteration_reads_each_frame_once(self, start, kind, calls):
         # one frame per point state: at the start, at the corrected point
         # when the correction is tried, and at the accepted point; each
         # reads m apply_dg and m apply_hess_lagrangian, and normal_dirs
-        # reads dg(F1) from the frame's stack, not from the problem
+        # reads dg(F1) from the frame's stack, not from the problem.  g is
+        # evaluated once per point: a line-search trial's residual reuses
+        # the g(x) of its retraction
         problem, z_bar = degenerate_fixture()
         if start == "zeros":
             z0 = point(np.zeros(5), np.zeros((4, 4)))
@@ -208,6 +210,25 @@ class TestCallbackBudget:
         result = sgn_solve(counting, z0, SolverConfig(max_iter=1))
         assert [rec.step_kind for rec in result.trace] == [kind]
         assert counting.calls == calls
+
+    def test_armijo_search_evaluates_g_once_per_trial(self):
+        # j backtracks make j + 1 trials; each retraction evaluates g once
+        # and hands it to the trial's residual
+        counting = CountingProblem(Oscillatory())
+        config = SolverConfig()
+        z = point([0.3], [[0.7]])
+        backtracks = []
+        for _ in range(40):
+            res = residual(counting, z)
+            state = _point_state(counting, z, config, res)
+            dphi = float(state.pulled @ state.v_lm.as_vec())
+            if not dphi < 0:
+                break
+            counting.calls["eval_g"] = 0
+            z, _, j = armijo_search(res, state.v_lm, dphi, config)
+            assert counting.calls["eval_g"] == j + 1
+            backtracks.append(j)
+        assert max(backtracks) >= 2
 
     def test_frame_reads_no_apply_dg_after_its_stack(self):
         # the Jacobian, J^T r, the LM and normal steps and every check

@@ -9,6 +9,7 @@ from support import (
     point,
     random_point,
     random_problem,
+    scaled,
     to_coords,
 )
 
@@ -25,7 +26,7 @@ from sgnsdp.model import (
     degenerate_fixture,
 )
 from sgnsdp.solver import normal_dirs, retract_point
-from sgnsdp.spectral import frob, sym
+from sgnsdp.spectral import frob, sym, tangent_layout
 
 # smallest singular value of the assembled differential at the reference
 # fixture's solution; computed once and pinned as a regression constant
@@ -115,6 +116,14 @@ class TestFrame:
             assert np.allclose(vx3, v_x, atol=1e-12)
             assert frob(vy2 - v_y) <= 1e-12 * max(1.0, frob(v_y))
 
+    def test_frame_reads_the_cached_stratum_layout(self):
+        # G at the fixture's solution is diag(1, 0, 0, -1): (n, p, q) = (4, 1, 1)
+        problem, z_bar = degenerate_fixture()
+        frame = TangentFrame(problem, z_bar, residual(problem, z_bar).ied)
+        rows, pairs = tangent_layout(4, 1, 1)
+        assert frame.rows is rows and frame.pairs is pairs
+        assert not frame.rows.flags.writeable
+
     def test_coeff_reconstruction(self):
         problem, z = scalar_boundary()
         frame = TangentFrame(problem, z, residual(problem, z).ied)
@@ -184,7 +193,7 @@ class TestAssembledJacobian:
             # the quotient error obeys C*t; exactly linear coordinates sit
             # at the cancellation noise floor instead, which also passes
             for t in (1e-4, 1e-5, 1e-6):
-                moved = retract_point(v.scaled(t))
+                moved = retract_point(scaled(v, t))
                 quotient = (frame.coords(residual(problem, moved)) - base) / t
                 err = np.linalg.norm(quotient - column)
                 assert err <= 100.0 * t + 1e-9 / t * 1e-6

@@ -4,6 +4,8 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from reference import dir_derivative_phi, lm_solve_errors
 from support import (
     Oscillatory,
@@ -13,8 +15,10 @@ from support import (
     point,
     point_distance,
     point_on_stratum,
+    psd_part,
     random_point,
     random_problem,
+    scaled,
 )
 
 import sgnsdp.solver
@@ -43,7 +47,7 @@ from sgnsdp.solver import (
     slmn,
     stationarity_measure,
 )
-from sgnsdp.spectral import frob, make_ied, sym
+from sgnsdp.spectral import frob, make_ied, nsd_part, sym
 
 
 def scalar_boundary():
@@ -141,6 +145,25 @@ class TestNormalDirections:
                 assert frob(normal_project_pi2(res.ied, w) - w) <= 1e-12
             assert np.max(np.linalg.eigvalsh(w1)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(w2)) >= -1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31))
+    def test_stacked_parts_equal_separate_parts_bit_for_bit(self, n_beta, n_rest, m, seed):
+        # one stacked eigendecomposition serves W1 and W2; each equals
+        # the NSD or PSD part of its block taken on its own
+        rng = np.random.default_rng(seed)
+        problem, z = corrected_random_point(rng, n_beta + n_rest, m, n_zero=n_beta)
+        res = residual(problem, z)
+        ied = res.ied
+        assume(ied.n_beta == n_beta)
+        frame = TangentFrame(problem, z, ied)
+        p, r = ied.p, ied.n - ied.q
+        pb = ied.basis[:, p:r]
+        block1 = -np.tensordot(res.f1, frame.stack[:, p:r, p:r], axes=1)
+        block2 = block1 - pb.T @ res.f2 @ pb
+        w1, w2 = normal_dirs(frame, res)
+        assert np.array_equal(w1, sym(pb @ nsd_part(block1) @ pb.T))
+        assert np.array_equal(w2, sym(pb @ psd_part(block2) @ pb.T))
 
 
 class TestNormalStep:
@@ -460,7 +483,7 @@ class TestArmijo:
                 checked += 1
                 prev = config.rho ** (j - 1)
                 try:
-                    trial = retract_point(v.scaled(prev))
+                    trial = retract_point(scaled(v, prev))
                 except InertiaViolation:
                     pass  # the larger trial failed by leaving the stratum
                 else:

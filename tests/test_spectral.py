@@ -2,12 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import TangencyViolation, proj_dir_derivative, stratum_differential
 from support import (
     haar_orthogonal,
     normal_project_pi2,
     packed_index,
     project_nsd,
+    psd_part,
     random_tangent,
     rotate_within_eigenspaces,
     stratum_dimension,
@@ -26,10 +29,10 @@ from sgnsdp.spectral import (
     pair_mask,
     packed_length,
     project_psd,
-    psd_part,
     retract_fixed_inertia,
     sym,
     sym_to_vec,
+    tangent_layout,
     triu_pairs,
     unpack_sym,
     vec_to_sym,
@@ -141,6 +144,22 @@ class TestStacks:
         assert np.array_equal(scale, np.where(iu == ju, 1.0, np.sqrt(2.0)))
         with pytest.raises(ValueError):
             scale[0] = 2.0
+
+    def test_tangent_layout_is_the_cached_pair_mask_enumeration(self):
+        for n in range(1, 9):
+            iu, ju = np.triu_indices(n)
+            for p in range(n + 1):
+                for q in range(n - p + 1):
+                    lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
+                    keep = ~pair_mask(make_ied(np.diag(lam)), ("bb",))
+                    rows, pairs = tangent_layout(n, p, q)
+                    assert tangent_layout(n, p, q)[0] is rows
+                    assert rows.tolist() == np.flatnonzero(keep).tolist()
+                    assert pairs.shape == (rows.size, 2)
+                    assert pairs.tolist() == np.stack([iu[keep], ju[keep]], axis=1).tolist()
+                    for arr in (rows, pairs):
+                        with pytest.raises(ValueError):
+                            arr[...] = 0
 
     def test_pair_mask_matches_an_entry_loop(self):
         names = ("aa", "ab", "ag", "bb", "bg", "gg")
@@ -257,6 +276,31 @@ class TestXi:
     def test_beta_block_convention(self):
         xi = make_ied(np.diag([1.0, 0.0, 0.0, -1.0])).xi
         assert xi[1, 2] == 1.0 and xi[1, 1] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**31))
+    def test_lazy_xi_matches_the_eager_formula_with_ties(self, n, seed):
+        # eigenvalues drawn from a few values, zero among them, so ties
+        # within alpha, beta and gamma are common
+        rng = np.random.default_rng(seed)
+        lam = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0, 3.0], size=n)
+        basis = haar_orthogonal(rng, n)
+        ied = make_ied(sym(basis @ (lam[:, None] * basis.T)))
+        assert "xi" not in vars(ied)  # built on first use only
+        p, r = ied.p, ied.n - ied.q
+        clipped = ied.eigenvalues.copy()
+        clipped[p:r] = 0.0  # beta eigenvalues count as exact zeros
+        expected = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                if i < r and j < r:
+                    expected[i, j] = 1.0
+                elif i >= r and j >= r:
+                    expected[i, j] = 0.0
+                else:
+                    li, lj = clipped[i], clipped[j]
+                    expected[i, j] = (max(li, 0.0) - max(lj, 0.0)) / (li - lj)
+        assert np.array_equal(ied.xi, expected)
 
 
 class TestDirectionalDerivative:
