@@ -65,6 +65,13 @@ class BrokenAdjoint(AffineQuadraticProblem):
         return np.zeros(self.m)
 
 
+class NanHessian(AffineQuadraticProblem):
+    """A broken problem whose Hessian of the Lagrangian is NaN."""
+
+    def apply_hess_lagrangian(self, x, y, v):
+        return np.full(self.m, np.nan)
+
+
 def broken_scalar_boundary():
     base, z = scalar_boundary()
     return BrokenAdjoint(c=[1.0], a0=base.a0, a_list=[np.array([[1.0]])]), z
@@ -690,6 +697,17 @@ class TestSgnSolve:
         assert result.status in (CONVERGED, MAX_ITER, STALLED)
         phis = [rec.phi for rec in result.trace] + [result.phi]
         assert all(b <= a for a, b in zip(phis, phis[1:]))
+
+    def test_nonfinite_hessian_fails_the_lm_step_not_the_solve(self):
+        # the dense LM system is not checked for non-finite entries: every
+        # factorization attempt fails, so the LM candidate is skipped and
+        # the normal steps still run
+        base, _ = degenerate_fixture()
+        problem = NanHessian(c=base.c, a0=base.a0, a_list=list(base.a), quad=base.quad)
+        result = sgn_solve(problem, point(np.zeros(5), np.zeros((4, 4))), SolverConfig(max_iter=5))
+        assert result.status == STALLED
+        assert [rec.step_kind for rec in result.trace] == ["normal1", "stall"]
+        assert all(np.isnan(rec.mu) for rec in result.trace)
 
     def test_overflowing_trials_raise_no_warning(self):
         # the residual rejects the overflowed g(x) before forming
