@@ -25,12 +25,13 @@ rotation is never undone.
 
 The LM system min ||J u + r||^2 + mu ||u||^2 is solved in one of two
 regimes, chosen by its order m + T at ``solver.STRUCTURED_MIN_ORDER``
-(256).  Below it the solver factors the Gram J^T J + mu I formed from
-the blocks (``AssembledJacobian.gram``), an (m + T)^3 / 3 Cholesky that
-is the faster choice at that size.  From it on,
-:meth:`AssembledJacobian.solve_regularized` eliminates the tangent pairs
-from the blocks and factors only an m x m matrix and a QR core of at
-most 2m + |S| unknowns, S the pairs with 0 < xi_t^2 <= ``LARGE_XI_SQ``.
+(128).  Below it the solver factors the Gram J^T J + mu I formed from
+the blocks (``AssembledJacobian.gram``), an (m + T)^3 / 3 Cholesky
+whose few library calls make it the faster choice at that size.  From
+it on, :meth:`AssembledJacobian.solve_regularized` eliminates the
+tangent pairs from the blocks and factors only an m x m matrix and a QR
+core of at most 2m + |S| unknowns, S the pairs with 0 < xi_t^2 <=
+``LARGE_XI_SQ``, calling LAPACK directly.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
@@ -48,6 +50,7 @@ from .spectral import (
     sym,
     sym_to_vec,
     tangent_layout,
+    triu_pairs,
     vec_to_sym,
 )
 
@@ -56,6 +59,26 @@ from .spectral import (
 # in AssembledJacobian.solve_regularized; the rest of the nonzero ones
 # stay in its QR core.
 LARGE_XI_SQ = 1e-2
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a ``scipy.linalg.lapack`` routine without its
+    trailing ``info``; a nonzero ``info`` raises ``LinAlgError``.
+
+    The block LM solve calls LAPACK through this: at the orders it
+    serves, numpy's and scipy's wrappers cost more than the
+    factorizations.
+    """
+    *out, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
+    return out
+
+
+def _solve_triangular(tri, b, **kwargs):
+    """LAPACK ``dtrtrs``: tri^-1 b, or tri^-T b with ``trans=1``; b itself
+    when tri is empty, which LAPACK rejects."""
+    return _lapack(scipy.linalg.lapack.dtrtrs, tri, b, **kwargs)[0] if tri.size else b
 
 
 def big_g(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
@@ -103,14 +126,19 @@ def residual(
     return KktResidual(f1=f1, f2=sym(f2), ied=ied)
 
 
-def constraint_stack(problem: NlsdpProblem, x: np.ndarray, ied: IED) -> np.ndarray:
+def constraint_stack(
+    problem: NlsdpProblem, x: np.ndarray, ied: IED, dg: np.ndarray | None = None
+) -> np.ndarray:
     """The constraint derivative at ``x``, rotated into the eigenbasis of ``ied``.
 
     Returns the m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the
-    m unit vectors, from one ``problem.dg_stack(x)`` call: m ``apply_dg``
-    calls unless the problem overrides it.
+    m unit vectors.  It rotates ``dg``, the unrotated
+    ``problem.dg_stack(x)``, when the caller has it, and otherwise makes
+    that call: m ``apply_dg`` calls unless the problem overrides it.
     """
-    at = ied.basis.T @ problem.dg_stack(x) @ ied.basis
+    if dg is None:
+        dg = problem.dg_stack(x)
+    at = ied.basis.T @ dg @ ied.basis
     return 0.5 * (at + at.transpose(0, 2, 1))
 
 
@@ -140,12 +168,16 @@ class TangentFrame:
     at ``z``, and the frame is its one cache: the rotated constraint
     stack and Hess_xx L are built on first use, so the Jacobian and
     every regularity check read the problem once per frame.  ``ied``
-    must decompose G(z).
+    must decompose G(z).  ``dg``, when given, is the unrotated
+    ``problem.dg_stack(z.x)``, which the stack then rotates instead of
+    reading the problem: the solver hands it from frame to frame while
+    x stays the same.
     """
 
     problem: NlsdpProblem
     z: PrimalDualPoint
     ied: IED
+    dg: np.ndarray | None = None
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -160,7 +192,7 @@ class TangentFrame:
     @cached_property
     def stack(self) -> np.ndarray:
         """The rotated constraint stack of :func:`constraint_stack` at ``z``."""
-        return constraint_stack(self.problem, self.z.x, self.ied)
+        return constraint_stack(self.problem, self.z.x, self.ied, self.dg)
 
     @cached_property
     def hess(self) -> np.ndarray:
@@ -233,7 +265,7 @@ class AssembledJacobian:
     ``matrix`` (the dense J, built on first use) are formed from the
     blocks.  The LM system min ||J u + r||^2 + mu ||u||^2 has two
     solvers, and ``solver.lm_direction`` picks one by the order m + T:
-    below ``solver.STRUCTURED_MIN_ORDER`` (256) the Cholesky factor of
+    below ``solver.STRUCTURED_MIN_ORDER`` (128) the Cholesky factor of
     ``gram + mu I``, from there on :meth:`solve_regularized`, which
     reads the blocks alone and never forms ``gram`` or ``matrix``.
     """
@@ -296,56 +328,56 @@ class AssembledJacobian:
           m + 1 rows by a QR, and the core is solved by one QR of its
           augmented least-squares rows.
         """
-        hm, c_mat, tr, xi_t = self.hm, self.c_mat, self.tr, self.xi_t
-        m, rows = hm.shape[0], self.frame.rows
-        r1, r2 = r[:m], r[m:]
-        zero = xi_t == 0.0
-        large = xi_t**2 > LARGE_XI_SQ
-        small = ~zero & ~large
+        hm, c_mat, xi_t = self.hm, self.c_mat, self.xi_t
+        m, rows, n_sym = hm.shape[0], self.frame.rows, c_mat.shape[0]
+        zero, large = xi_t == 0.0, xi_t**2 > LARGE_XI_SQ
+        small = ~(zero | large)
+        rows_l, rows_s, xi_l, r2 = rows[large], rows[small], xi_t[large], r[m:]
         # xi = 0: compress the pairs to k <= m columns
-        u_z, s_z, vt_z = np.linalg.svd(tr[:, zero], full_matrices=False)
-        k, n_small = s_z.size, int(np.count_nonzero(small))
-        # large xi: rotate each pair's row into its sqrt(mu) row
-        rho = np.sqrt(xi_t[large] ** 2 + mu)
-        cos, sin = xi_t[large] / rho, np.sqrt(mu) / rho
-        c_large, r2_large = c_mat[rows[large]], r2[rows[large]]
-        m_mat = tr[:, large] / rho
-        kmat = m_mat @ m_mat.T
-        kmat[np.diag_indices(m)] += 1.0
-        chol = scipy.linalg.cho_factor(kmat, lower=True)
-        # the F1 rows without the large pairs: [x | w | S | constant]
-        top = np.hstack([
-            hm + (m_mat * cos) @ c_large,
-            u_z * s_z,
-            tr[:, small],
-            (r1 - m_mat @ (cos * r2_large))[:, None],
-        ])
-        # rows that see only x: beta-beta and xi = 0 rows, and the
-        # rotated rows of the large pairs; the small pairs' rows go to the core
-        weight = np.ones(c_mat.shape[0])
-        weight[rows[large]] = sin
-        weight[rows[small]] = 0.0
-        x_only = np.linalg.qr(weight[:, None] * np.hstack([-c_mat, r2[:, None]]), mode="r")
-        dim = m + k + n_small
-        core = np.vstack([
-            scipy.linalg.solve_triangular(chol[0], top, lower=True),
-            np.hstack([x_only[:, :m], np.zeros((x_only.shape[0], k + n_small)), x_only[:, m:]]),
-            np.hstack([
-                -c_mat[rows[small]], np.zeros((n_small, k)),
-                np.diag(xi_t[small]), r2[rows[small], None],
-            ]),
-            np.hstack([np.sqrt(mu) * np.eye(dim), np.zeros((dim, 1))]),
-        ])
-        tri = np.linalg.qr(core, mode="r")
-        sol = scipy.linalg.solve_triangular(tri[:dim, :dim], -tri[:dim, dim])
-        v_x = sol[:m]
-        # the large pairs from the F1 rows at the solution
-        d = -(m_mat.T @ scipy.linalg.cho_solve(chol, top[:, :-1] @ sol + top[:, -1]))
+        u_z, s_z, vt_z = np.zeros((m, 0)), np.zeros(0), np.zeros((0, np.count_nonzero(zero)))
+        if m and vt_z.shape[1]:
+            u_z, s_z, vt_z = _lapack(scipy.linalg.lapack.dgesdd, self.tr[:, zero], full_matrices=0)
+        k, n_s = s_z.size, rows_s.size
+        dim = m + k + n_s
+        # large xi: fold each pair's row into its sqrt(mu) row; M^T = c_large / rho
+        rho = np.sqrt(xi_l**2 + mu)
+        cos, c_large = xi_l / rho, c_mat[rows_l]
+        m_t = c_large / rho[:, None]
+        kmat = m_t.T @ m_t
+        kmat.flat[::m + 1] += 1.0
+        chol = scipy.linalg.cho_factor(kmat, lower=True, check_finite=False)[0]
+        # the core over [x | w | S | c], rows [A | c] of A u - c: the F1 rows
+        # without the large pairs, whitened by K's factor, ...
+        core = np.zeros((2 * m + 1 + n_s + dim, dim + 1), order="F")
+        core[:m, :m] = hm + m_t.T @ (c_large * cos[:, None])
+        core[:m, m:m + k] = u_z * s_z
+        core[:m, m + k:dim] = self.tr[:, small]
+        core[:m, dim] = m_t.T @ (cos * r2[rows_l]) - r[:m]
+        core[:m] = top = _solve_triangular(chol, core[:m], lower=1)
+        # ... the R of the rows that see only x (beta-beta, xi = 0 and the
+        # large pairs' rotated rows) and the small pairs' rows, both up to
+        # sign, which leaves A u - c's norm alone, and sqrt(mu) I
+        weight = np.ones(n_sym)
+        weight[rows_l], weight[rows_s] = np.sqrt(mu) / rho, 0.0
+        x_only = np.zeros((max(n_sym, m + 1), m + 1), order="F")
+        np.multiply(c_mat, weight[:, None], out=x_only[:n_sym, :m])
+        np.multiply(r2, weight, out=x_only[:n_sym, m])
+        x_only = _lapack(scipy.linalg.lapack.dgeqrf, x_only, overwrite_a=1)[0]
+        iu, ju, _ = triu_pairs(m)
+        core[m + iu, ju], core[m:2 * m + 1, dim] = x_only[iu, ju], x_only[:m + 1, m]
+        block = core[2 * m + 1:2 * m + 1 + n_s]
+        block[:, :m], block[:, dim] = c_mat[rows_s], r2[rows_s]
+        np.fill_diagonal(block[:, m + k:dim], -xi_t[small])
+        np.fill_diagonal(core[2 * m + 1 + n_s:], np.sqrt(mu))
+        tri = _lapack(scipy.linalg.lapack.dgeqrf, core, overwrite_a=1)[0]
+        sol = _solve_triangular(tri[:dim, :dim], tri[:dim, dim])
+        # the large pairs at the solution: K^-1 (F1 rows) = L^-T (whitened rows)
+        d = _solve_triangular(chol, top[:, :dim] @ sol - top[:, dim], lower=1, trans=1)
         coeffs = np.empty(xi_t.size)
         coeffs[zero] = vt_z.T @ sol[m:m + k]
-        coeffs[large] = (d - cos * (r2_large - c_large @ v_x)) / rho
+        coeffs[large] = (cos * (c_large @ sol[:m] - r2[rows_l]) - m_t @ d) / rho
         coeffs[small] = sol[m + k:]
-        return np.concatenate([v_x, coeffs])
+        return np.concatenate([sol[:m], coeffs])
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -188,8 +188,9 @@ def normal_step(
 
 # System order m + T from which lm_direction solves from the Jacobian's
 # blocks (AssembledJacobian.solve_regularized) instead of factoring the
-# dense Gram: below it the dense Cholesky is the faster of the two.
-STRUCTURED_MIN_ORDER = 256
+# dense Gram: the break-even of the two on systems saved from real solves
+# (one BLAS thread, 2-vCPU host) lies between orders 128 and 134.
+STRUCTURED_MIN_ORDER = 128
 
 
 def lm_direction(
@@ -205,15 +206,16 @@ def lm_direction(
     configured range; ``pulled`` is J^T r, ``jac.apply_adjoint`` of the
     frame's ``coords(res)``.  The system order m + T picks the solver:
 
-    * below ``STRUCTURED_MIN_ORDER`` (256), a Cholesky factorization of
+    * below ``STRUCTURED_MIN_ORDER`` (128), a Cholesky factorization of
       ``jac.gram`` + mu I, the Gram formed from the Jacobian's blocks;
     * from it on, ``jac.solve_regularized``, which eliminates the
       tangent pairs from the blocks and factors only an m x m matrix and
       a QR core of at most 2m + |S| unknowns, so neither ``gram`` nor the
-      dense ``matrix`` is formed.  It costs about m^2 (n_sym + T) plus
-      the core's QR, against (m + T)^3 / 3 for the Cholesky, but it
-      carries more fixed work, so the dense path stays the faster one on
-      small systems.
+      dense ``matrix`` is formed.  It costs O((n_sym + T) m^2 + m^3)
+      flops, against O(m (m + T)^2 + n_sym m^2) for the Gram and
+      (m + T)^3 / 3 for its Cholesky, but its sixty-odd numpy and LAPACK
+      calls take about 0.2 ms, so the dense path stays the faster one
+      below the constant.
 
     An attempt fails when its factorization fails or the normal
     equations' residual exceeds 1e-10 max(1, ||J^T r||); it is retried
@@ -375,10 +377,16 @@ class _PointState:
         return max(frob(self.w1), frob(self.w2), v_norm)
 
 
-def _point_state(problem, z, config, res=None) -> _PointState:
+def _point_state(problem, z, config, res=None, prior=None) -> _PointState:
+    """The state at ``z``.  ``prior`` is the frame of the previous state:
+    a correction attempt and a normal step keep x, and where x is
+    bitwise that of ``prior``, its unrotated constraint stack is reused
+    instead of making the m ``apply_dg`` calls again."""
     if res is None:
         res = residual(problem, z, config.zero_tol)
-    frame = TangentFrame(problem, z, res.ied)
+    same_x = prior is not None and prior.z.x.tobytes() == z.x.tobytes()
+    dg = prior.dg if same_x else problem.dg_stack(z.x)
+    frame = TangentFrame(problem, z, res.ied, dg)
     jac = assemble_dF(frame)
     pulled = jac.apply_adjoint(frame.coords(res))
     w1, w2 = normal_dirs(frame, res)
@@ -506,7 +514,7 @@ def sgn_solve(
         corrected = False
         if delta_lower_modulus(ied) <= config.delta:
             z_hat = correct(z, ied, config.delta)
-            outcome = slmn(_point_state(problem, z_hat, config), config)
+            outcome = slmn(_point_state(problem, z_hat, config, prior=state.jac.frame), config)
             if outcome.res.phi < state.res.phi:
                 corrected = True
             else:
@@ -540,7 +548,7 @@ def sgn_solve(
                 stationarity=s_val, trace=trace,
             )
         z = outcome.z
-        state = _point_state(problem, z, config, outcome.res)
+        state = _point_state(problem, z, config, outcome.res, state.jac.frame)
     return SolveResult(
         status=MAX_ITER, z=z, phi=state.res.phi,
         stationarity=state.stationarity, trace=trace,

@@ -66,7 +66,14 @@ from sgnsdp.regularity import (
     diagnose,
     injectivity_margin,
 )
-from sgnsdp.solver import SolverConfig, _point_state, armijo_search, sgn_solve, slmn
+from sgnsdp.solver import (
+    SolverConfig,
+    _point_state,
+    armijo_search,
+    correct,
+    sgn_solve,
+    slmn,
+)
 from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
 
 REL = 1e-12
@@ -142,6 +149,16 @@ def stratum_points(draw):
     return problem, z, ied
 
 
+def _near_beta_start():
+    """A start near the fixture's solution whose G(z0) has a 5e-5
+    eigenvalue, inside the correction band."""
+    _, z_bar = degenerate_fixture()
+    y = z_bar.y.copy()
+    y[1, 1] += 5e-5
+    y[0, 0] += 0.1
+    return point(z_bar.x + 0.01, y)
+
+
 class TestCallbackBudget:
     def test_assembly_reads_the_problem_through_the_stack_only(self):
         rng = np.random.default_rng(3)
@@ -185,31 +202,47 @@ class TestCallbackBudget:
         "start, kind, calls",
         [
             ("zeros", "normal1",
-             {"eval_g": 3, "apply_dg": 10, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
+             {"eval_g": 3, "apply_dg": 5, "adjoint_dg": 4, "apply_hess_lagrangian": 10}),
             ("near-beta", "corrected-lm",
-             {"eval_g": 4, "apply_dg": 15, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
+             {"eval_g": 4, "apply_dg": 10, "adjoint_dg": 5, "apply_hess_lagrangian": 15}),
         ],
     )
     def test_one_solver_iteration_reads_each_frame_once(self, start, kind, calls):
         # one frame per point state: at the start, at the corrected point
         # when the correction is tried, and at the accepted point; each
-        # reads m apply_dg and m apply_hess_lagrangian, and normal_dirs
-        # reads dg(F1) from the frame's stack, not from the problem.  g is
-        # evaluated once per point: a line-search trial's residual reuses
-        # the g(x) of its retraction
+        # reads m apply_hess_lagrangian, and m apply_dg unless it keeps
+        # the x of the frame before it (the corrected point and a normal
+        # step's point do).  normal_dirs reads dg(F1) from the frame's
+        # stack, not from the problem.  g is evaluated once per point: a
+        # line-search trial's residual reuses the g(x) of its retraction
         problem, z_bar = degenerate_fixture()
-        if start == "zeros":
-            z0 = point(np.zeros(5), np.zeros((4, 4)))
-        else:
-            # a 5e-5 eigenvalue of G(z0) lies in the correction band
-            y = z_bar.y.copy()
-            y[1, 1] += 5e-5
-            y[0, 0] += 0.1
-            z0 = point(z_bar.x + 0.01, y)
+        z0 = point(np.zeros(5), np.zeros((4, 4))) if start == "zeros" else _near_beta_start()
         counting = CountingProblem(problem)
         result = sgn_solve(counting, z0, SolverConfig(max_iter=1))
         assert [rec.step_kind for rec in result.trace] == [kind]
         assert counting.calls == calls
+
+    def test_correction_attempt_reads_no_apply_dg(self):
+        # the corrected point keeps x, so its frame rotates the start
+        # frame's unrotated stack instead of calling apply_dg again, and
+        # gets the stack a fresh read gives, bit for bit
+        problem, _ = degenerate_fixture()
+        counting = CountingProblem(problem)
+        config = SolverConfig()
+        state = _point_state(counting, _near_beta_start(), config)
+        z_hat = correct(state.jac.frame.z, state.res.ied, config.delta)
+        before = counting.calls["apply_dg"]
+        corrected = _point_state(counting, z_hat, config, prior=state.jac.frame)
+        assert counting.calls["apply_dg"] == before
+        fresh = _point_state(problem, z_hat, config)
+        assert np.array_equal(corrected.jac.frame.stack, fresh.jac.frame.stack)
+        # over a whole solve only the start and the LM steps, which move
+        # x, read the stack
+        counting = CountingProblem(problem)
+        kinds = [rec.step_kind for rec in sgn_solve(counting, _near_beta_start()).trace]
+        assert kinds[0] == "corrected-lm"
+        moves = sum(kind in ("lm", "corrected-lm") for kind in kinds)
+        assert counting.calls["apply_dg"] == problem.m * (1 + moves)
 
     def test_armijo_search_evaluates_g_once_per_trial(self):
         # j backtracks make j + 1 trials; each retraction evaluates g once

@@ -19,6 +19,7 @@ from support import (
     random_point,
     random_problem,
     scaled,
+    stratum_matrix,
 )
 
 import sgnsdp.solver
@@ -270,14 +271,17 @@ FAR_SOLVES = [
     *[(degenerate_fixture, start) for start in range(5)],
     *[(lambda seed=seed: synth_nondegenerate(seed=seed, n=5, m=6), seed) for seed in range(3)],
     (lambda: synth_nondegenerate(seed=3000, n=30, m=40), 3000),
+    (lambda: synth_nondegenerate(seed=2000, n=20, m=30), 2000),
+]
+FAR_SOLVE_IDS = [
+    *[f"fixture{i}" for i in range(5)], *[f"synth5x6-{i}" for i in range(3)],
+    "synth30x40", "synth20x30",
 ]
 
 
 class TestStructuredNormalEquations:
     @pytest.mark.parametrize(
-        "build, start", FAR_SOLVES,
-        ids=[*[f"fixture{i}" for i in range(5)], *[f"synth5x6-{i}" for i in range(3)],
-             "synth30x40"],
+        "build, start", FAR_SOLVES, ids=FAR_SOLVE_IDS,
     )
     def test_late_directions_match_a_qr_solve(self, build, start, monkeypatch):
         # the LM direction from the block Gram is within 10x of the error
@@ -325,9 +329,7 @@ class TestStructuredNormalEquations:
 
 class TestStructuredSolve:
     @pytest.mark.parametrize(
-        "build, start", FAR_SOLVES,
-        ids=[*[f"fixture{i}" for i in range(5)], *[f"synth5x6-{i}" for i in range(3)],
-             "synth30x40"],
+        "build, start", FAR_SOLVES, ids=FAR_SOLVE_IDS,
     )
     def test_every_far_solve_frame_matches_a_qr_solve(self, build, start, monkeypatch):
         # solve_regularized, called directly at each frame and mu that
@@ -351,14 +353,41 @@ class TestStructuredSolve:
             err, err_dense, _ = errors
             assert err <= 10.0 * max(err_dense, np.finfo(float).eps), (mu, err, err_dense)
 
-    def test_large_solve_forms_neither_gram_nor_matrix(self, monkeypatch):
+    @pytest.mark.parametrize("build, start", FAR_SOLVES[-2:], ids=FAR_SOLVE_IDS[-2:])
+    def test_large_solve_forms_neither_gram_nor_matrix(self, build, start, monkeypatch):
         def refuse(jac):
             raise AssertionError("a dense (m + T) array was formed")
 
         monkeypatch.setattr(AssembledJacobian, "gram", property(refuse))
         monkeypatch.setattr(AssembledJacobian, "matrix", property(refuse))
-        problem, z_bar = synth_nondegenerate(seed=3000, n=30, m=40)
-        assert sgn_solve(problem, _far_start(problem, z_bar, 3000)).status == CONVERGED
+        problem, z_bar = build()
+        assert sgn_solve(problem, _far_start(problem, z_bar, start)).status == CONVERGED
+
+    @pytest.mark.parametrize("offset, dense", [(-1, True), (0, False)], ids=["below", "at"])
+    def test_the_constant_is_the_first_structured_order(self, offset, dense, monkeypatch):
+        # n = 15 with no zero eigenvalue has T = 120 tangent pairs, so m
+        # sets the order m + T to one below the constant or to it
+        order = sgnsdp.solver.STRUCTURED_MIN_ORDER + offset
+        n = 15
+        rng = np.random.default_rng(order)
+        problem = random_problem(rng, n, order - n * (n + 1) // 2)
+        x = rng.standard_normal(problem.m)
+        z = point(x, stratum_matrix(rng, n, 8, 7) - problem.eval_g(x))
+        res = residual(problem, z)
+        frame = TangentFrame(problem, z, res.ied)
+        assert frame.dim == order
+        formed = []
+        gram = AssembledJacobian.gram.func
+        monkeypatch.setattr(
+            AssembledJacobian, "gram", property(lambda jac: formed.append(jac) or gram(jac))
+        )
+        jac, r = assemble_dF(frame), frame.coords(res)
+        v, mu = lm_direction(jac, res, SolverConfig(), jac.apply_adjoint(r))
+        assert len(formed) == (1 if dense else 0)
+        # either way the direction is the one both solvers give
+        by_gram = np.linalg.solve(gram(jac) + mu * np.eye(order), -jac.apply_adjoint(r))
+        for u in (by_gram, jac.solve_regularized(r, mu)):
+            assert np.allclose(v.as_vec(), u, rtol=1e-8, atol=1e-10)
 
     def test_order_picks_the_solver(self, monkeypatch):
         # with the crossover lowered to 1 the fixture's directions come from
