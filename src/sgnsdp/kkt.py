@@ -45,6 +45,7 @@ from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
+    _lapack,
     make_ied,
     project_psd,
     sym,
@@ -59,20 +60,6 @@ from .spectral import (
 # in AssembledJacobian.solve_regularized; the rest of the nonzero ones
 # stay in its QR core.
 LARGE_XI_SQ = 1e-2
-
-
-def _lapack(routine, *args, **kwargs):
-    """The outputs of a ``scipy.linalg.lapack`` routine without its
-    trailing ``info``; a nonzero ``info`` raises ``LinAlgError``.
-
-    The block LM solve calls LAPACK through this: at the orders it
-    serves, numpy's and scipy's wrappers cost more than the
-    factorizations.
-    """
-    *out, info = routine(*args, **kwargs)
-    if info:
-        raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
-    return out
 
 
 def _solve_triangular(tri, b, **kwargs):
@@ -391,9 +378,14 @@ class AssembledJacobian:
         return matrix
 
     def sigma_min(self) -> float:
-        if self.matrix.shape[1] == 0:
+        """The smallest singular value of ``matrix``, by LAPACK ``dgesdd``
+        with the workspace it asks for, the call of ``np.linalg.svd``."""
+        rows, cols = self.matrix.shape
+        if cols == 0:
             return np.inf
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
+        lwork = _lapack(scipy.linalg.lapack.dgesdd_lwork, rows, cols, compute_uv=0)[0]
+        svals = _lapack(scipy.linalg.lapack.dgesdd, self.matrix, compute_uv=0, lwork=int(lwork))[1]
+        return float(svals[-1])
 
 
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:

@@ -49,6 +49,7 @@ import scipy.linalg.lapack
 from .kkt import TangentFrame, assemble_dF, big_g
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
+    _lapack,
     frob,
     make_ied,
     nsd_part,
@@ -95,12 +96,33 @@ def _constraint_rows(frame: TangentFrame, include_bb: bool):
 
 
 def _right_singular(mat, full_matrices=True):
-    """Right singular vectors (rows) of ``mat`` and its numerical rank."""
+    """Right singular vectors (rows) of ``mat`` and its numerical rank.
+
+    One LAPACK ``dgesdd`` call with the workspace it asks for, the call
+    of ``np.linalg.svd``, so the result is the same to the bit; the
+    vectors come back in numpy's row-major layout, so that the products
+    formed from them see the same operands too.
+    """
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
         return np.eye(cols), 0
-    _, s, vt = np.linalg.svd(mat, full_matrices=full_matrices)
-    return vt, int(np.sum(s > RANK_TOL * s[0]))
+    full = int(full_matrices)
+    lwork = _lapack(scipy.linalg.lapack.dgesdd_lwork, rows, cols, full_matrices=full)[0]
+    s, vt = _lapack(
+        scipy.linalg.lapack.dgesdd, mat, full_matrices=full, lwork=int(lwork)
+    )[1:]
+    return np.ascontiguousarray(vt), int(np.count_nonzero(s > RANK_TOL * s[0]))
+
+
+def _eigvalsh(mat):
+    """Eigenvalues of the symmetric ``mat``, ascending: one LAPACK
+    ``dsyevd`` call on the lower triangle with the workspace it asks
+    for, the call of ``np.linalg.eigvalsh``, so the same to the bit."""
+    lwork, liwork = _lapack(scipy.linalg.lapack.dsyevd_lwork, mat.shape[0], compute_v=0, lower=1)
+    return _lapack(
+        scipy.linalg.lapack.dsyevd, mat, compute_v=0, lower=1,
+        lwork=int(lwork), liwork=int(liwork),
+    )[0]
 
 
 def _null_space(mat):
@@ -153,7 +175,7 @@ def check_wsoc(frame: TangentFrame) -> ConditionResult:
     basis = appl_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(frame, basis))
+    eigs = _eigvalsh(quad_form_matrix(frame, basis))
     margin = _definite_margin(eigs)
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
@@ -163,7 +185,7 @@ def check_ssosc(frame: TangentFrame) -> ConditionResult:
     basis = app_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = np.linalg.eigvalsh(quad_form_matrix(frame, basis))
+    eigs = _eigvalsh(quad_form_matrix(frame, basis))
     margin = float(np.min(eigs))
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
@@ -212,15 +234,12 @@ def _span_check(frame: TangentFrame, include_bb):
     if n_free <= m:
         core[:r, :m] = c_t[:, ~comp].T
     elif m:
-        qr = scipy.linalg.lapack.dgeqrf(c_t[:, ~comp].T)[0]
+        qr = _lapack(scipy.linalg.lapack.dgeqrf, c_t[:, ~comp].T)[0]
         tri_i, tri_j, _ = triu_pairs(m)
         core[tri_i, tri_j] = qr[tri_i, tri_j]
     margin = 1.0
     if core.size:
-        svals, info = scipy.linalg.lapack.dgesdd(core, compute_uv=0, overwrite_a=1)[1::2]
-        if info:
-            raise np.linalg.LinAlgError("SVD did not converge")
-        margin = float(svals[-1])
+        margin = float(_lapack(scipy.linalg.lapack.dgesdd, core, compute_uv=0, overwrite_a=1)[1][-1])
     if n_free > m:
         margin = min(1.0, margin)
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)

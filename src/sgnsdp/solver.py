@@ -117,13 +117,17 @@ STALLED = "stalled"
 # ---------------------------------------------------------------------------
 
 def delta_lower_modulus(ied: IED) -> float:
-    """Smallest magnitude among the nonzero eigenvalues; inf if all are zero."""
-    nonzero = np.concatenate(
-        [ied.eigenvalues[: ied.p], ied.eigenvalues[ied.n - ied.q :]]
-    )
-    if nonzero.size == 0:
-        return np.inf
-    return float(np.min(np.abs(nonzero)))
+    """Smallest magnitude among the nonzero eigenvalues; inf if all are zero.
+
+    Read from the ends of alpha and gamma, lambda_p and -lambda_{n-q+1},
+    as the eigenvalues are sorted nonincreasing.
+    """
+    lowest = np.inf
+    if ied.p:
+        lowest = float(ied.eigenvalues[ied.p - 1])
+    if ied.q:
+        lowest = min(lowest, -float(ied.eigenvalues[ied.n - ied.q]))
+    return lowest
 
 
 def normal_dirs(frame: TangentFrame, res: KktResidual):
@@ -134,8 +138,9 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     vanish exactly at KKT pairs.  The beta-beta block of P^T dg(F1) P is
     sum_i F1_i at[i][beta, beta], read from the frame's rotated stack.
     W1 is the NSD part of that block's negative, W2 the PSD part of the
-    negative minus the block of P^T F2 P; one stacked eigendecomposition
-    serves both.
+    negative minus the block of P^T F2 P; each block takes its own
+    eigendecomposition, two single ``dsyevd`` calls being cheaper than
+    one stacked ``np.linalg.eigh`` at these orders.
     """
     ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
@@ -149,12 +154,11 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     m, k = res.f1.size, r - p
     flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
     block1 = -flat.reshape(k, k)
-    basis, lam = eig_sym(sym(np.stack([block1, block1 - pb.T @ res.f2 @ pb])))
-    clipped = np.stack([np.minimum(lam[0], 0.0), np.maximum(lam[1], 0.0)])
-    parts = sym(basis @ (clipped[..., None] * np.swapaxes(basis, -1, -2)))
-    w1 = sym(pb @ parts[0] @ pb.T)
-    w2 = sym(pb @ parts[1] @ pb.T)
-    return w1, w2
+    basis1, lam1 = eig_sym(sym(block1))
+    basis2, lam2 = eig_sym(sym(block1 - pb.T @ res.f2 @ pb))
+    part1 = sym(basis1 @ (np.minimum(lam1, 0.0)[:, None] * basis1.T))
+    part2 = sym(basis2 @ (np.maximum(lam2, 0.0)[:, None] * basis2.T))
+    return sym(pb @ part1 @ pb.T), sym(pb @ part2 @ pb.T)
 
 
 def normal_step(
@@ -197,14 +201,16 @@ def lm_direction(
     jac: AssembledJacobian,
     res: KktResidual,
     config: SolverConfig,
+    r: np.ndarray,
     pulled: np.ndarray,
 ):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
     Solves min ||J u + r||^2 + mu ||u||^2, that is
     (mu I + J^T J) u = -J^T r, with mu = ||F(z)||^2 clamped to the
-    configured range; ``pulled`` is J^T r, ``jac.apply_adjoint`` of the
-    frame's ``coords(res)``.  The system order m + T picks the solver:
+    configured range; ``r`` is the frame's ``coords(res)`` and
+    ``pulled`` is J^T r, ``jac.apply_adjoint(r)``.  The system order
+    m + T picks the solver:
 
     * below ``STRUCTURED_MIN_ORDER`` (128), a Cholesky factorization of
       ``jac.gram`` + mu I, the Gram formed from the Jacobian's blocks;
@@ -229,7 +235,7 @@ def lm_direction(
     if dim == 0:
         return TangentVector(frame=frame, v_x=np.zeros(0), coeffs=np.zeros(0)), mu
     if dim >= STRUCTURED_MIN_ORDER:
-        solve = functools.partial(_structured_solve, jac, frame.coords(res), rhs)
+        solve = functools.partial(_structured_solve, jac, r, rhs)
     else:
         solve = functools.partial(_dense_solve, jac, rhs)
     for _ in range(6):
@@ -253,7 +259,7 @@ def _dense_solve(jac: AssembledJacobian, rhs: np.ndarray, mu: float):
     treats either as a failed attempt.
     """
     system = jac.gram.copy()
-    system[np.diag_indices(rhs.size)] += mu
+    system.flat[::rhs.size + 1] += mu
     factor, lower = scipy.linalg.cho_factor(system, check_finite=False)
     u, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=lower)
     if info != 0:
@@ -388,10 +394,11 @@ def _point_state(problem, z, config, res=None, prior=None) -> _PointState:
     dg = prior.dg if same_x else problem.dg_stack(z.x)
     frame = TangentFrame(problem, z, res.ied, dg)
     jac = assemble_dF(frame)
-    pulled = jac.apply_adjoint(frame.coords(res))
+    r = frame.coords(res)
+    pulled = jac.apply_adjoint(r)
     w1, w2 = normal_dirs(frame, res)
     try:
-        v_lm, mu = lm_direction(jac, res, config, pulled)
+        v_lm, mu = lm_direction(jac, res, config, r, pulled)
         lm_error = None
     except LinearSolveFailure as exc:
         v_lm, mu, lm_error = None, np.nan, str(exc)

@@ -22,6 +22,13 @@ Two flat layouts are used for symmetric matrices and must not be mixed:
 * ``sym_to_vec``/``vec_to_sym`` - orthonormal coordinates for linear
   algebra: upper triangle row-major with off-diagonal entries scaled by
   sqrt(2), so Euclidean inner products equal Frobenius inner products.
+
+A single matrix is eigendecomposed by one LAPACK ``dsyevd`` call on its
+lower triangle, the routine and triangle of ``np.linalg.eigh``, whose
+Python wrapper costs as much as the decomposition at the orders the
+solver sees; stacks go through ``np.linalg.eigh``, which loops over them
+faster than Python can.  Every raw LAPACK call of the package goes
+through :func:`_lapack`.
 """
 
 import math
@@ -29,10 +36,24 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+import scipy.linalg.lapack
 
 from .errors import InertiaViolation, NumericalError
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _lapack(routine, *args, **kwargs):
+    """The outputs of a ``scipy.linalg.lapack`` routine without its
+    trailing ``info``; a nonzero ``info`` raises ``LinAlgError``.
+
+    The package calls LAPACK through this where numpy's and scipy's
+    wrappers cost more than the factorizations at the orders it sees.
+    """
+    *out, info = routine(*args, **kwargs)
+    if info:
+        raise np.linalg.LinAlgError(f"{routine.__name__} returned info = {info}")
+    return out
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -127,6 +148,14 @@ def eig_sym(a: np.ndarray):
     output of :func:`sym` or a sum of such matrices), and the
     eigensolver reads its lower triangle only.
 
+    A single matrix takes one LAPACK ``dsyevd`` call with the lower
+    triangle, the routine and triangle of ``np.linalg.eigh``, so the
+    result is the same to the bit without numpy's wrapper, which costs
+    as much as ``dsyevd`` itself at order 5.  A stack goes through
+    ``np.linalg.eigh``, whose loop over the matrices is faster than one
+    ``dsyevd`` call per matrix.  A failed decomposition raises
+    :class:`NumericalError`.
+
     Returns
     -------
     basis : (..., n, n) orthogonal matrices, columns ordered by eigenvalue
@@ -140,7 +169,10 @@ def eig_sym(a: np.ndarray):
             order=a.shape[-1],
         )
     try:
-        lam, basis = np.linalg.eigh(a)
+        if a.ndim == 2:
+            lam, basis = _lapack(scipy.linalg.lapack.dsyevd, a, compute_v=1, lower=1)
+        else:
+            lam, basis = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"symmetric eigendecomposition failed: {exc}",
@@ -151,9 +183,13 @@ def eig_sym(a: np.ndarray):
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
-    """Scale-invariant threshold separating zero from nonzero eigenvalues."""
-    spectral = float(np.max(np.abs(eigenvalues))) if eigenvalues.size else 0.0
-    return 1e-10 * max(1.0, spectral)
+    """Scale-invariant threshold separating zero from nonzero eigenvalues.
+
+    ``eigenvalues`` must be sorted, in either direction: the largest
+    magnitude is read from the two ends.
+    """
+    spectral = max(abs(eigenvalues[0]), abs(eigenvalues[-1])) if eigenvalues.size else 0.0
+    return 1e-10 * max(1.0, float(spectral))
 
 
 @dataclass(frozen=True)
@@ -221,8 +257,8 @@ def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:
         zero_tol = default_zero_tol(lam)
     if not 0 <= zero_tol < np.inf:
         raise ValueError("zero_tol must be nonnegative and finite")
-    p = int(np.sum(lam > zero_tol))
-    q = int(np.sum(lam < -zero_tol))
+    p = int(np.count_nonzero(lam > zero_tol))
+    q = int(np.count_nonzero(lam < -zero_tol))
     return IED(
         matrix=a,
         basis=basis,

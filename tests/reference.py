@@ -309,6 +309,27 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     return (HEURISTIC_HOLDS if worst < 1.0 - alignment_tol else HEURISTIC_FAILS), worst
 
 
+def normal_dirs_stacked(frame, res):
+    """(W1, W2) with both beta-beta blocks in one stacked ``np.linalg.eigh``.
+
+    The earlier form of ``solver.normal_dirs``, which now decomposes the
+    two blocks one by one; the two must agree bit for bit.
+    """
+    ied = frame.ied
+    n, p, r = ied.n, ied.p, ied.n - ied.q
+    if r == p:
+        return np.zeros((n, n)), np.zeros((n, n))
+    pb = ied.basis[:, p:r]
+    m, k = res.f1.size, r - p
+    flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
+    block1 = -flat.reshape(k, k)
+    lam, basis = np.linalg.eigh(sym(np.stack([block1, block1 - pb.T @ res.f2 @ pb])))
+    basis, lam = basis[..., ::-1].copy(), lam[..., ::-1].copy()
+    clipped = np.stack([np.minimum(lam[0], 0.0), np.maximum(lam[1], 0.0)])
+    parts = sym(basis @ (clipped[..., None] * np.swapaxes(basis, -1, -2)))
+    return sym(pb @ parts[0] @ pb.T), sym(pb @ parts[1] @ pb.T)
+
+
 def lm_solve_errors(jac, r, mu):
     """Errors of the structured and the dense Cholesky LM solve against QR.
 

@@ -384,8 +384,9 @@ def test_criterion_11_ied_choice_invariance():
             w1b, w2b = normal_dirs(frame_b, res)
             assert frob(w1a - w1b) <= tol and frob(w2a - w2b) <= tol
             jac_a, jac_b = assemble_dF(frame_a), assemble_dF(frame_b)
-            va, _ = lm_direction(jac_a, res, config, jac_a.apply_adjoint(frame_a.coords(res)))
-            vb, _ = lm_direction(jac_b, res, config, jac_b.apply_adjoint(frame_b.coords(res)))
+            r_a, r_b = frame_a.coords(res), frame_b.coords(res)
+            va, _ = lm_direction(jac_a, res, config, r_a, jac_a.apply_adjoint(r_a))
+            vb, _ = lm_direction(jac_b, res, config, r_b, jac_b.apply_adjoint(r_b))
             assert abs(va.norm - vb.norm) <= tol
             za = retract_point(va)
             zb = retract_point(vb)

@@ -16,7 +16,7 @@ from support import (
 
 import sgnsdp.regularity
 from sgnsdp.errors import ConstructionFailure
-from sgnsdp.kkt import TangentFrame, big_g, residual
+from sgnsdp.kkt import TangentFrame, assemble_dF, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
@@ -312,6 +312,34 @@ class TestInjectivity:
             checked += 1
             assert (wsoc.holds and wsrcq.holds) == (sigma > margin_tol)
         assert checked >= 12
+
+
+class TestLapackCalls:
+    """The diagnose factorizations call LAPACK with the workspace it asks
+    for, which gives numpy's results to the bit."""
+
+    def test_right_singular_equals_numpy_svd(self):
+        rng = np.random.default_rng(0)
+        for cols in range(1, 50, 4):
+            for rows in (1, cols, cols + 3, 2 * cols + 5):
+                mat = rng.standard_normal((rows, cols))
+                for full in (True, False):
+                    vt, rank = sgnsdp.regularity._right_singular(mat, full)
+                    _, svals, vt_np = np.linalg.svd(mat, full_matrices=full)
+                    assert np.array_equal(vt, vt_np)
+                    assert rank == np.sum(svals > RANK_TOL * svals[0])
+
+    def test_eigenvalues_equal_numpy_eigvalsh(self):
+        rng = np.random.default_rng(1)
+        for n in range(1, 50, 2):
+            mat = sym(rng.standard_normal((n, n)))
+            assert np.array_equal(sgnsdp.regularity._eigvalsh(mat), np.linalg.eigvalsh(mat))
+
+    def test_sigma_min_equals_numpy_svd(self):
+        for seed, (n, m) in enumerate([(4, 5), (5, 6), (20, 30)]):
+            problem, z = synth_nondegenerate(seed=300 + seed, n=n, m=m)
+            jac = assemble_dF(frame_at(problem, z))
+            assert jac.sigma_min() == np.linalg.svd(jac.matrix, compute_uv=False)[-1]
 
 
 class TestStructuralImplications:

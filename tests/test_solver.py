@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import dir_derivative_phi, lm_solve_errors
+from reference import dir_derivative_phi, lm_solve_errors, normal_dirs_stacked
 from support import (
     Oscillatory,
     OverflowingConstraint,
@@ -48,7 +48,7 @@ from sgnsdp.solver import (
     slmn,
     stationarity_measure,
 )
-from sgnsdp.spectral import frob, make_ied, nsd_part, sym
+from sgnsdp.spectral import default_zero_tol, frob, make_ied, nsd_part, sym
 
 
 def scalar_boundary():
@@ -120,6 +120,36 @@ class TestDeltaModulus:
         ied = make_ied(big_g(problem, z_bar))
         assert delta_lower_modulus(ied) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.0, -0.3, -2.0],          # p = 0
+            [3.0, 0.5, 0.0, 0.0],       # q = 0
+            [0.0, 0.0, 0.0],            # every eigenvalue in beta
+            [1e-13, -1e-13, 0.0],       # every eigenvalue in beta, not exact zeros
+            [-0.2, -7.0],               # p = 0 and no beta
+            [5.0, 0.1],                 # q = 0 and no beta
+            [4.0, 0.0, -0.25, -9.0],
+            [0.25, -4.0],
+        ],
+    )
+    def test_ends_equal_the_whole_spectrum_formulas(self, spectrum):
+        # both read only the ends of the sorted spectrum; they equal the
+        # formulas over every eigenvalue to the bit
+        rng = np.random.default_rng(len(spectrum))
+        q, _ = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))
+        ied = make_ied(sym(q @ np.diag(spectrum) @ q.T))
+        lam = ied.eigenvalues
+        nonzero = np.concatenate([lam[: ied.p], lam[ied.n - ied.q :]])
+        modulus = float(np.min(np.abs(nonzero))) if nonzero.size else np.inf
+        assert delta_lower_modulus(ied) == modulus
+        assert default_zero_tol(lam) == 1e-10 * max(1.0, float(np.max(np.abs(lam))))
+        assert default_zero_tol(lam[::-1].copy()) == default_zero_tol(lam)
+        assert ied.p + ied.q + ied.n_beta == len(spectrum)
+
+    def test_zero_tol_of_an_empty_spectrum(self):
+        assert default_zero_tol(np.zeros(0)) == 1e-10
+
 
 class TestNormalDirections:
     def test_zero_at_solution(self):
@@ -157,8 +187,8 @@ class TestNormalDirections:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31))
     def test_stacked_parts_equal_separate_parts_bit_for_bit(self, n_beta, n_rest, m, seed):
-        # one stacked eigendecomposition serves W1 and W2; each equals
-        # the NSD or PSD part of its block taken on its own
+        # W1 and W2 each equal the NSD or PSD part of its block taken on
+        # its own
         rng = np.random.default_rng(seed)
         problem, z = corrected_random_point(rng, n_beta + n_rest, m, n_zero=n_beta)
         res = residual(problem, z)
@@ -172,6 +202,18 @@ class TestNormalDirections:
         w1, w2 = normal_dirs(frame, res)
         assert np.array_equal(w1, sym(pb @ nsd_part(block1) @ pb.T))
         assert np.array_equal(w2, sym(pb @ psd_part(block2) @ pb.T))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 4), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31))
+    def test_equal_the_stacked_decomposition_bit_for_bit(self, n_beta, n_rest, m, seed):
+        # two single decompositions give what one stacked np.linalg.eigh gave
+        rng = np.random.default_rng(seed)
+        problem, z = corrected_random_point(rng, n_beta + n_rest, m, n_zero=n_beta)
+        res = residual(problem, z)
+        frame = TangentFrame(problem, z, res.ied)
+        w1, w2 = normal_dirs(frame, res)
+        ref1, ref2 = normal_dirs_stacked(frame, res)
+        assert np.array_equal(w1, ref1) and np.array_equal(w2, ref2)
 
 
 class TestNormalStep:
@@ -235,8 +277,8 @@ class TestLmDirection:
         z = point([0.0], [[1.0]])
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
-        jac = assemble_dF(frame)
-        v, mu = lm_direction(jac, res, SolverConfig(), jac.apply_adjoint(frame.coords(res)))
+        jac, r = assemble_dF(frame), frame.coords(res)
+        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
         assert mu == 2.0
         assert np.allclose(v.as_vec(), [2.0 / 11.0, -5.0 / 11.0], atol=1e-14)
 
@@ -244,8 +286,8 @@ class TestLmDirection:
         problem, z = scalar_boundary()
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
-        jac = assemble_dF(frame)
-        v, mu = lm_direction(jac, res, SolverConfig(), jac.apply_adjoint(frame.coords(res)))
+        jac, r = assemble_dF(frame), frame.coords(res)
+        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
         assert mu == 1.0
         assert np.allclose(v.as_vec(), [1.0 / 3.0], atol=1e-14)
 
@@ -253,8 +295,8 @@ class TestLmDirection:
         problem, z_bar = degenerate_fixture()
         res = residual(problem, z_bar)
         frame = TangentFrame(problem, z_bar, res.ied)
-        jac = assemble_dF(frame)
-        v, _ = lm_direction(jac, res, SolverConfig(), jac.apply_adjoint(frame.coords(res)))
+        jac, r = assemble_dF(frame), frame.coords(res)
+        v, _ = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
         assert v.norm == 0.0
 
 
@@ -380,7 +422,7 @@ class TestStructuredSolve:
             AssembledJacobian, "gram", property(lambda jac: formed.append(jac) or gram(jac))
         )
         jac, r = assemble_dF(frame), frame.coords(res)
-        v, mu = lm_direction(jac, res, SolverConfig(), jac.apply_adjoint(r))
+        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
         assert len(formed) == (1 if dense else 0)
         # either way the direction is the one both solvers give
         by_gram = np.linalg.solve(gram(jac) + mu * np.eye(order), -jac.apply_adjoint(r))
@@ -395,8 +437,9 @@ class TestStructuredSolve:
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
-        pulled = jac.apply_adjoint(frame.coords(res))
-        dense, mu = lm_direction(jac, res, SolverConfig(), pulled)
+        r = frame.coords(res)
+        pulled = jac.apply_adjoint(r)
+        dense, mu = lm_direction(jac, res, SolverConfig(), r, pulled)
 
         def refuse(jac):
             raise AssertionError("the Gram was formed")
@@ -404,7 +447,7 @@ class TestStructuredSolve:
         monkeypatch.setattr(sgnsdp.solver, "STRUCTURED_MIN_ORDER", 1)
         monkeypatch.setattr(AssembledJacobian, "gram", property(refuse))
         fresh = assemble_dF(TangentFrame(problem, z, res.ied))
-        structured, mu_structured = lm_direction(fresh, res, SolverConfig(), pulled)
+        structured, mu_structured = lm_direction(fresh, res, SolverConfig(), r, pulled)
         assert mu_structured == mu
         assert np.allclose(structured.as_vec(), dense.as_vec(), rtol=1e-10, atol=1e-12)
 
@@ -455,8 +498,9 @@ class TestArmijo:
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
         jac = assemble_dF(frame)
-        pulled = jac.apply_adjoint(frame.coords(res))
-        v, _ = lm_direction(jac, res, SolverConfig(), pulled)
+        r = frame.coords(res)
+        pulled = jac.apply_adjoint(r)
+        v, _ = lm_direction(jac, res, SolverConfig(), r, pulled)
         dphi = float(pulled @ v.as_vec())
         _, _, j = armijo_search(res, v, dphi, SolverConfig())
         assert j == 0
@@ -480,8 +524,9 @@ class TestArmijo:
             res = residual(problem, z)
             frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
-            pulled = jac.apply_adjoint(frame.coords(res))
-            v, _ = lm_direction(jac, res, config, pulled)
+            r = frame.coords(res)
+            pulled = jac.apply_adjoint(r)
+            v, _ = lm_direction(jac, res, config, r, pulled)
             dphi = float(pulled @ v.as_vec())
             if not dphi < 0:
                 break
@@ -503,8 +548,9 @@ class TestArmijo:
             res = residual(problem, z)
             frame = TangentFrame(problem, z, res.ied)
             jac = assemble_dF(frame)
-            pulled = jac.apply_adjoint(frame.coords(res))
-            v, mu = lm_direction(jac, res, config, pulled)
+            r = frame.coords(res)
+            pulled = jac.apply_adjoint(r)
+            v, mu = lm_direction(jac, res, config, r, pulled)
             dphi = float(pulled @ v.as_vec())
             if not dphi < 0:
                 break

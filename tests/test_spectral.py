@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import TangencyViolation, proj_dir_derivative, stratum_differential
@@ -20,6 +21,8 @@ from support import (
 )
 
 from sgnsdp.errors import InertiaViolation, NumericalError
+from sgnsdp.kkt import big_g
+from sgnsdp.model import degenerate_fixture
 from sgnsdp.spectral import (
     eig_sym,
     frob,
@@ -108,6 +111,35 @@ class TestEig:
         with pytest.raises(NumericalError) as err:
             eig_sym(bad)
         assert err.value.order == 2
+
+    def test_single_matrix_equals_numpy_eigh_bit_for_bit(self):
+        # one dsyevd call on the lower triangle, as np.linalg.eigh makes
+        rng = np.random.default_rng(3)
+        problem, z_bar = degenerate_fixture()
+        matrices = [sym(big_g(problem, z_bar))]
+        for n in range(1, 61):
+            q = haar_orthogonal(rng, n)
+            clustered = rng.choice([-2.0, 0.0, 1e-12, 1.0, 3.0], size=n)
+            matrices += [
+                sym(rng.standard_normal((n, n))),
+                sym(q @ (clustered[:, None] * q.T)),
+            ]
+        for a in matrices:
+            lam, basis = np.linalg.eigh(a)
+            got_basis, got_lam = eig_sym(a)
+            assert np.array_equal(got_lam, lam[::-1])
+            assert np.array_equal(got_basis, basis[:, ::-1])
+            assert got_basis.flags.c_contiguous
+
+    def test_failed_decomposition_raises_numerical_error(self, monkeypatch):
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.eye(n), 2
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", failing)
+        with pytest.raises(NumericalError, match="info = 2") as err:
+            eig_sym(np.eye(3))
+        assert err.value.order == 3
 
 
 class TestStacks:
