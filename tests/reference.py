@@ -310,10 +310,9 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
 
 
 def normal_dirs_stacked(frame, res):
-    """(W1, W2) with both beta-beta blocks in one stacked ``np.linalg.eigh``.
-
-    The earlier form of ``solver.normal_dirs``, which now decomposes the
-    two blocks one by one; the two must agree bit for bit.
+    """(W1, W2) of ``solver.normal_dirs`` with both beta-beta blocks in
+    one stacked ``np.linalg.eigh``; ``normal_dirs`` decomposes them one
+    by one and must agree with this bit for bit.
     """
     ied = frame.ied
     n, p, r = ied.n, ied.p, ied.n - ied.q
