@@ -23,15 +23,8 @@ tangent rows and zero on the beta-beta rows, so the Jacobian is four
 blocks sliced from the stack (:class:`AssembledJacobian`) and the
 rotation is never undone.
 
-The LM system min ||J u + r||^2 + mu ||u||^2 is solved in one of two
-regimes, chosen by its order m + T at ``solver.STRUCTURED_MIN_ORDER``
-(128).  Below it the solver factors the Gram J^T J + mu I formed from
-the blocks (``AssembledJacobian.gram``), an (m + T)^3 / 3 Cholesky
-whose few library calls make it the faster choice at that size.  From
-it on, :meth:`AssembledJacobian.solve_regularized` eliminates the
-tangent pairs from the blocks and factors only an m x m matrix and a QR
-core of at most 2m + |S| unknowns, S the pairs with 0 < xi_t^2 <=
-``LARGE_XI_SQ``, calling LAPACK directly.
+``solver.lm_direction`` says how the LM system
+min ||J u + r||^2 + mu ||u||^2 is solved from these blocks.
 """
 
 from dataclasses import dataclass
@@ -250,11 +243,8 @@ class AssembledJacobian:
 
     :meth:`apply`, :meth:`apply_adjoint`, ``gram`` (J^T J, cached) and
     ``matrix`` (the dense J, built on first use) are formed from the
-    blocks.  The LM system min ||J u + r||^2 + mu ||u||^2 has two
-    solvers, and ``solver.lm_direction`` picks one by the order m + T:
-    below ``solver.STRUCTURED_MIN_ORDER`` (128) the Cholesky factor of
-    ``gram + mu I``, from there on :meth:`solve_regularized`, which
-    reads the blocks alone and never forms ``gram`` or ``matrix``.
+    blocks.  ``solver.lm_direction`` says when the LM system is solved
+    from ``gram`` and when by :meth:`solve_regularized`.
     """
 
     frame: TangentFrame

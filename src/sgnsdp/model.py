@@ -313,7 +313,7 @@ def degenerate_fixture():
     return problem, PrimalDualPoint(x=np.zeros(5), y=ybar)
 
 
-def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=None):
+def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50):
     """Random affine-constraint instance with a known solution.
 
     Draws a target constraint matrix with p positive, q negative and at
@@ -322,8 +322,7 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=Non
     the KKT residual vanishes at z* = (x*, y*).  Candidates are accepted
     only when the weak regularity margins at z* clear 1e-6, so local
     quadratic convergence is in force there; rejection runs through
-    ``retries`` seeds before giving up.  ``x_star`` pins the primal
-    solution (default: random).
+    ``retries`` seeds before giving up.
     """
     from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq
@@ -345,11 +344,7 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50, x_star=Non
         g_star = sym(pbar @ (np.maximum(lam, 0.0)[:, None] * pbar.T))
         y_star = sym(pbar @ (np.minimum(lam, 0.0)[:, None] * pbar.T))
         mats = [sym(rng.standard_normal((n, n))) / np.sqrt(n) for _ in range(m)]
-        primal = (
-            np.asarray(x_star, dtype=float).reshape(m)
-            if x_star is not None
-            else rng.standard_normal(m)
-        )
+        primal = rng.standard_normal(m)
         a0 = g_star - np.tensordot(primal, np.stack(mats), axes=1)
         root = rng.standard_normal((m, m)) / np.sqrt(m)
         quad = root @ root.T + 0.5 * np.eye(m)

@@ -4,7 +4,7 @@ Every check takes a :class:`TangentFrame`, the one handle for a
 primal-dual point z with the IED of G(z) = g(x) + y, and works in the
 frame's eigenbasis P: it slices the frame's one constraint stack,
 P^T apply_dg(x, e_i) P of :func:`constraint_stack`, by the blocks of
-:func:`pair_mask`.  Rotation is an isometry, so span margins equal
+the index sets.  Rotation is an isometry, so span margins equal
 those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
 equivalent to injectivity of the on-stratum differential of the KKT
 residual, which is what the cross-validation in the tests exploits;
@@ -53,7 +53,6 @@ from .spectral import (
     frob,
     make_ied,
     nsd_part,
-    pair_mask,
     project_psd,
     sym,
     sym_to_vec,
@@ -88,10 +87,21 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
+def _trailing_pairs(ied, include_bb: bool) -> np.ndarray:
+    """Mask of the bg, gg (and, if ``include_bb``, bb) pairs (i, j), i <= j,
+    in ``np.triu_indices(n)`` order: i in beta u gamma and, unless
+    ``include_bb``, j in gamma."""
+    iu, ju, _ = triu_pairs(ied.n)
+    mask = iu >= ied.p
+    if not include_bb:
+        mask &= ju >= ied.n - ied.q
+    return mask
+
+
 def _constraint_rows(frame: TangentFrame, include_bb: bool):
     """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
     iu, ju, _ = triu_pairs(frame.ied.n)
-    pick = pair_mask(frame.ied, ("bb", "bg", "gg") if include_bb else ("bg", "gg"))
+    pick = _trailing_pairs(frame.ied, include_bb)
     return frame.stack[:, iu[pick], ju[pick]].T
 
 
@@ -216,11 +226,8 @@ def _span_check(frame: TangentFrame, include_bb):
     """
     ied, m = frame.ied, frame.stack.shape[0]
     iu, ju, scale = triu_pairs(ied.n)
-    # K, the pairs (i, j), i <= j, outside F: i in beta u gamma and, for
-    # W-SRCQ, j in gamma (CN adds the beta-beta pairs)
-    comp = iu >= ied.p
-    if include_bb:
-        comp &= ju >= ied.n - ied.q
+    # K, the pairs outside F: bg and gg for W-SRCQ, and bb too for CN
+    comp = _trailing_pairs(ied, not include_bb)
     k = int(np.count_nonzero(comp))
     if k > m:
         return ConditionResult(FAILS, 0.0)

@@ -20,8 +20,8 @@ s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
 D-stationary points of phi.
 """
 
-import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +45,7 @@ from .kkt import (
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
+    _lapack,
     eig_sym,
     frob,
     retract_fixed_inertia,
@@ -216,14 +217,15 @@ def lm_direction(
       ``jac.gram`` + mu I, the Gram formed from the Jacobian's blocks;
     * from it on, ``jac.solve_regularized``, which eliminates the
       tangent pairs from the blocks and factors only an m x m matrix and
-      a QR core of at most 2m + |S| unknowns, so neither ``gram`` nor the
+      a QR core of at most 2m + |S| unknowns, S the pairs with
+      0 < xi_t^2 <= ``kkt.LARGE_XI_SQ``, so neither ``gram`` nor the
       dense ``matrix`` is formed.  It costs O((n_sym + T) m^2 + m^3)
       flops, against O(m (m + T)^2 + n_sym m^2) for the Gram and
       (m + T)^3 / 3 for its Cholesky, but its sixty-odd numpy and LAPACK
       calls take about 0.2 ms, so the dense path stays the faster one
       below the constant.
 
-    An attempt fails when its factorization fails or the normal
+    An attempt fails when a LAPACK call in it fails or the normal
     equations' residual exceeds 1e-10 max(1, ||J^T r||); it is retried
     with mu increased tenfold.  After six failed attempts
     :class:`LinearSolveFailure` is raised.
@@ -234,13 +236,18 @@ def lm_direction(
     dim = frame.dim
     if dim == 0:
         return TangentVector(frame=frame, v_x=np.zeros(0), coeffs=np.zeros(0)), mu
-    if dim >= STRUCTURED_MIN_ORDER:
-        solve = functools.partial(_structured_solve, jac, r, rhs)
-    else:
-        solve = functools.partial(_dense_solve, jac, rhs)
     for _ in range(6):
         try:
-            u, lin_res = solve(mu)
+            if dim >= STRUCTURED_MIN_ORDER:
+                u = jac.solve_regularized(r, mu)
+                lin_res = frob(jac.apply_adjoint(jac.apply(u)) + mu * u - rhs)
+            else:
+                # a non-finite system fails cho_factor or leaves a NaN lin_res
+                system = jac.gram.copy()
+                system.flat[::dim + 1] += mu
+                factor, lower = scipy.linalg.cho_factor(system, check_finite=False)
+                u = _lapack(scipy.linalg.lapack.dpotrs, factor, rhs, lower=lower)[0]
+                lin_res = frob(system @ u - rhs)
         except scipy.linalg.LinAlgError:
             mu = max(10.0 * mu, 1e-12)
             continue
@@ -249,28 +256,6 @@ def lm_direction(
             return TangentVector(frame=frame, v_x=u[:m], coeffs=u[m:]), mu
         mu = max(10.0 * mu, 1e-12)
     raise LinearSolveFailure("regularized Gauss-Newton system is numerically singular")
-
-
-def _dense_solve(jac: AssembledJacobian, rhs: np.ndarray, mu: float):
-    """u from the Cholesky factor of ``jac.gram`` + mu I, with its residual.
-
-    The system is not checked for non-finite entries: a factorization
-    of one fails or leaves a non-finite residual, and ``lm_direction``
-    treats either as a failed attempt.
-    """
-    system = jac.gram.copy()
-    system.flat[::rhs.size + 1] += mu
-    factor, lower = scipy.linalg.cho_factor(system, check_finite=False)
-    u, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=lower)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-    return u, frob(system @ u - rhs)
-
-
-def _structured_solve(jac: AssembledJacobian, r: np.ndarray, rhs: np.ndarray, mu: float):
-    """u from ``jac.solve_regularized``, with its normal equations' residual."""
-    u = jac.solve_regularized(r, mu)
-    return u, frob(jac.apply_adjoint(jac.apply(u)) + mu * u - rhs)
 
 
 @dataclass(frozen=True)
@@ -420,8 +405,7 @@ def stationarity_measure(
 # descent step and outer loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlmnOutcome:
+class SlmnOutcome(NamedTuple):
     z: PrimalDualPoint
     res: KktResidual
     kind: str                   # lm | normal1 | normal2 | stall
@@ -442,10 +426,6 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     among the rest the merit minimizer wins, with ties broken in the
     order lm, normal1, normal2.  If nothing decreases the merit the
     state's point is returned with the stall flag set.
-
-    The three candidates are independent reads of the same immutable
-    snapshot, so they could be evaluated concurrently; they are evaluated
-    in order here and merged by the deterministic tie-break either way.
     """
     frame = state.jac.frame
     problem, z, res = frame.problem, frame.z, state.res
@@ -454,9 +434,8 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
         dphi = float(state.pulled @ state.v_lm.as_vec())
         try:
             z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
-            step = config.rho**j
             candidates.append(
-                ("lm", z_lm, res_lm, j, step * state.v_lm.norm)
+                SlmnOutcome(z_lm, res_lm, "lm", j, config.rho**j * state.v_lm.norm)
             )
         except LineSearchFailure:
             pass
@@ -468,21 +447,12 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
         if cand is None:
             continue
         cand_res = residual(problem, cand, config.zero_tol)
-        candidates.append((kind, cand, cand_res, 0, float(frob(cand.y - z.y))))
-    viable = [c for c in candidates if c[2].phi < res.phi]
+        candidates.append(SlmnOutcome(cand, cand_res, kind, 0, float(frob(cand.y - z.y))))
+    viable = [c for c in candidates if c.res.phi < res.phi]
     if not viable:
-        return SlmnOutcome(
-            z=z, res=res, kind="stall",
-            backtracks=0, step_norm=0.0,
-        )
-    best_phi = min(c[2].phi for c in viable)
-    kind, z_new, res_new, j, step_norm = next(
-        c for c in viable if c[2].phi == best_phi
-    )
-    return SlmnOutcome(
-        z=z_new, res=res_new, kind=kind,
-        backtracks=j, step_norm=step_norm,
-    )
+        return SlmnOutcome(z, res, "stall", 0, 0.0)
+    # min keeps the first of equal merits: the tie-break above
+    return min(viable, key=lambda c: c.res.phi)
 
 
 def sgn_solve(

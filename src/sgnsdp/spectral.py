@@ -6,13 +6,13 @@ index sets alpha (positive), beta (zero within a tolerance) and gamma
 (negative).  Fixing the sizes ``p = |alpha|`` and ``q = |gamma|`` pins a
 smooth stratum of the symmetric matrices on which the PSD projector is
 differentiable; this module provides that projector, the threshold-free
-NSD part, the block selection of :func:`pair_mask` (the tangent pairs of
-a stratum are the pairs not both in beta, cached per stratum index by
-:func:`tangent_layout`) and a fixed-inertia retraction.  The projector's
-on-stratum differential enters the solver only through the xi block of
-``kkt.assemble_dF``, diagonal in the eigenbasis; its matrix form, the
-tangent/normal projections, a tangent basis and the threshold-free PSD
-part are test oracles in ``tests/reference.py`` and ``tests/support.py``.
+NSD part, the tangent pairs of a stratum (the pairs not both in beta,
+cached per stratum index by :func:`tangent_layout`) and a fixed-inertia
+retraction.  The projector's on-stratum differential enters the solver
+only through the xi block of ``kkt.assemble_dF``, diagonal in the
+eigenbasis; its matrix form, the tangent/normal projections, a tangent
+basis, the block-pair masks and the threshold-free PSD part are test
+oracles in ``tests/reference.py`` and ``tests/support.py``.
 
 Two flat layouts are used for symmetric matrices and must not be mixed:
 
@@ -27,8 +27,9 @@ A single matrix is eigendecomposed by one LAPACK ``dsyevd`` call on its
 lower triangle, the routine and triangle of ``np.linalg.eigh``, whose
 Python wrapper costs as much as the decomposition at the orders the
 solver sees; stacks go through ``np.linalg.eigh``, which loops over them
-faster than Python can.  Every raw LAPACK call of the package goes
-through :func:`_lapack`.
+faster than Python can.  Every ``scipy.linalg.lapack`` routine that
+the package calls goes through :func:`_lapack`; only its two Cholesky
+factorizations call a wrapper, ``scipy.linalg.cho_factor``.
 """
 
 import math
@@ -289,27 +290,12 @@ def nsd_part(a: np.ndarray) -> np.ndarray:
 # tangent structure of the stratum
 # ---------------------------------------------------------------------------
 
-def pair_mask(ied: IED, blocks) -> np.ndarray:
-    """Mask of the pairs in ``np.triu_indices(n)`` order joining ``blocks``.
-
-    ``blocks`` names block pairs such as ``("bb", "bg", "gg")`` with
-    a = alpha, b = beta, g = gamma, earlier block first.
-    """
-    block = np.repeat([0, 1, 2], [ied.p, ied.n_beta, ied.q])
-    iu, ju, _ = triu_pairs(ied.n)
-    table = np.zeros(9, dtype=bool)  # indexed by 3 * row block + column block
-    for b in blocks:
-        table[3 * "abg".index(b[0]) + "abg".index(b[1])] = True
-    return table[3 * block[iu] + block[ju]]
-
-
 @lru_cache(maxsize=256)
 def tangent_layout(n: int, p: int, q: int):
     """The tangent pairs of the stratum with index (n, p, q).
 
     Returns ``rows``, the position of each pair (k, l), k <= l, not both
-    in beta, in the ``np.triu_indices(n)`` order (the pairs that
-    ``pair_mask(ied, ("bb",))`` leaves out), and ``pairs``, the (k, l)
+    in beta, in the ``np.triu_indices(n)`` order, and ``pairs``, the (k, l)
     of each row.  With k <= l, a pair is in beta x beta exactly when
     k >= p and l < n - q.  Cached per stratum index, so the arrays are
     read-only.

@@ -1,10 +1,10 @@
 """Shared fixture builders and test utilities for the test suite.
 
 Besides the random builders this holds the stratum utilities that only
-tests call: the threshold-free PSD part, the tangent pairs and tangent
-matrices of an IED, tangent/normal projections, a tangent basis,
-re-drawn eigenbases, the frame at a point (with the IED of G(z) by
-default), the coordinate isomorphism of a tangent frame, a scaled
+tests call: the threshold-free PSD part, the block-pair masks, tangent
+pairs and tangent matrices of an IED, tangent/normal projections, a
+tangent basis, re-drawn eigenbases, the frame at a point (with the IED
+of G(z) by default), the coordinate isomorphism of a tangent frame, a scaled
 tangent vector, the unrotated coordinates of a residual, point helpers,
 the off-stratum curve of the 4x4 fixture and the stratum-restricted
 error-bound probe.
@@ -23,7 +23,6 @@ from sgnsdp.spectral import (
     SQRT2,
     eig_sym,
     make_ied,
-    pair_mask,
     sym,
     sym_to_vec,
     triu_pairs,
@@ -70,6 +69,20 @@ def project_nsd(ied: IED) -> np.ndarray:
     r = ied.n - ied.q
     pg = ied.basis[:, r:]
     return sym(pg @ (ied.eigenvalues[r:, None] * pg.T))
+
+
+def pair_mask(ied: IED, blocks) -> np.ndarray:
+    """Mask of the pairs in ``np.triu_indices(n)`` order joining ``blocks``.
+
+    ``blocks`` names block pairs such as ``("bb", "bg", "gg")`` with
+    a = alpha, b = beta, g = gamma, earlier block first.
+    """
+    block = np.repeat([0, 1, 2], [ied.p, ied.n_beta, ied.q])
+    iu, ju, _ = triu_pairs(ied.n)
+    table = np.zeros(9, dtype=bool)  # indexed by 3 * row block + column block
+    for b in blocks:
+        table[3 * "abg".index(b[0]) + "abg".index(b[1])] = True
+    return table[3 * block[iu] + block[ju]]
 
 
 def tangent_pairs(ied: IED) -> np.ndarray:

@@ -218,14 +218,6 @@ class TestSynth:
             assert check_wsoc(frame_at(problem, z_star)).margin > 1e-6
             assert check_wsrcq(frame_at(problem, z_star)).margin > 1e-6
 
-    def test_pinned_primal(self):
-        problem, z_star = synth_nondegenerate(seed=7, n=4, m=3, x_star=np.zeros(3))
-        assert np.array_equal(z_star.x, np.zeros(3))
-        # gradient stationarity at x* = 0 forces c = -adjoint_dg(0, y*)
-        assert np.allclose(
-            problem.c, -problem.adjoint_dg(z_star.x, z_star.y), atol=1e-14
-        )
-
     def test_retry_exhaustion(self):
         with pytest.raises(ConstructionFailure):
             synth_nondegenerate(seed=0, n=5, m=6, retries=0)

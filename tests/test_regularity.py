@@ -8,6 +8,7 @@ from support import (
     error_bound_probe,
     frame_at,
     haar_orthogonal,
+    pair_mask,
     point_distance,
     random_point,
     random_problem,
@@ -47,7 +48,7 @@ from sgnsdp.regularity import (
     injectivity_margin,
     quad_form_matrix,
 )
-from sgnsdp.spectral import make_ied, pair_mask, sym, sym_to_vec, vec_to_sym
+from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
 
 # pinned after first computation at the degenerate fixture's solution
 SIGMA_MIN_REFERENCE = 0.40753645318366233

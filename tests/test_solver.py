@@ -1,9 +1,11 @@
 import warnings
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from reference import dir_derivative_phi, lm_solve_errors, normal_dirs_stacked
@@ -626,6 +628,42 @@ class TestSlmn:
         slmn(_point_state(problem, z, SolverConfig()), SolverConfig())
         assert len(calls) == 1
 
+    def test_ties_go_to_lm_then_normal1_then_normal2(self, monkeypatch):
+        # the three candidates get merits from stubs; among equal merits
+        # the earlier candidate in the order lm, normal1, normal2 wins
+        problem, z = corrected_random_point(np.random.default_rng(1), 4, 5, n_zero=2)
+        config = SolverConfig()
+        state = _point_state(problem, z, config)
+        assert state.v_lm.norm > 0.0 and frob(state.w1) > 0.0 and frob(state.w2) > 0.0
+        low = 0.5 * state.res.phi
+
+        def run(lm_phi, normal_phis):
+            lm_res = SimpleNamespace(phi=lm_phi)
+            normal_res = [SimpleNamespace(phi=phi) for phi in normal_phis]
+            queue = deque(normal_res)
+
+            def search(res, v, dphi, cfg):
+                if lm_phi is None:
+                    raise LineSearchFailure("stubbed")
+                return z, lm_res, 0
+
+            monkeypatch.setattr(sgnsdp.solver, "armijo_search", search)
+            monkeypatch.setattr(sgnsdp.solver, "residual", lambda *args: queue.popleft())
+            outcome = slmn(state, config)
+            assert not queue
+            return outcome, lm_res, normal_res
+
+        outcome, lm_res, _ = run(low, (low, low))
+        assert outcome.kind == "lm" and outcome.res is lm_res
+        outcome, lm_res, _ = run(low, (2.0 * low, low))
+        assert outcome.kind == "lm" and outcome.res is lm_res
+        outcome, _, normal_res = run(2.0 * low, (low, low))
+        assert outcome.kind == "normal1" and outcome.res is normal_res[0]
+        outcome, _, normal_res = run(None, (low, low))
+        assert outcome.kind == "normal1" and outcome.res is normal_res[0]
+        outcome, _, normal_res = run(2.0 * low, (2.0 * low, low))
+        assert outcome.kind == "normal2" and outcome.res is normal_res[1]
+
 
 class TestCorrect:
     def test_diagonal_band(self):
@@ -780,6 +818,19 @@ class TestSgnSolve:
         result = sgn_solve(problem, point(np.zeros(5), np.zeros((4, 4))), SolverConfig(max_iter=5))
         assert result.status == STALLED
         assert [rec.step_kind for rec in result.trace] == ["normal1", "stall"]
+        assert all(np.isnan(rec.mu) for rec in result.trace)
+
+    def test_failed_dpotrs_fails_the_lm_step_not_the_solve(self, monkeypatch):
+        # a dpotrs that reports an illegal argument is a failed attempt
+        # like a failed factorization, so the LM candidate is skipped
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dpotrs", lambda factor, rhs, **kwargs: (rhs, -1)
+        )
+        problem, _ = degenerate_fixture()
+        z0 = point(np.zeros(5), np.zeros((4, 4)))
+        assert stationarity_measure(problem, z0) == np.inf
+        result = sgn_solve(problem, z0, SolverConfig(max_iter=5))
+        assert result.status in (CONVERGED, MAX_ITER, STALLED)
         assert all(np.isnan(rec.mu) for rec in result.trace)
 
     def test_overflowing_trials_raise_no_warning(self):

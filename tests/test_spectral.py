@@ -10,6 +10,7 @@ from support import (
     haar_orthogonal,
     normal_project_pi2,
     packed_index,
+    pair_mask,
     project_nsd,
     psd_part,
     random_tangent,
@@ -29,7 +30,6 @@ from sgnsdp.spectral import (
     make_ied,
     nsd_part,
     pack_sym,
-    pair_mask,
     packed_length,
     project_psd,
     retract_fixed_inertia,
