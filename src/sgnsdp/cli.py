@@ -7,7 +7,7 @@ produce byte-identical outputs.
 
 Exit codes: 0 converged / success, 1 iteration budget exhausted,
 2 stalled, 3 input error (a usage error, a rejected value or document, a
-missing file), 4 numerical failure.
+file that cannot be read or written), 4 numerical failure.
 """
 
 import argparse
@@ -43,15 +43,14 @@ TRACE_HEADER = "iter,phi,normF1,normF2,s,p,q,step_kind,j,mu,step_norm"
 
 
 def _add_point_flags(parser):
-    """The flags of every subcommand that evaluates a point."""
+    """The flag of every subcommand that evaluates a point: the zero threshold."""
     parser.add_argument("--zero-tol", type=float, default=None,
                         help="eigenvalue zero threshold (default: adaptive)")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 # solve flag (as its argparse dest) -> (SolverConfig field, help); the
 # defaults are SolverConfig()'s.  zero_tol, the ninth field, comes with
-# the point flags, which diagnose shares.
+# the point flag, which diagnose shares.
 _SOLVER_FLAGS = {
     "tol": ("tol", "stationarity stop"),
     "delta": ("delta", "correction band"),
@@ -96,11 +95,6 @@ def _config(**fields) -> SolverConfig:
         raise InputError(str(exc))
 
 
-def _config_doc(config: SolverConfig, seed: int) -> dict:
-    doc = {flag: getattr(config, name) for flag, (name, _) in _SOLVER_FLAGS.items()}
-    return {**doc, "zero_tol": config.zero_tol, "seed": seed}
-
-
 def _emit(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True)
     if path is None:
@@ -127,7 +121,6 @@ def run_solve(args) -> int:
         zero_tol=args.zero_tol,
         **{name: getattr(args, flag) for flag, (name, _) in _SOLVER_FLAGS.items()},
     )
-    seed = _seed(args.seed)
     problem = load_problem(args.problem)
     if args.point is not None:
         z0 = load_point(args.point, problem.m, problem.n)
@@ -147,7 +140,10 @@ def run_solve(args) -> int:
         "iterations": len(result.trace),
         # Infinity when G has no nonzero eigenvalues; round-trips via json
         "delta_final": float(delta_lower_modulus(final_ied)),
-        "config": _config_doc(config, seed),
+        "config": {
+            **{flag: getattr(config, name) for flag, (name, _) in _SOLVER_FLAGS.items()},
+            "zero_tol": config.zero_tol,
+        },
     }
     _emit(doc, args.out)
     if args.trace is not None:
@@ -216,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("point", help="point JSON file")
     diag.add_argument("--out", default=None, help="report JSON path (default stdout)")
     _add_point_flags(diag)
+    diag.add_argument("--seed", type=int, default=0)
     diag.set_defaults(handler=run_diagnose)
 
     demo = sub.add_parser("demo", help="run the built-in fixtures")
@@ -230,7 +227,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         field = f" (field: {exc.field})" if getattr(exc, "field", None) else ""
         print(f"error: {exc}{field}", file=sys.stderr)
         return 3

@@ -13,15 +13,15 @@ All tangent inner products are taken in (v_x, H) coordinates with the
 Frobenius product on the matrix part.  Everything at a point is kept in
 the eigenbasis P of G(z) that its :class:`TangentFrame` carries: the
 frame's one constraint stack is the rotated P^T apply_dg(x, e_i) P of
-:func:`constraint_stack`, the matrix residual is read in the rotated
-coordinates sym_to_vec(P^T F2 P) (:meth:`TangentFrame.coords`), and the
-Jacobian's rows are the m residual components followed by those
-coordinates.  Columns are the m primal unit directions, then the T
-tangent pairs (k, l), which sit at the rows ``frame.rows`` of the
-``sym_to_vec`` layout.  In these rows the xi block is diag(xi_kl) on the
-tangent rows and zero on the beta-beta rows, so the Jacobian is four
-blocks sliced from the stack (:class:`AssembledJacobian`) and the
-rotation is never undone.
+``TangentFrame.stack``, read as columns in ``TangentFrame.c_mat``, the
+matrix residual is read in the rotated coordinates sym_to_vec(P^T F2 P)
+(:meth:`TangentFrame.coords`), and the Jacobian's rows are the m
+residual components followed by those coordinates.  Columns are the m
+primal unit directions, then the T tangent pairs (k, l), which sit at
+the rows ``frame.rows`` of the ``sym_to_vec`` layout.  In these rows the
+xi block is diag(xi_kl) on the tangent rows and zero on the beta-beta
+rows, so the Jacobian is four blocks sliced from the stack
+(:class:`AssembledJacobian`) and the rotation is never undone.
 
 ``solver.lm_direction`` says how the LM system
 min ||J u + r||^2 + mu ||u||^2 is solved from these blocks.
@@ -106,31 +106,6 @@ def residual(
     return KktResidual(f1=f1, f2=sym(f2), ied=ied)
 
 
-def constraint_stack(
-    problem: NlsdpProblem, x: np.ndarray, ied: IED, dg: np.ndarray | None = None
-) -> np.ndarray:
-    """The constraint derivative at ``x``, rotated into the eigenbasis of ``ied``.
-
-    Returns the m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the
-    m unit vectors.  It rotates ``dg``, the unrotated
-    ``problem.dg_stack(x)``, when the caller has it, and otherwise makes
-    that call: m ``apply_dg`` calls unless the problem overrides it.
-    """
-    if dg is None:
-        dg = problem.dg_stack(x)
-    at = ied.basis.T @ dg @ ied.basis
-    return 0.5 * (at + at.transpose(0, 2, 1))
-
-
-def hess_lagrangian_matrix(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
-    """Hess_xx L at ``z`` as an m x m matrix, from m ``apply_hess_lagrangian`` calls."""
-    m = problem.m
-    hess = np.zeros((m, m))
-    for i, e in enumerate(np.eye(m)):
-        hess[:, i] = problem.apply_hess_lagrangian(z.x, z.y, e)
-    return hess
-
-
 # ---------------------------------------------------------------------------
 # tangent coordinates
 # ---------------------------------------------------------------------------
@@ -146,12 +121,12 @@ class TangentFrame:
     pairs (k, l), k <= l, not both in beta.  The frame's eigenbasis P
     (``ied.basis``) is the one coordinate system of the derivative data
     at ``z``, and the frame is its one cache: the rotated constraint
-    stack and Hess_xx L are built on first use, so the Jacobian and
-    every regularity check read the problem once per frame.  ``ied``
-    must decompose G(z).  ``dg``, when given, is the unrotated
+    stack, its vector form and Hess_xx L are built on first use, so the
+    Jacobian and every regularity check read the problem once per frame.
+    ``ied`` must decompose G(z).  ``dg``, when given, is the unrotated
     ``problem.dg_stack(z.x)``, which the stack then rotates instead of
-    reading the problem: the solver hands it from frame to frame while
-    x stays the same.
+    reading the problem: the solver hands it from frame to frame while x
+    stays the same.
     """
 
     problem: NlsdpProblem
@@ -171,13 +146,30 @@ class TangentFrame:
 
     @cached_property
     def stack(self) -> np.ndarray:
-        """The rotated constraint stack of :func:`constraint_stack` at ``z``."""
-        return constraint_stack(self.problem, self.z.x, self.ied, self.dg)
+        """The constraint derivative at ``z``, rotated into the eigenbasis P.
+
+        The m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the m
+        unit vectors.  It rotates ``dg`` when the frame has it, and
+        otherwise calls ``problem.dg_stack(x)``: m ``apply_dg`` calls
+        unless the problem overrides it.
+        """
+        dg = self.problem.dg_stack(self.z.x) if self.dg is None else self.dg
+        at = self.ied.basis.T @ dg @ self.ied.basis
+        return 0.5 * (at + at.transpose(0, 2, 1))
+
+    @cached_property
+    def c_mat(self) -> np.ndarray:
+        """C = sym_to_vec(stack).T, the stack read as n_sym x m columns."""
+        return sym_to_vec(self.stack).T
 
     @cached_property
     def hess(self) -> np.ndarray:
-        """Hess_xx L at ``z`` (:func:`hess_lagrangian_matrix`)."""
-        return hess_lagrangian_matrix(self.problem, self.z)
+        """Hess_xx L at ``z`` as an m x m matrix, from m ``apply_hess_lagrangian`` calls."""
+        m = self.problem.m
+        hess = np.zeros((m, m))
+        for i, e in enumerate(np.eye(m)):
+            hess[:, i] = self.problem.apply_hess_lagrangian(self.z.x, self.z.y, e)
+        return hess
 
     @property
     def dim_tangent(self) -> int:
@@ -232,14 +224,15 @@ class AssembledJacobian:
 
     Columns follow (e_1..e_m, tangent pairs); rows are the m residual
     components followed by the rotated coordinates of the matrix
-    residual (:meth:`TangentFrame.coords`).  With C = sym_to_vec(at).T,
-    the rotated stack ``at`` read as n_sym x m columns, the blocks are
+    residual (:meth:`TangentFrame.coords`).  With C = ``frame.c_mat``,
+    the rotated stack read as n_sym x m columns, the blocks are
 
     * ``hm`` = Hess L - C^T C (m x m), the top-left block;
     * ``c_mat`` = C (n_sym x m), so -C is the bottom-left block;
     * ``tr`` = C[rows].T (m x T), the top-right block;
-    * ``xi_t`` = xi[k, l] (T), the bottom-right block: diag(xi_t) on the
-      tangent rows, zero on the beta-beta rows.
+    * ``xi_t`` (T), the projector's divided differences at the tangent
+      pairs (:func:`assemble_dF`), the bottom-right block: diag(xi_t) on
+      the tangent rows, zero on the beta-beta rows.
 
     :meth:`apply`, :meth:`apply_adjoint`, ``gram`` (J^T J, cached) and
     ``matrix`` (the dense J, built on first use) are formed from the
@@ -383,19 +376,28 @@ def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
 
     A coordinate direction (v_x, H) maps to
     (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  In the frame's
-    rows, with C = sym_to_vec(at).T:
+    rows, with C = ``frame.c_mat``:
 
         [ Hess L - C^T C     C[rows].T ]
         [      -C            diag(xi_t) on the tangent rows ]
 
-    where xi_t = xi[k, l] over the tangent pairs.
+    where xi_t is the projector's divided difference
+    (max(lam_k, 0) - max(lam_l, 0)) / (lam_k - lam_l) at each tangent
+    pair (k, l), k <= l, with beta eigenvalues read as zeros: 1 where l
+    is not in gamma, lam_k / (lam_k - lam_l) on the alpha-gamma pairs
+    and 0 on the beta-gamma and gamma-gamma pairs.
     """
+    ied, c_mat = frame.ied, frame.c_mat
     k, l = frame.pairs.T
-    c_mat = sym_to_vec(frame.stack).T
+    r = ied.n - ied.q  # first gamma index
+    xi_t = (l < r).astype(float)
+    ag = (k < ied.p) & (l >= r)
+    lam_k, lam_l = ied.eigenvalues[k[ag]], ied.eigenvalues[l[ag]]
+    xi_t[ag] = lam_k / (lam_k - lam_l)
     return AssembledJacobian(
         frame=frame,
         hm=frame.hess - c_mat.T @ c_mat,
         c_mat=c_mat,
         tr=c_mat[frame.rows].T,
-        xi_t=frame.ied.xi[k, l],
+        xi_t=xi_t,
     )

@@ -242,14 +242,19 @@ def problem_to_dict(problem: AffineQuadraticProblem) -> dict:
     return doc
 
 
+def _read_json(path, kind: str):
+    """The document in the JSON file at ``path``; a file that is not
+    UTF-8 JSON is an :class:`InputError` naming the ``kind`` of file."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InputError(f"{kind} file is not valid JSON: {exc}", field="")
+
+
 def load_problem(path) -> AffineQuadraticProblem:
     """Read and validate a problem file."""
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"problem file is not valid JSON: {exc}", field="")
-    return problem_from_dict(doc)
+    return problem_from_dict(_read_json(path, "problem"))
 
 
 def save_problem(problem: AffineQuadraticProblem, path) -> None:
@@ -270,12 +275,7 @@ def point_to_dict(z: PrimalDualPoint) -> dict:
 
 
 def load_point(path, m: int, n: int) -> PrimalDualPoint:
-    with open(path) as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"point file is not valid JSON: {exc}", field="")
-    return point_from_dict(doc, m, n)
+    return point_from_dict(_read_json(path, "point"), m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Every check takes a :class:`TangentFrame`, the one handle for a
 primal-dual point z with the IED of G(z) = g(x) + y, and works in the
 frame's eigenbasis P: it slices the frame's one constraint stack,
-P^T apply_dg(x, e_i) P of :func:`constraint_stack`, by the blocks of
-the index sets.  Rotation is an isometry, so span margins equal
-those of the unrotated sets.  The weak pair (W-SOC, W-SRCQ) is
-equivalent to injectivity of the on-stratum differential of the KKT
-residual, which is what the cross-validation in the tests exploits;
-:func:`injectivity_margin` reads that differential from the same stack,
-with its matrix rows in the same eigenbasis.
+P^T apply_dg(x, e_i) P of ``TangentFrame.stack``, or its vector form
+``TangentFrame.c_mat``, by the blocks of the index sets.  Rotation is
+an isometry, so span margins equal those of the unrotated sets.  The
+weak pair (W-SOC, W-SRCQ) is equivalent to injectivity of the
+on-stratum differential of the KKT residual, which is what the
+cross-validation in the tests exploits; :func:`injectivity_margin`
+reads that differential from the same stack, with its matrix rows in the
+same eigenbasis.
 
 SONC and SRCQ are settled from the exact checks where those decide
 (:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
@@ -55,7 +56,6 @@ from .spectral import (
     nsd_part,
     project_psd,
     sym,
-    sym_to_vec,
     triu_pairs,
     vec_to_sym,
 )
@@ -205,7 +205,7 @@ def _span_check(frame: TangentFrame, include_bb):
 
     In eigenbasis coordinates the second set is spanned by the unit
     vectors of the free pairs F, so the margin is sigma_{n_sym} of
-    X = [C | E_F], C = sym_to_vec(stack)^T, and it is read from a core
+    X = [C | E_F], C = ``frame.c_mat``, and it is read from a core
     of order at most 2m (Chan's R-SVD: a QR first, then the SVD of the
     small factor).  With K the complementary rows, k = |K| and C_F, C_K
     the rows of C at F and K:
@@ -225,14 +225,13 @@ def _span_check(frame: TangentFrame, include_bb):
     SVD of X.
     """
     ied, m = frame.ied, frame.stack.shape[0]
-    iu, ju, scale = triu_pairs(ied.n)
     # K, the pairs outside F: bg and gg for W-SRCQ, and bb too for CN
     comp = _trailing_pairs(ied, not include_bb)
     k = int(np.count_nonzero(comp))
     if k > m:
         return ConditionResult(FAILS, 0.0)
     n_free = comp.size - k
-    c_t = frame.stack[:, iu, ju] * scale    # C^T, m x n_sym
+    c_t = frame.c_mat.T    # m x n_sym
     r = min(n_free, m)
     core = np.eye(r + k, m + r, k=m, order="F")   # I_r, zeros elsewhere
     core[r:, :m] = c_t[:, comp].T
@@ -394,7 +393,7 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
         return ConditionResult(NOT_APPLICABLE, np.nan)
     ied = frame.ied
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(sym_to_vec(frame.stack), full_matrices=False)
+    vt, rank = _right_singular(frame.c_mat.T, full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block

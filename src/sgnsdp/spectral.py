@@ -10,9 +10,10 @@ NSD part, the tangent pairs of a stratum (the pairs not both in beta,
 cached per stratum index by :func:`tangent_layout`) and a fixed-inertia
 retraction.  The projector's on-stratum differential enters the solver
 only through the xi block of ``kkt.assemble_dF``, diagonal in the
-eigenbasis; its matrix form, the tangent/normal projections, a tangent
-basis, the block-pair masks and the threshold-free PSD part are test
-oracles in ``tests/reference.py`` and ``tests/support.py``.
+eigenbasis and read at the tangent pairs only; the full xi matrix and
+the differential's matrix form are test oracles in ``tests/reference.py``,
+and the tangent/normal projections, a tangent basis, the block-pair
+masks and the threshold-free PSD part in ``tests/support.py``.
 
 Two flat layouts are used for symmetric matrices and must not be mixed:
 
@@ -34,7 +35,7 @@ factorizations call a wrapper, ``scipy.linalg.cho_factor``.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg.lapack
@@ -219,28 +220,6 @@ class IED:
     @property
     def n_beta(self) -> int:
         return self.n - self.p - self.q
-
-    @cached_property
-    def xi(self) -> np.ndarray:
-        """Coefficient matrix of the projector's directional derivative.
-
-        Entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j)
-        with beta eigenvalues treated as exact zeros, so 1 wherever both
-        indices are nonnegative (equal pairs by the 0/0 := 1 convention)
-        and 0 when both sit in gamma.  Built on first use: only the
-        points that get a Jacobian read it.
-        """
-        n, p, q = self.n, self.p, self.q
-        xi = np.zeros((n, n))
-        r = n - q  # first gamma index
-        xi[:r, :r] = 1.0
-        if p and q:
-            la = self.eigenvalues[:p][:, None]
-            lg = self.eigenvalues[r:][None, :]
-            block = la / (la - lg)
-            xi[:p, r:] = block
-            xi[r:, :p] = block.T
-        return xi
 
 
 def make_ied(a: np.ndarray, zero_tol: float | None = None) -> IED:

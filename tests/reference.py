@@ -1,9 +1,10 @@
 """The paper's analysis oracles and slow reference implementations.
 
 The oracles are the derivatives that the analysis uses and the solver
-does not: the directional derivative of the PSD projector, its
-differential on a stratum as a matrix function, and the one-sided
-directional derivative of the merit phi.
+does not: the coefficient matrix xi of the PSD projector's directional
+derivative, that derivative itself, its differential on a stratum as a
+matrix function, and the one-sided directional derivative of the merit
+phi.
 
 The reference implementations are the straightforward constructions
 the vectorised library code must match: the stratum Jacobian built
@@ -62,11 +63,32 @@ class TangencyViolation(SgnsdpError):
         self.beta_block_norm = beta_block_norm
 
 
+def xi_matrix(ied):
+    """Coefficient matrix of the projector's directional derivative.
+
+    Entry (i, j) is (max(lam_i,0) - max(lam_j,0)) / (lam_i - lam_j)
+    with beta eigenvalues treated as exact zeros, so 1 wherever both
+    indices are nonnegative (equal pairs by the 0/0 := 1 convention)
+    and 0 when both sit in gamma.
+    """
+    n, p, q = ied.n, ied.p, ied.q
+    xi = np.zeros((n, n))
+    r = n - q  # first gamma index
+    xi[:r, :r] = 1.0
+    if p and q:
+        la = ied.eigenvalues[:p][:, None]
+        lg = ied.eigenvalues[r:][None, :]
+        block = la / (la - lg)
+        xi[:p, r:] = block
+        xi[r:, :p] = block.T
+    return xi
+
+
 def _xi_product(ied, h, beta_map):
     """P (xi o P^T h P) P^T with ``beta_map`` applied to the beta-beta block."""
     p, r = ied.p, ied.n - ied.q
     ht = ied.basis.T @ h @ ied.basis
-    out = ied.xi * ht
+    out = xi_matrix(ied) * ht
     if r > p:
         out[p:r, p:r] = beta_map(ht[p:r, p:r])
     return sym(ied.basis @ out @ ied.basis.T)

@@ -414,7 +414,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         trace = tmp_path / f"tr_{tag}.csv"
         report = tmp_path / f"rep_{tag}.json"
         assert main(
-            ["solve", str(problem_path), "--seed", "3",
+            ["solve", str(problem_path),
              "--out", str(out), "--trace", str(trace)]
         ) == 0
         assert main(

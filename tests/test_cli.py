@@ -97,7 +97,6 @@ class TestSolve:
         problem_path, _ = reference_files
         assert main(["solve", str(problem_path), "--eta", "0.3"]) == 3
         assert main(["solve", str(problem_path), "--zero-tol", "-1"]) == 3
-        assert main(["solve", str(problem_path), "--seed", "-5"]) == 3
         for flag in ("--tol", "--delta", "--zero-tol"):
             for value in ("nan", "inf"):
                 assert main(["solve", str(problem_path), flag, value]) == 3
@@ -116,7 +115,6 @@ class TestSolve:
             "mu_min": config.mu_min,
             "mu_max": config.mu_max,
             "zero_tol": config.zero_tol,
-            "seed": 0,
         }
 
     def test_usage_error_exits_3(self, reference_files, capsys):
@@ -126,6 +124,14 @@ class TestSolve:
         assert exc.value.code == 3
         assert "usage: sgnsdp solve" in capsys.readouterr().err
 
+    def test_seed_is_a_usage_error(self, reference_files, capsys):
+        # the solver draws no random numbers, so solve takes no seed
+        problem_path, _ = reference_files
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(problem_path), "--seed", "-5"])
+        assert exc.value.code == 3
+        assert "--seed" in capsys.readouterr().err
+
     def test_deterministic_outputs(self, reference_files, tmp_path):
         problem_path, _ = reference_files
         payloads = []
@@ -133,12 +139,56 @@ class TestSolve:
             out = tmp_path / f"result_{tag}.json"
             trace = tmp_path / f"trace_{tag}.csv"
             code = main(
-                ["solve", str(problem_path), "--seed", "42",
+                ["solve", str(problem_path),
                  "--out", str(out), "--trace", str(trace)]
             )
             assert code == 0
             payloads.append(out.read_bytes() + trace.read_bytes())
         assert payloads[0] == payloads[1]
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is an input error: exit 3."""
+
+    @staticmethod
+    def _not_utf8(tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"n": 1, "m": 0, "name": "caf\xe9"}'.encode("latin-1"))
+        return path
+
+    def _assert_input_error(self, argv, capsys):
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_problem_path_is_a_directory(self, tmp_path, capsys):
+        self._assert_input_error(["solve", str(tmp_path)], capsys)
+
+    def test_point_path_is_a_directory(self, reference_files, tmp_path, capsys):
+        problem_path, _ = reference_files
+        self._assert_input_error(["diagnose", str(problem_path), str(tmp_path)], capsys)
+
+    def test_problem_file_not_utf8(self, tmp_path, capsys):
+        self._assert_input_error(["solve", str(self._not_utf8(tmp_path))], capsys)
+
+    def test_point_file_not_utf8(self, reference_files, tmp_path, capsys):
+        problem_path, _ = reference_files
+        self._assert_input_error(
+            ["diagnose", str(problem_path), str(self._not_utf8(tmp_path))], capsys
+        )
+
+    def test_out_path_is_a_directory(self, reference_files, tmp_path, capsys):
+        problem_path, point_path = reference_files
+        self._assert_input_error(["solve", str(problem_path), "--out", str(tmp_path)], capsys)
+        self._assert_input_error(
+            ["diagnose", str(problem_path), str(point_path), "--out", str(tmp_path)], capsys
+        )
+
+    def test_trace_path_is_a_directory(self, reference_files, tmp_path, capsys):
+        problem_path, _ = reference_files
+        out = tmp_path / "result.json"
+        self._assert_input_error(
+            ["solve", str(problem_path), "--out", str(out), "--trace", str(tmp_path)], capsys
+        )
 
 
 class TestDiagnose:

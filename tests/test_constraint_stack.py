@@ -39,7 +39,6 @@ from sgnsdp.kkt import (
     TangentFrame,
     assemble_dF,
     big_g,
-    constraint_stack,
     residual,
 )
 from sgnsdp.errors import ConstructionFailure
@@ -299,19 +298,19 @@ class TestStack:
         assert np.array_equal(stack, NlsdpProblem.dg_stack(problem, z.x))
         ied = make_ied(big_g(problem, z))
         assert np.array_equal(
-            constraint_stack(problem, z.x, ied),
-            constraint_stack(CountingProblem(problem), z.x, ied),
+            TangentFrame(problem, z, ied).stack,
+            TangentFrame(CountingProblem(problem), z, ied).stack,
         )
 
     def test_m_zero(self):
         problem, z = corrected_random_point(np.random.default_rng(0), 3, 0)
-        at = constraint_stack(problem, z.x, make_ied(big_g(problem, z)))
+        at = TangentFrame(problem, z, make_ied(big_g(problem, z))).stack
         assert at.shape == (0, 3, 3)
 
     def test_rotation_and_symmetry(self):
         problem, z = corrected_random_point(np.random.default_rng(1), 5, 4)
         ied = make_ied(big_g(problem, z))
-        at = constraint_stack(problem, z.x, ied)
+        at = TangentFrame(problem, z, ied).stack
         for i in range(problem.m):
             a_i = problem.apply_dg(z.x, np.eye(problem.m)[i])
             assert np.allclose(at[i], ied.basis.T @ a_i @ ied.basis, atol=1e-14)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from reference import dir_derivative_phi
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from reference import dir_derivative_phi, xi_matrix
 from support import (
     coeffs_from_matrix,
     corrected_random_point,
     degenerate_fixture_curve,
     from_coords,
+    haar_orthogonal,
     point,
     random_point,
     random_problem,
@@ -26,7 +29,7 @@ from sgnsdp.model import (
     degenerate_fixture,
 )
 from sgnsdp.solver import normal_dirs, retract_point
-from sgnsdp.spectral import frob, sym, tangent_layout
+from sgnsdp.spectral import frob, make_ied, sym, tangent_layout
 
 # smallest singular value of the assembled differential at the reference
 # fixture's solution; computed once and pinned as a regression constant
@@ -158,6 +161,32 @@ class TestAssembledJacobian:
         jac = assemble_dF(frame)
         # no gamma block: xi acts as the identity on the tangent pairs
         assert np.isclose(jac.sigma_min(), 1.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([-2.0, -0.5, 0.0, 0.5, 2.0, 3.0]), min_size=1, max_size=7),
+        st.integers(0, 2**31),
+    )
+    @example([3.0], 0)               # n = 1
+    @example([0.0, 0.0, 0.0], 1)     # all beta: no tangent pairs
+    @example([0.0, -0.5, -2.0], 2)   # p = 0
+    @example([3.0, 0.5, 0.0], 3)     # q = 0
+    def test_xi_t_is_the_xi_matrix_at_the_tangent_pairs(self, lam, seed):
+        # eigenvalues drawn from a few values, zero among them, so ties
+        # within alpha, beta and gamma are common; a0 = 0 makes G(z) = y
+        rng = np.random.default_rng(seed)
+        n = len(lam)
+        basis = haar_orthogonal(rng, n)
+        problem = AffineQuadraticProblem(
+            c=np.zeros(2), a0=np.zeros((n, n)),
+            a_list=[sym(rng.standard_normal((n, n))) for _ in range(2)],
+        )
+        z = point(np.zeros(2), basis @ (np.array(lam)[:, None] * basis.T))
+        frame = TangentFrame(problem, z, make_ied(big_g(problem, z)))
+        jac = assemble_dF(frame)
+        k, l = frame.pairs.T
+        assert jac.xi_t.tobytes() == xi_matrix(frame.ied)[k, l].tobytes()
+        assert jac.c_mat is frame.c_mat
 
     def test_reference_sigma_min_frozen(self):
         problem, z_bar = degenerate_fixture()

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import TangencyViolation, proj_dir_derivative, stratum_differential
+from reference import TangencyViolation, proj_dir_derivative, stratum_differential, xi_matrix
 from support import (
     haar_orthogonal,
     normal_project_pi2,
@@ -286,27 +286,26 @@ class TestProjections:
 
 class TestXi:
     def test_two_by_two(self):
-        ied = make_ied(np.diag([2.0, -1.0]))
-        xi = ied.xi
+        xi = xi_matrix(make_ied(np.diag([2.0, -1.0])))
         assert np.isclose(xi[0, 1], 2.0 / 3.0)
         assert np.isclose(xi[0, 0], 1.0) and np.isclose(xi[1, 1], 0.0)
 
     def test_equal_positive_pair_is_one(self):
-        xi = make_ied(np.diag([2.0, 2.0, -1.0])).xi
+        xi = xi_matrix(make_ied(np.diag([2.0, 2.0, -1.0])))
         assert xi[0, 1] == 1.0
 
     def test_gamma_block_zero(self):
-        xi = make_ied(np.diag([1.0, -1.0, -2.0])).xi
+        xi = xi_matrix(make_ied(np.diag([1.0, -1.0, -2.0])))
         assert xi[1, 2] == 0.0 and xi[2, 1] == 0.0
 
     def test_range(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            xi = make_ied(sym(rng.standard_normal((6, 6)))).xi
+            xi = xi_matrix(make_ied(sym(rng.standard_normal((6, 6)))))
             assert np.all(xi >= 0.0) and np.all(xi <= 1.0)
 
     def test_beta_block_convention(self):
-        xi = make_ied(np.diag([1.0, 0.0, 0.0, -1.0])).xi
+        xi = xi_matrix(make_ied(np.diag([1.0, 0.0, 0.0, -1.0])))
         assert xi[1, 2] == 1.0 and xi[1, 1] == 1.0
 
     @settings(max_examples=60, deadline=None)
@@ -318,7 +317,6 @@ class TestXi:
         lam = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0, 3.0], size=n)
         basis = haar_orthogonal(rng, n)
         ied = make_ied(sym(basis @ (lam[:, None] * basis.T)))
-        assert "xi" not in vars(ied)  # built on first use only
         p, r = ied.p, ied.n - ied.q
         clipped = ied.eigenvalues.copy()
         clipped[p:r] = 0.0  # beta eigenvalues count as exact zeros
@@ -332,7 +330,7 @@ class TestXi:
                 else:
                     li, lj = clipped[i], clipped[j]
                     expected[i, j] = (max(li, 0.0) - max(lj, 0.0)) / (li - lj)
-        assert np.array_equal(ied.xi, expected)
+        assert np.array_equal(xi_matrix(ied), expected)
 
 
 class TestDirectionalDerivative:
