@@ -11,6 +11,7 @@ file that cannot be read or written), 4 numerical failure.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -48,26 +49,21 @@ def _add_point_flags(parser):
                         help="eigenvalue zero threshold (default: adaptive)")
 
 
-# solve flag (as its argparse dest) -> (SolverConfig field, help); the
-# defaults are SolverConfig()'s.  zero_tol, the ninth field, comes with
-# the point flag, which diagnose shares.
+# SolverConfig field -> help of its solve flag; the defaults are
+# SolverConfig()'s.  zero_tol, the fourth field, comes with the point
+# flag, which diagnose shares.
 _SOLVER_FLAGS = {
-    "tol": ("tol", "stationarity stop"),
-    "delta": ("delta", "correction band"),
-    "eta": ("eta", "Armijo slope, in (1/2,1)"),
-    "rho": ("rho", "backtracking factor"),
-    "max_iter": ("max_iter", None),
-    "jmax": ("max_backtracks", "backtracking budget"),
-    "mu_min": ("mu_min", None),
-    "mu_max": ("mu_max", None),
+    "tol": "stationarity stop",
+    "delta": "correction band",
+    "max_iter": None,
 }
 
 
 def _add_solver_flags(parser):
     defaults = SolverConfig()
-    for flag, (name, text) in _SOLVER_FLAGS.items():
+    for name, text in _SOLVER_FLAGS.items():
         default = getattr(defaults, name)
-        parser.add_argument("--" + flag.replace("_", "-"), type=type(default),
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
                             default=default, help=text)
     _add_point_flags(parser)
 
@@ -119,7 +115,7 @@ def _write_trace(trace, path: str) -> None:
 def run_solve(args) -> int:
     config = _config(
         zero_tol=args.zero_tol,
-        **{name: getattr(args, flag) for flag, (name, _) in _SOLVER_FLAGS.items()},
+        **{name: getattr(args, name) for name in _SOLVER_FLAGS},
     )
     problem = load_problem(args.problem)
     if args.point is not None:
@@ -128,6 +124,11 @@ def run_solve(args) -> int:
         z0 = PrimalDualPoint(
             x=np.zeros(problem.m), y=np.zeros((problem.n, problem.n))
         )
+    # an output path that cannot be written is an input error before the
+    # solve, not after it; append mode leaves an existing file as it is
+    for path in (args.out, args.trace):
+        if path is not None:
+            open(path, "a").close()
     result = sgn_solve(problem, z0, config)
     final_ied = make_ied(big_g(problem, result.z), config.zero_tol)
     doc = {
@@ -140,10 +141,7 @@ def run_solve(args) -> int:
         "iterations": len(result.trace),
         # Infinity when G has no nonzero eigenvalues; round-trips via json
         "delta_final": float(delta_lower_modulus(final_ied)),
-        "config": {
-            **{flag: getattr(config, name) for flag, (name, _) in _SOLVER_FLAGS.items()},
-            "zero_tol": config.zero_tol,
-        },
+        "config": dataclasses.asdict(config),
     }
     _emit(doc, args.out)
     if args.trace is not None:

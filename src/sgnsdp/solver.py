@@ -20,6 +20,7 @@ s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
 D-stationary points of phi.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,33 +54,32 @@ from .spectral import (
 )
 
 
+# Armijo slope in (1/2, 1), so that the unit LM step passes near a
+# solution, and backtracking factor, a power of two so that the trials'
+# rho^j scaling is exact
+ETA, RHO = 0.75, 0.5
+MAX_BACKTRACKS = 50
+MU_MIN, MU_MAX = 1e-16, 1e8     # clamp on the LM regularizer ||F||^2
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the outer loop and its subroutines."""
+    """Stopping controls, correction band and zero threshold of the outer
+    loop; the line search and LM regularizer use the module constants."""
 
     tol: float = 1e-8               # stop when s(z) falls below this
     delta: float = 1e-4             # correction band for eigenvalues of G(z)
-    eta: float = 0.75               # Armijo slope fraction, must sit in (1/2, 1)
-    rho: float = 0.5                # backtracking shrink factor
     max_iter: int = 500
-    max_backtracks: int = 50
-    mu_min: float = 1e-16           # clamp on the LM regularizer ||F||^2
-    mu_max: float = 1e8
     zero_tol: float | None = None   # eigenvalue classification; None = adaptive
 
     def __post_init__(self):
-        if not 0.5 < self.eta < 1.0:
-            raise ValueError("eta must lie in (1/2, 1)")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
         if not 0.0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
         if not 0.0 <= self.tol < np.inf:
             raise ValueError("tol must be nonnegative and finite")
-        if self.max_iter < 1 or self.max_backtracks < 0:
-            raise ValueError("iteration budgets must be positive")
-        if not 0.0 < self.mu_min <= self.mu_max:
-            raise ValueError("need 0 < mu_min <= mu_max")
+        integral = isinstance(self.max_iter, numbers.Integral)
+        if isinstance(self.max_iter, bool) or not integral or self.max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
         if self.zero_tol is not None and not 0.0 <= self.zero_tol < np.inf:
             raise ValueError("zero_tol must be nonnegative and finite")
 
@@ -201,15 +201,14 @@ STRUCTURED_MIN_ORDER = 128
 def lm_direction(
     jac: AssembledJacobian,
     res: KktResidual,
-    config: SolverConfig,
     r: np.ndarray,
     pulled: np.ndarray,
 ):
     """Regularized Gauss-Newton direction tangent to the current stratum.
 
     Solves min ||J u + r||^2 + mu ||u||^2, that is
-    (mu I + J^T J) u = -J^T r, with mu = ||F(z)||^2 clamped to the
-    configured range; ``r`` is the frame's ``coords(res)`` and
+    (mu I + J^T J) u = -J^T r, with mu = ||F(z)||^2 clamped to
+    [``MU_MIN``, ``MU_MAX``]; ``r`` is the frame's ``coords(res)`` and
     ``pulled`` is J^T r, ``jac.apply_adjoint(r)``.  The system order
     m + T picks the solver:
 
@@ -231,7 +230,7 @@ def lm_direction(
     :class:`LinearSolveFailure` is raised.
     """
     rhs = -pulled
-    mu = float(min(max(2.0 * res.phi, config.mu_min), config.mu_max))
+    mu = float(min(max(2.0 * res.phi, MU_MIN), MU_MAX))
     frame = jac.frame
     dim = frame.dim
     if dim == 0:
@@ -301,29 +300,28 @@ def armijo_search(
     drives the local quadratic rate.
 
     Each trial evaluates g once, in the retraction.  The trials scale
-    one tangent matrix by rho^j; for a power of two such as the default
-    rho = 1/2 that scaling is exact, so the trial equals a retraction
-    along the scaled vector bit for bit.
+    one tangent matrix by rho^j; as rho = 1/2 that scaling is exact, so
+    a trial equals the retraction along the scaled vector bit for bit.
     """
     if not dphi < 0.0:
         raise LineSearchFailure(f"not a descent direction: phi' = {dphi:g}")
     problem = v.frame.problem
     phi0 = res.phi
     step = 1.0
-    for j in range(config.max_backtracks + 1):
+    for j in range(MAX_BACKTRACKS + 1):
         try:
             trial = retract_point(v, step)
             trial_res = residual(problem, trial, config.zero_tol, trial.g)
         except (InertiaViolation, NumericalError):
             # leaving the stratum or overflowing the trial or its
             # residual all just reject this step size
-            step *= config.rho
+            step *= RHO
             continue
-        if trial_res.phi - phi0 <= 0.5 * config.eta * step * dphi:
+        if trial_res.phi - phi0 <= 0.5 * ETA * step * dphi:
             return trial, trial_res, j
-        step *= config.rho
+        step *= RHO
     raise LineSearchFailure(
-        f"no acceptable step within {config.max_backtracks} backtracks"
+        f"no acceptable step within {MAX_BACKTRACKS} backtracks"
     )
 
 
@@ -383,7 +381,7 @@ def _point_state(problem, z, config, res=None, prior=None) -> _PointState:
     pulled = jac.apply_adjoint(r)
     w1, w2 = normal_dirs(frame, res)
     try:
-        v_lm, mu = lm_direction(jac, res, config, r, pulled)
+        v_lm, mu = lm_direction(jac, res, r, pulled)
         lm_error = None
     except LinearSolveFailure as exc:
         v_lm, mu, lm_error = None, np.nan, str(exc)
@@ -435,7 +433,7 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
         try:
             z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
             candidates.append(
-                SlmnOutcome(z_lm, res_lm, "lm", j, config.rho**j * state.v_lm.norm)
+                SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm)
             )
         except LineSearchFailure:
             pass

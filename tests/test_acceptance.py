@@ -351,7 +351,6 @@ def test_criterion_10_injectivity_consistency():
 
 def test_criterion_11_ied_choice_invariance():
     tol = 1e-8
-    config = SolverConfig()
     rng = np.random.default_rng(1100)
 
     # a point whose G-matrix has a repeated positive cluster and two zeros
@@ -385,8 +384,8 @@ def test_criterion_11_ied_choice_invariance():
             assert frob(w1a - w1b) <= tol and frob(w2a - w2b) <= tol
             jac_a, jac_b = assemble_dF(frame_a), assemble_dF(frame_b)
             r_a, r_b = frame_a.coords(res), frame_b.coords(res)
-            va, _ = lm_direction(jac_a, res, config, r_a, jac_a.apply_adjoint(r_a))
-            vb, _ = lm_direction(jac_b, res, config, r_b, jac_b.apply_adjoint(r_b))
+            va, _ = lm_direction(jac_a, res, r_a, jac_a.apply_adjoint(r_a))
+            vb, _ = lm_direction(jac_b, res, r_b, jac_b.apply_adjoint(r_b))
             assert abs(va.norm - vb.norm) <= tol
             za = retract_point(va)
             zb = retract_point(vb)

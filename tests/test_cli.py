@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sgnsdp import __version__
+from sgnsdp import __version__, cli
 from sgnsdp.cli import TRACE_HEADER, main
 from sgnsdp.model import (
     degenerate_fixture,
@@ -95,7 +95,7 @@ class TestSolve:
 
     def test_invalid_config_rejected_before_compute(self, reference_files, capsys):
         problem_path, _ = reference_files
-        assert main(["solve", str(problem_path), "--eta", "0.3"]) == 3
+        assert main(["solve", str(problem_path), "--delta", "0"]) == 3
         assert main(["solve", str(problem_path), "--zero-tol", "-1"]) == 3
         for flag in ("--tol", "--delta", "--zero-tol"):
             for value in ("nan", "inf"):
@@ -108,19 +108,14 @@ class TestSolve:
         assert json.loads(capsys.readouterr().out)["config"] == {
             "tol": config.tol,
             "delta": config.delta,
-            "eta": config.eta,
-            "rho": config.rho,
             "max_iter": config.max_iter,
-            "jmax": config.max_backtracks,
-            "mu_min": config.mu_min,
-            "mu_max": config.mu_max,
             "zero_tol": config.zero_tol,
         }
 
     def test_usage_error_exits_3(self, reference_files, capsys):
         problem_path, _ = reference_files
         with pytest.raises(SystemExit) as exc:
-            main(["solve", str(problem_path), "--eta", "half"])
+            main(["solve", str(problem_path), "--tol", "half"])
         assert exc.value.code == 3
         assert "usage: sgnsdp solve" in capsys.readouterr().err
 
@@ -189,6 +184,24 @@ class TestFileErrors:
         self._assert_input_error(
             ["solve", str(problem_path), "--out", str(out), "--trace", str(tmp_path)], capsys
         )
+
+    def test_output_paths_are_checked_before_the_solve(
+        self, reference_files, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("solved before the output paths were checked")
+
+        monkeypatch.setattr(cli, "sgn_solve", refuse)
+        problem_path, _ = reference_files
+        out, trace = tmp_path / "result.json", tmp_path / "trace.csv"
+        self._assert_input_error(
+            ["solve", str(problem_path), "--out", str(out), "--trace", str(tmp_path)], capsys
+        )
+        assert not out.exists() or out.read_text() == ""
+        self._assert_input_error(
+            ["solve", str(problem_path), "--out", str(tmp_path), "--trace", str(trace)], capsys
+        )
+        assert not trace.exists() or trace.read_text() == ""
 
 
 class TestDiagnose:

@@ -84,19 +84,16 @@ class TestConfig:
     def test_defaults_valid(self):
         config = SolverConfig()
         assert config.tol == 1e-8 and config.delta == 1e-4
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"eta": 0.5},
-            {"eta": 1.0},
-            {"rho": 0.0},
-            {"rho": 1.0},
             {"delta": 0.0},
             {"tol": -1.0},
             {"max_iter": 0},
-            {"mu_min": 0.0},
-            {"mu_min": 1.0, "mu_max": 0.5},
+            {"max_iter": 10.0},
+            {"max_iter": True},
             {"tol": float("nan")},
             {"delta": float("nan")},
             {"zero_tol": float("nan")},
@@ -280,7 +277,7 @@ class TestLmDirection:
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
         jac, r = assemble_dF(frame), frame.coords(res)
-        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
+        v, mu = lm_direction(jac, res, r, jac.apply_adjoint(r))
         assert mu == 2.0
         assert np.allclose(v.as_vec(), [2.0 / 11.0, -5.0 / 11.0], atol=1e-14)
 
@@ -289,7 +286,7 @@ class TestLmDirection:
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
         jac, r = assemble_dF(frame), frame.coords(res)
-        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
+        v, mu = lm_direction(jac, res, r, jac.apply_adjoint(r))
         assert mu == 1.0
         assert np.allclose(v.as_vec(), [1.0 / 3.0], atol=1e-14)
 
@@ -298,7 +295,7 @@ class TestLmDirection:
         res = residual(problem, z_bar)
         frame = TangentFrame(problem, z_bar, res.ied)
         jac, r = assemble_dF(frame), frame.coords(res)
-        v, _ = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
+        v, _ = lm_direction(jac, res, r, jac.apply_adjoint(r))
         assert v.norm == 0.0
 
 
@@ -333,8 +330,8 @@ class TestStructuredNormalEquations:
         late = deque(maxlen=6)
         original = lm_direction
 
-        def recording(jac, res, config, *args):
-            out = original(jac, res, config, *args)
+        def recording(jac, res, *args):
+            out = original(jac, res, *args)
             late.append((jac, res, out))
             return out
 
@@ -378,8 +375,8 @@ class TestStructuredSolve:
         seen = []
         original = lm_direction
 
-        def recording(jac, res, config, *args):
-            out = original(jac, res, config, *args)
+        def recording(jac, res, *args):
+            out = original(jac, res, *args)
             seen.append((jac, res, out[1]))
             return out
 
@@ -424,7 +421,7 @@ class TestStructuredSolve:
             AssembledJacobian, "gram", property(lambda jac: formed.append(jac) or gram(jac))
         )
         jac, r = assemble_dF(frame), frame.coords(res)
-        v, mu = lm_direction(jac, res, SolverConfig(), r, jac.apply_adjoint(r))
+        v, mu = lm_direction(jac, res, r, jac.apply_adjoint(r))
         assert len(formed) == (1 if dense else 0)
         # either way the direction is the one both solvers give
         by_gram = np.linalg.solve(gram(jac) + mu * np.eye(order), -jac.apply_adjoint(r))
@@ -441,7 +438,7 @@ class TestStructuredSolve:
         jac = assemble_dF(frame)
         r = frame.coords(res)
         pulled = jac.apply_adjoint(r)
-        dense, mu = lm_direction(jac, res, SolverConfig(), r, pulled)
+        dense, mu = lm_direction(jac, res, r, pulled)
 
         def refuse(jac):
             raise AssertionError("the Gram was formed")
@@ -449,7 +446,7 @@ class TestStructuredSolve:
         monkeypatch.setattr(sgnsdp.solver, "STRUCTURED_MIN_ORDER", 1)
         monkeypatch.setattr(AssembledJacobian, "gram", property(refuse))
         fresh = assemble_dF(TangentFrame(problem, z, res.ied))
-        structured, mu_structured = lm_direction(fresh, res, SolverConfig(), r, pulled)
+        structured, mu_structured = lm_direction(fresh, res, r, pulled)
         assert mu_structured == mu
         assert np.allclose(structured.as_vec(), dense.as_vec(), rtol=1e-10, atol=1e-12)
 
@@ -502,7 +499,7 @@ class TestArmijo:
         jac = assemble_dF(frame)
         r = frame.coords(res)
         pulled = jac.apply_adjoint(r)
-        v, _ = lm_direction(jac, res, SolverConfig(), r, pulled)
+        v, _ = lm_direction(jac, res, r, pulled)
         dphi = float(pulled @ v.as_vec())
         _, _, j = armijo_search(res, v, dphi, SolverConfig())
         assert j == 0
@@ -528,7 +525,7 @@ class TestArmijo:
             jac = assemble_dF(frame)
             r = frame.coords(res)
             pulled = jac.apply_adjoint(r)
-            v, _ = lm_direction(jac, res, config, r, pulled)
+            v, _ = lm_direction(jac, res, r, pulled)
             dphi = float(pulled @ v.as_vec())
             if not dphi < 0:
                 break
@@ -541,38 +538,47 @@ class TestArmijo:
     def test_accepted_step_bounds(self):
         # the accepted j is minimal, the accepted decrease clears the
         # threshold, and the threshold itself is at least the pure
-        # regularizer share eta/2 * rho^j * mu ||v||^2
-        problem = Oscillatory()
+        # regularizer share eta/2 * rho^j * mu ||v||^2; as rho is a power
+        # of two, the accepted point is the retraction along rho^j v bit
+        # for bit (at the far fixture start a non-power-of-two rho breaks
+        # that in the last bits)
+        eta, rho = sgnsdp.solver.ETA, sgnsdp.solver.RHO
+        fixture, z_bar = degenerate_fixture()
+        starts = [(Oscillatory(), point([0.3], [[0.7]])),
+                  (fixture, _far_start(fixture, z_bar, 1))]
         config = SolverConfig()
-        z = point([0.3], [[0.7]])
-        checked = 0
-        for _ in range(30):
-            res = residual(problem, z)
-            frame = TangentFrame(problem, z, res.ied)
-            jac = assemble_dF(frame)
-            r = frame.coords(res)
-            pulled = jac.apply_adjoint(r)
-            v, mu = lm_direction(jac, res, config, r, pulled)
-            dphi = float(pulled @ v.as_vec())
-            if not dphi < 0:
-                break
-            z_new, res_new, j = armijo_search(res, v, dphi, config)
-            step = config.rho**j
-            decrease = res.phi - res_new.phi
-            assert decrease >= -0.5 * config.eta * step * dphi
-            assert decrease >= 0.5 * config.eta * step * mu * v.norm**2 * (1 - 1e-12)
-            if j >= 1:
-                checked += 1
-                prev = config.rho ** (j - 1)
-                try:
-                    trial = retract_point(scaled(v, prev))
-                except InertiaViolation:
-                    pass  # the larger trial failed by leaving the stratum
-                else:
-                    trial_phi = residual(problem, trial).phi
-                    assert trial_phi - res.phi > 0.5 * config.eta * prev * dphi
-            z = z_new
-        assert checked >= 1
+        for problem, z in starts:
+            checked = 0
+            for _ in range(30):
+                res = residual(problem, z)
+                frame = TangentFrame(problem, z, res.ied)
+                jac = assemble_dF(frame)
+                r = frame.coords(res)
+                pulled = jac.apply_adjoint(r)
+                v, mu = lm_direction(jac, res, r, pulled)
+                dphi = float(pulled @ v.as_vec())
+                if not dphi < 0:
+                    break
+                z_new, res_new, j = armijo_search(res, v, dphi, config)
+                step = rho**j
+                direct = retract_point(scaled(v, step))
+                for name in ("x", "y", "g"):
+                    assert getattr(z_new, name).tobytes() == getattr(direct, name).tobytes()
+                decrease = res.phi - res_new.phi
+                assert decrease >= -0.5 * eta * step * dphi
+                assert decrease >= 0.5 * eta * step * mu * v.norm**2 * (1 - 1e-12)
+                if j >= 1:
+                    checked += 1
+                    prev = rho ** (j - 1)
+                    try:
+                        trial = retract_point(scaled(v, prev))
+                    except InertiaViolation:
+                        pass  # the larger trial failed by leaving the stratum
+                    else:
+                        trial_phi = residual(problem, trial).phi
+                        assert trial_phi - res.phi > 0.5 * eta * prev * dphi
+                z = z_new
+            assert checked >= 1
 
 
 class TestSlmn:
@@ -765,11 +771,9 @@ class TestSgnSolve:
         assert result.phi == 0.5
         assert [rec.step_kind for rec in result.trace] == ["stall"]
 
-    def test_stalled_status_with_exhausted_backtracking(self):
-        result = sgn_solve(
-            Oscillatory(), point([0.3], [[0.7]]),
-            SolverConfig(max_backtracks=0, max_iter=30),
-        )
+    def test_stalled_status_with_exhausted_backtracking(self, monkeypatch):
+        monkeypatch.setattr(sgnsdp.solver, "MAX_BACKTRACKS", 0)
+        result = sgn_solve(Oscillatory(), point([0.3], [[0.7]]), SolverConfig(max_iter=30))
         assert result.status == STALLED
         assert result.stationarity > 1e-8
 
