@@ -13,6 +13,7 @@ file that cannot be read or written), 4 numerical failure.
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -41,31 +42,6 @@ from .spectral import make_ied, pack_sym
 _STATUS_CODES = {CONVERGED: 0, MAX_ITER: 1, STALLED: 2}
 
 TRACE_HEADER = "iter,phi,normF1,normF2,s,p,q,step_kind,j,mu,step_norm"
-
-
-def _add_point_flags(parser):
-    """The flag of every subcommand that evaluates a point: the zero threshold."""
-    parser.add_argument("--zero-tol", type=float, default=None,
-                        help="eigenvalue zero threshold (default: adaptive)")
-
-
-# SolverConfig field -> help of its solve flag; the defaults are
-# SolverConfig()'s.  zero_tol, the fourth field, comes with the point
-# flag, which diagnose shares.
-_SOLVER_FLAGS = {
-    "tol": "stationarity stop",
-    "delta": "correction band",
-    "max_iter": None,
-}
-
-
-def _add_solver_flags(parser):
-    defaults = SolverConfig()
-    for name, text in _SOLVER_FLAGS.items():
-        default = getattr(defaults, name)
-        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
-                            default=default, help=text)
-    _add_point_flags(parser)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,10 +89,8 @@ def _write_trace(trace, path: str) -> None:
 
 
 def run_solve(args) -> int:
-    config = _config(
-        zero_tol=args.zero_tol,
-        **{name: getattr(args, name) for name in _SOLVER_FLAGS},
-    )
+    config = _config(tol=args.tol, delta=args.delta, max_iter=args.max_iter,
+                     zero_tol=args.zero_tol)
     problem = load_problem(args.problem)
     if args.point is not None:
         z0 = load_point(args.point, problem.m, problem.n)
@@ -125,10 +99,14 @@ def run_solve(args) -> int:
             x=np.zeros(problem.m), y=np.zeros((problem.n, problem.n))
         )
     # an output path that cannot be written is an input error before the
-    # solve, not after it; append mode leaves an existing file as it is
+    # solve, not after it; append mode leaves an existing file as it is,
+    # and a file the probe creates goes again, so a failed solve leaves none
     for path in (args.out, args.trace):
         if path is not None:
+            created = not os.path.lexists(path)
             open(path, "a").close()
+            if created:
+                os.remove(path)
     result = sgn_solve(problem, z0, config)
     final_ied = make_ied(big_g(problem, result.z), config.zero_tol)
     doc = {
@@ -151,10 +129,9 @@ def run_solve(args) -> int:
 
 def run_diagnose(args) -> int:
     config = _config(zero_tol=args.zero_tol)
-    seed = _seed(args.seed)
     problem = load_problem(args.problem)
     z = load_point(args.point, problem.m, problem.n)
-    report = diagnose(problem, z, seed=seed, zero_tol=config.zero_tol)
+    report = diagnose(problem, z, zero_tol=config.zero_tol)
     doc = report.to_dict()
     doc["version"] = __version__
     _emit(doc, args.out)
@@ -168,7 +145,7 @@ def run_demo(args) -> int:
     result = sgn_solve(problem, z0)
     print(f"degenerate 4x4 fixture: {result.status} after "
           f"{len(result.trace)} iterations, phi = {result.phi:.3e}")
-    report = diagnose(problem, z_bar, seed=seed)
+    report = diagnose(problem, z_bar)
     for name in ("w_soc", "w_srcq", "constraint_nondegeneracy", "s_sosc"):
         cond = report.to_dict()[name]
         print(f"  {name} at the reference pair: {cond['verdict']}")
@@ -202,16 +179,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--point", default=None, help="start point JSON (default zeros)")
     solve.add_argument("--out", default=None, help="result JSON path (default stdout)")
     solve.add_argument("--trace", default=None, help="iteration trace CSV path")
-    _add_solver_flags(solve)
+    defaults = SolverConfig()
+    solve.add_argument("--tol", type=float, default=defaults.tol, help="stationarity stop")
+    solve.add_argument("--delta", type=float, default=defaults.delta, help="correction band")
+    solve.add_argument("--max-iter", type=int, default=defaults.max_iter)
     solve.set_defaults(handler=run_solve)
 
     diag = sub.add_parser("diagnose", help="regularity report at a point")
     diag.add_argument("problem", help="problem JSON file")
     diag.add_argument("point", help="point JSON file")
     diag.add_argument("--out", default=None, help="report JSON path (default stdout)")
-    _add_point_flags(diag)
-    diag.add_argument("--seed", type=int, default=0)
     diag.set_defaults(handler=run_diagnose)
+    for cmd in (solve, diag):
+        cmd.add_argument("--zero-tol", type=float, default=None,
+                         help="eigenvalue zero threshold (default: adaptive)")
 
     demo = sub.add_parser("demo", help="run the built-in fixtures")
     demo.add_argument("--seed", type=int, default=0)

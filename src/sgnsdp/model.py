@@ -25,14 +25,6 @@ class PrimalDualPoint:
     x: np.ndarray
     y: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
 
 class NlsdpProblem(ABC):
     """Evaluation interface every problem instance provides.
@@ -89,12 +81,23 @@ class NlsdpProblem(ABC):
         return stack
 
 
+def _finite_sym(a, field: str) -> np.ndarray:
+    """``sym`` of ``a``; an entry that overflows to infinity in it is an
+    :class:`InputError` naming ``field``, not a numerical failure later."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        out = sym(a)
+    if np.all(np.isfinite(a)) and not np.all(np.isfinite(out)):
+        raise InputError(f"{field} overflows when symmetrized", field=field)
+    return out
+
+
 class AffineQuadraticProblem(NlsdpProblem):
     """f(x) = c'x + x'Qx/2 and g(x) = A0 + sum_i x_i A_i."""
 
     def __init__(self, c, a0, a_list, quad=None):
         c = np.asarray(c, dtype=float).reshape(-1)
-        a0 = sym(np.asarray(a0, dtype=float))
+        a0 = _finite_sym(a0, "constraint.A0")
         mats = np.asarray(a_list, dtype=float)
         if mats.size == 0:
             mats = np.zeros((0, a0.shape[0], a0.shape[0]))
@@ -110,13 +113,13 @@ class AffineQuadraticProblem(NlsdpProblem):
             )
         if quad is None:
             quad = np.zeros((c.shape[0], c.shape[0]))
-        quad = sym(np.asarray(quad, dtype=float))
+        quad = _finite_sym(quad, "objective.Q")
         if quad.shape != (c.shape[0], c.shape[0]):
             raise InputError("Q must be m x m", field="objective.Q")
         self.c = c
         self.quad = quad
         self.a0 = a0
-        self.a = np.stack([sym(mat) for mat in mats]) if mats.shape[0] else mats
+        self.a = _finite_sym(mats, "constraint.A")
 
     @property
     def m(self) -> int:
@@ -313,7 +316,10 @@ def degenerate_fixture():
     return problem, PrimalDualPoint(x=np.zeros(5), y=ybar)
 
 
-def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50):
+SYNTH_RETRIES = 50
+
+
+def synth_nondegenerate(seed: int, n: int, m: int):
     """Random affine-constraint instance with a known solution.
 
     Draws a target constraint matrix with p positive, q negative and at
@@ -322,14 +328,14 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50):
     the KKT residual vanishes at z* = (x*, y*).  Candidates are accepted
     only when the weak regularity margins at z* clear 1e-6, so local
     quadratic convergence is in force there; rejection runs through
-    ``retries`` seeds before giving up.
+    ``SYNTH_RETRIES`` seeds before giving up.
     """
     from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq
 
     if m < 1 or n < 2:
         raise ValueError("need m >= 1 and n >= 2")
-    for attempt in range(retries):
+    for attempt in range(SYNTH_RETRIES):
         rng = np.random.default_rng(seed + 7919 * attempt)
         p = int(rng.integers(1, n - 1)) if n > 2 else 1
         q = int(rng.integers(1, n - p)) if n - p > 1 else 1
@@ -362,5 +368,5 @@ def synth_nondegenerate(seed: int, n: int, m: int, retries: int = 50):
             continue
         return problem, z_star
     raise ConstructionFailure(
-        f"no acceptable instance within {retries} attempts from seed {seed}"
+        f"no acceptable instance within {SYNTH_RETRIES} attempts from seed {seed}"
     )

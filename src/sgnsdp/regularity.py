@@ -35,8 +35,9 @@ The tolerances are fixed: a margin must exceed ``DEFAULT_MARGIN_TOL``
 (1e-10) times the largest count as zero in every rank decision, and the
 SRCQ probe runs at most ``SRCQ_ITERATIONS`` (300) alternations per
 restart and fails at alignment ``1 - SRCQ_ALIGNMENT_TOL`` (1e-4).  The
-counts are fixed too: the SONC heuristic draws ``SONC_SAMPLES`` (200)
-directions and the SRCQ probe runs ``SRCQ_RESTARTS`` (20) restarts.
+counts and the seed are fixed too: the SONC heuristic draws
+``SONC_SAMPLES`` (200) directions and the SRCQ probe runs
+``SRCQ_RESTARTS`` (20) restarts, both from ``SAMPLING_SEED`` (0).
 The eigenvalue classification is that of the frame's IED; :func:`diagnose`
 builds it with :func:`make_ied`, adaptive unless ``zero_tol`` is given.
 The report echoes all four tolerances.
@@ -70,6 +71,7 @@ DEFAULT_MARGIN_TOL = 1e-8
 RANK_TOL = 1e-10            # relative to the largest singular value
 SONC_SAMPLES = 200
 SRCQ_RESTARTS = 20
+SAMPLING_SEED = 0
 SRCQ_ITERATIONS = 300
 # Deliberately coarser than the rank margins: the two sets of the SRCQ
 # probe can meet tangentially, in which case the alignment creeps toward
@@ -278,7 +280,7 @@ def _near_complementary(frame: TangentFrame) -> bool:
     return frob(f2) <= 1e-6 * max(1.0, frob(ied.matrix))
 
 
-def check_sonc(frame: TangentFrame, s_sosc: ConditionResult, seed: int = 0) -> ConditionResult:
+def check_sonc(frame: TangentFrame, s_sosc: ConditionResult) -> ConditionResult:
     """Second order necessary condition, from ``s_sosc`` where it decides.
 
     ``s_sosc`` is :func:`check_ssosc` at ``frame``; its margin is
@@ -293,11 +295,11 @@ def check_sonc(frame: TangentFrame, s_sosc: ConditionResult, seed: int = 0) -> C
         return ConditionResult(HOLDS, s_sosc.margin)
     if frame.ied.n_beta <= 1:
         return ConditionResult(FAILS, s_sosc.margin)
-    return check_sonc_heuristic(frame, seed=seed)
+    return check_sonc_heuristic(frame)
 
 
 def check_srcq(
-    frame: TangentFrame, w_srcq: ConditionResult, cn: ConditionResult, seed: int = 0
+    frame: TangentFrame, w_srcq: ConditionResult, cn: ConditionResult
 ) -> ConditionResult:
     """Strict Robinson qualification, from ``w_srcq`` and ``cn`` where they decide.
 
@@ -325,10 +327,10 @@ def check_srcq(
         return w_srcq
     if frame.ied.n_beta <= 1:
         return cn
-    return check_srcq_heuristic(frame, seed=seed)
+    return check_srcq_heuristic(frame)
 
 
-def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
+def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     """Sampled second order necessary condition.
 
     Draws ``SONC_SAMPLES`` directions in the null space of the
@@ -341,7 +343,7 @@ def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     basis = app_basis(frame)
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLING_SEED)
     p, r = frame.ied.p, frame.ied.n - frame.ied.q
     form = quad_form_matrix(frame, basis)
     at_bb = frame.stack[:, p:r, p:r]
@@ -361,7 +363,7 @@ def check_sonc_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     return ConditionResult(verdict, worst)
 
 
-def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
+def check_srcq_heuristic(frame: TangentFrame) -> ConditionResult:
     """Alternating-projection probe of the strict Robinson qualification.
 
     SRCQ fails exactly when the null space of S -> adjoint_dg(x, S) meets
@@ -402,7 +404,7 @@ def check_srcq_heuristic(frame: TangentFrame, seed: int = 0) -> ConditionResult:
     block[p:, p:] = True
     inside, outside = span[:, block.ravel()], span[:, ~block.ravel()]
     trailing = ied.basis[:, p:]
-    starts = np.random.default_rng(seed).standard_normal((SRCQ_RESTARTS, n, n))
+    starts = np.random.default_rng(SAMPLING_SEED).standard_normal((SRCQ_RESTARTS, n, n))
     d = sym(trailing.T @ starts @ trailing)
     live = np.arange(len(d))        # the restart behind each row of d
     alignment = np.zeros(len(d))    # each restart's latest alignment
@@ -484,12 +486,7 @@ class RegularityReport:
         return doc
 
 
-def diagnose(
-    problem: NlsdpProblem,
-    z: PrimalDualPoint,
-    seed: int = 0,
-    zero_tol=None,
-) -> RegularityReport:
+def diagnose(problem: NlsdpProblem, z: PrimalDualPoint, zero_tol=None) -> RegularityReport:
     """Evaluate every condition at ``z`` and collect the report.
 
     The checks and the Jacobian of :func:`injectivity_margin` share one
@@ -497,8 +494,8 @@ def diagnose(
     built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and m
     ``apply_hess_lagrangian`` calls.  g(x) is evaluated once, for G(z).
     SONC and SRCQ are settled from S-SOSC, W-SRCQ and CN where those
-    decide (:func:`check_sonc`, :func:`check_srcq`); ``seed`` seeds the
-    samplers that run where they cannot.
+    decide (:func:`check_sonc`, :func:`check_srcq`), and sampled where
+    they cannot.
     """
     frame = TangentFrame(problem, z, make_ied(big_g(problem, z), zero_tol))
     w_srcq, cn, s_sosc = check_wsrcq(frame), check_cn(frame), check_ssosc(frame)
@@ -507,8 +504,8 @@ def diagnose(
         w_srcq=w_srcq,
         constraint_nondegeneracy=cn,
         s_sosc=s_sosc,
-        sonc=check_sonc(frame, s_sosc, seed=seed),
-        srcq=check_srcq(frame, w_srcq, cn, seed=seed),
+        sonc=check_sonc(frame, s_sosc),
+        srcq=check_srcq(frame, w_srcq, cn),
         sigma_min_dF=injectivity_margin(frame),
         p=frame.ied.p,
         q=frame.ied.q,

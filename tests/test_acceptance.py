@@ -417,8 +417,7 @@ def test_criterion_12_cli_determinism(tmp_path):
              "--out", str(out), "--trace", str(trace)]
         ) == 0
         assert main(
-            ["diagnose", str(problem_path), str(point_path),
-             "--seed", "3", "--out", str(report)]
+            ["diagnose", str(problem_path), str(point_path), "--out", str(report)]
         ) == 0
         blobs.append(out.read_bytes() + trace.read_bytes() + report.read_bytes())
     assert blobs[0] == blobs[1]

@@ -24,6 +24,19 @@ def reference_files(tmp_path):
     return problem_path, point_path
 
 
+def _overflow_files(tmp_path, entry, x):
+    """An n = m = 1 problem with A0 = A_1 = [entry], and the point x, y = 0."""
+    problem_path = tmp_path / "overflow.json"
+    problem_path.write_text(json.dumps({
+        "n": 1, "m": 1,
+        "objective": {"c": [1.0]},
+        "constraint": {"A0": [entry], "A": [[entry]]},
+    }))
+    point_path = tmp_path / "point.json"
+    point_path.write_text(json.dumps({"x": [x], "y": [0.0]}))
+    return problem_path, point_path
+
+
 class TestSolve:
     def test_default_start_converges(self, reference_files, tmp_path, capsys):
         problem_path, _ = reference_files
@@ -203,6 +216,20 @@ class TestFileErrors:
         )
         assert not trace.exists() or trace.read_text() == ""
 
+    def test_failed_solve_leaves_no_output_files(self, tmp_path, capsys):
+        problem_path, point_path = _overflow_files(tmp_path, 1e307, 100.0)
+        out, trace = tmp_path / "result.json", tmp_path / "trace.csv"
+        argv = ["solve", str(problem_path), "--point", str(point_path),
+                "--out", str(out), "--trace", str(trace)]
+        with np.errstate(over="ignore"):  # g(x) = 1e307 + 100 * 1e307
+            assert main(argv) == 4
+        assert not out.exists() and not trace.exists()
+        # an existing file is left as it was
+        out.write_text("kept")
+        with np.errstate(over="ignore"):
+            assert main(argv) == 4
+        assert out.read_text() == "kept" and not trace.exists()
+
 
 class TestDiagnose:
     def test_reference_report(self, reference_files, tmp_path):
@@ -236,22 +263,30 @@ class TestDiagnose:
     def test_invalid_point_flags_rejected(self, reference_files, capsys):
         problem_path, point_path = reference_files
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "-1"]) == 3
-        assert main(["diagnose", str(problem_path), str(point_path), "--seed", "-5"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "nan"]) == 3
         assert main(["diagnose", str(problem_path), str(point_path), "--zero-tol", "inf"]) == 3
 
+    def test_seed_is_a_usage_error(self, reference_files, capsys):
+        # the samplers draw from a fixed seed, so diagnose takes none
+        problem_path, point_path = reference_files
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", str(problem_path), str(point_path), "--seed", "0"])
+        assert exc.value.code == 3
+        assert "--seed" in capsys.readouterr().err
+
     def test_numerical_failure_exits_4(self, tmp_path, capsys):
-        problem_path = tmp_path / "overflow.json"
-        problem_path.write_text(json.dumps({
-            "n": 1, "m": 1,
-            "objective": {"c": [1.0]},
-            "constraint": {"A0": [1e308], "A": [[1e308]]},
-        }))
-        point_path = tmp_path / "point.json"
-        point_path.write_text(json.dumps({"x": [10.0], "y": [0.0]}))
-        with np.errstate(over="ignore"):  # g(x) = 1e308 + 10 * 1e308
+        problem_path, point_path = _overflow_files(tmp_path, 1e307, 100.0)
+        with np.errstate(over="ignore"):  # g(x) = 1e307 + 100 * 1e307
             assert main(["diagnose", str(problem_path), str(point_path)]) == 4
         assert "non-finite" in capsys.readouterr().err
+
+    def test_entries_that_overflow_when_symmetrized_exit_3(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows in (A + A^T) / 2: the file is at fault
+        problem_path, point_path = _overflow_files(tmp_path, 1e308, 10.0)
+        for argv in (["solve", str(problem_path)],
+                     ["diagnose", str(problem_path), str(point_path)]):
+            assert main(argv) == 3
+            assert "(field: constraint.A0)" in capsys.readouterr().err
 
     def test_deterministic_report(self, reference_files, tmp_path):
         problem_path, point_path = reference_files
@@ -259,8 +294,7 @@ class TestDiagnose:
         for tag in ("a", "b"):
             out = tmp_path / f"report_{tag}.json"
             assert main(
-                ["diagnose", str(problem_path), str(point_path),
-                 "--seed", "7", "--out", str(out)]
+                ["diagnose", str(problem_path), str(point_path), "--out", str(out)]
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]

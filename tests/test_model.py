@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from support import degenerate_fixture_curve, frame_at, random_point, random_problem
 
+import sgnsdp.model
 from sgnsdp.errors import ConstructionFailure, InputError
 from sgnsdp.kkt import big_g, residual
 from sgnsdp.model import (
@@ -145,6 +146,21 @@ class TestDocuments:
             problem_from_dict(doc)
         assert err.value.field == "objective.c"
 
+    @pytest.mark.parametrize("field", ["constraint.A0", "constraint.A", "objective.Q"])
+    def test_overflow_in_symmetrizing_named(self, field):
+        # 1e308 + 1e308 overflows in (M + M^T) / 2, a 1 x 1 M included
+        doc = {
+            "n": 1,
+            "m": 1,
+            "objective": {"c": [1.0], "Q": [1.0]},
+            "constraint": {"A0": [1.0], "A": [[1.0]]},
+        }
+        section, key = field.split(".")
+        doc[section][key] = [[1e308]] if key == "A" else [1e308]
+        with pytest.raises(InputError) as err:
+            problem_from_dict(doc)
+        assert err.value.field == field
+
     def test_m_zero_document(self):
         doc = {
             "n": 2,
@@ -218,9 +234,10 @@ class TestSynth:
             assert check_wsoc(frame_at(problem, z_star)).margin > 1e-6
             assert check_wsrcq(frame_at(problem, z_star)).margin > 1e-6
 
-    def test_retry_exhaustion(self):
+    def test_retry_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(sgnsdp.model, "SYNTH_RETRIES", 0)
         with pytest.raises(ConstructionFailure):
-            synth_nondegenerate(seed=0, n=5, m=6, retries=0)
+            synth_nondegenerate(seed=0, n=5, m=6)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):

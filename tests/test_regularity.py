@@ -246,29 +246,29 @@ class TestConditionCheckers:
 class TestHeuristics:
     def test_sonc_convex_case(self):
         problem, z = constant_g_fixture([1.0, 2.0], q=0)
-        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z))
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin >= 0.0
 
     def test_sonc_zero_form(self):
         problem, z = constant_g_fixture([0.0, 0.0], q=0)
-        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z))
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin == pytest.approx(0.0, abs=1e-12)
 
     def test_sonc_detects_negative_curvature(self):
         problem, z = constant_g_fixture([-1.0, -1.0], q=0)
-        result = check_sonc_heuristic(frame_at(problem, z), seed=0)
+        result = check_sonc_heuristic(frame_at(problem, z))
         assert result.verdict == HEURISTIC_FAILS
 
     def test_srcq_reference_fails(self):
         problem, z_bar = degenerate_fixture()
-        result = check_srcq_heuristic(frame_at(problem, z_bar), seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z_bar))
         assert result.verdict == HEURISTIC_FAILS
 
     def test_srcq_synth_holds(self):
         problem, z_star = synth_nondegenerate(seed=3, n=5, m=6)
-        result = check_srcq_heuristic(frame_at(problem, z_star), seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z_star))
         assert result.verdict == HEURISTIC_HOLDS
         assert result.margin < 1.0 - 1e-4
 
@@ -277,7 +277,7 @@ class TestHeuristics:
         problem = random_problem(rng, 4, 5)
         z = random_point(rng, problem)
         assert residual(problem, z).norm > 1e-3
-        result = check_srcq_heuristic(frame_at(problem, z), seed=0)
+        result = check_srcq_heuristic(frame_at(problem, z))
         assert result.verdict == NOT_APPLICABLE
 
 
@@ -353,7 +353,7 @@ class TestStructuralImplications:
         for problem, z in fixtures:
             if z is None:
                 z = random_point(rng, problem)
-            report = diagnose(problem, z, seed=0)
+            report = diagnose(problem, z)
             if report.constraint_nondegeneracy.holds:
                 assert report.w_srcq.holds
             if report.s_sosc.holds:
@@ -363,7 +363,7 @@ class TestStructuralImplications:
 class TestSynthReport:
     def test_all_conditions_hold_at_construction(self):
         problem, z_star = synth_nondegenerate(seed=3, n=6, m=8)
-        report = diagnose(problem, z_star, seed=0)
+        report = diagnose(problem, z_star)
         assert report.w_soc.verdict == HOLDS
         assert report.w_srcq.verdict == HOLDS
         assert report.constraint_nondegeneracy.verdict == HOLDS
@@ -416,11 +416,10 @@ def regularity_cases(draw):
     return complementary_pair(np.random.default_rng(seed), n, p, n_beta, m, spd_quad)
 
 
-def settled(frame, seed=0):
+def settled(frame):
     """(W-SRCQ, CN, S-SOSC, SRCQ, SONC) at ``frame``, as diagnose forms them."""
     w_srcq, cn, s_sosc = check_wsrcq(frame), check_cn(frame), check_ssosc(frame)
-    return (w_srcq, cn, s_sosc, check_srcq(frame, w_srcq, cn, seed=seed),
-            check_sonc(frame, s_sosc, seed=seed))
+    return w_srcq, cn, s_sosc, check_srcq(frame, w_srcq, cn), check_sonc(frame, s_sosc)
 
 
 class TestSettledVerdicts:
@@ -439,7 +438,7 @@ class TestSettledVerdicts:
 
     def test_no_sampler_runs_where_cn_and_the_form_decide(self, sampler_calls):
         problem, z_star = synth_nondegenerate(seed=3, n=6, m=8)
-        report = diagnose(problem, z_star, seed=0)
+        report = diagnose(problem, z_star)
         assert sampler_calls == []
         assert report.srcq == report.constraint_nondegeneracy
         assert report.sonc == ConditionResult(HOLDS, report.s_sosc.margin)
@@ -447,7 +446,7 @@ class TestSettledVerdicts:
     def test_the_probe_still_runs_at_the_fixture(self, sampler_calls):
         # CN fails with |beta| = 2 and W-SRCQ holds: no span check decides
         problem, z_bar = degenerate_fixture()
-        report = diagnose(problem, z_bar, seed=0)
+        report = diagnose(problem, z_bar)
         assert sampler_calls == ["check_srcq_heuristic"]
         assert report.srcq.verdict == HEURISTIC_FAILS
         assert report.sonc == ConditionResult(HOLDS, 0.0)  # lambda_min = 0 on app
@@ -457,7 +456,7 @@ class TestSettledVerdicts:
         # the probe reports heuristic-fails at these pairs, with alignments
         # 0.99999 and 0.99990: its sets meet almost tangentially
         problem, z_star = synth_nondegenerate(seed=seed, n=5, m=6)
-        report = diagnose(problem, z_star, seed=0)
+        report = diagnose(problem, z_star)
         assert report.constraint_nondegeneracy.margin == pytest.approx(cn_margin, abs=1e-4)
         assert report.srcq.verdict == HOLDS
         assert report.srcq.margin == report.constraint_nondegeneracy.margin
@@ -601,12 +600,12 @@ class TestIedInvariance:
         # sampled margins move with the basis; the verdicts must not
         problem, z_bar = degenerate_fixture()
         ied = make_ied(big_g(problem, z_bar))
-        base_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, ied), seed=0)
-        base_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, ied), seed=0)
+        base_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, ied))
+        base_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, ied))
         for seed in range(3):
             rotated = rotate_within_eigenspaces(ied, seed=seed)
-            alt_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, rotated), seed=0)
-            alt_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, rotated), seed=0)
+            alt_sonc = check_sonc_heuristic(TangentFrame(problem, z_bar, rotated))
+            alt_srcq = check_srcq_heuristic(TangentFrame(problem, z_bar, rotated))
             assert alt_sonc.verdict == base_sonc.verdict
             assert alt_srcq.verdict == base_srcq.verdict
 
