@@ -164,12 +164,9 @@ class TangentFrame:
 
     @cached_property
     def hess(self) -> np.ndarray:
-        """Hess_xx L at ``z`` as an m x m matrix, from m ``apply_hess_lagrangian`` calls."""
-        m = self.problem.m
-        hess = np.zeros((m, m))
-        for i, e in enumerate(np.eye(m)):
-            hess[:, i] = self.problem.apply_hess_lagrangian(self.z.x, self.z.y, e)
-        return hess
+        """Hess_xx L at ``z`` as an m x m matrix, ``problem.hess_lagrangian(x, y)``:
+        m ``apply_hess_lagrangian`` calls unless the problem overrides it."""
+        return self.problem.hess_lagrangian(self.z.x, self.z.y)
 
     @property
     def dim_tangent(self) -> int:
@@ -283,69 +280,90 @@ class AssembledJacobian:
         Cholesky factor and one QR of at most 2m + |S| unknowns remain:
 
         * xi_t = 0 (the beta-gamma and gamma-gamma pairs): their columns
-          touch only the m F1 rows, so a thin SVD U S V^T of their
-          m x T_Z block trades them for k <= m columns U S; the pairs'
-          coefficients are V w, the rest of their span only adds to the
-          regularizer.
+          touch only the m F1 rows, so a QR Q R of the transpose of their
+          m x T_Z block trades them for k = min(m, T_Z) columns R^T; the
+          pairs' coefficients are Q w, the rest of their span only adds
+          to the regularizer.
         * xi_t^2 > ``LARGE_XI_SQ``: a Givens rotation folds the pair's
           row into its sqrt(mu) row, leaving rho_t = sqrt(xi_t^2 + mu) on
-          the pair and a row that sees only x.  With M = tr_L / rho the
-          pairs then drop out exactly, which whitens the F1 rows by the
-          Cholesky factor of K = I + M M^T; rho^2 >= ``LARGE_XI_SQ``
-          bounds the condition number of K.
+          the pair and a row sqrt(mu) / rho_t (C_t x - r_t) that sees
+          only x.  With M = tr_L / rho the pairs then drop out exactly,
+          which whitens the F1 rows by the Cholesky factor L of
+          K = I + M M^T; rho^2 >= ``LARGE_XI_SQ`` bounds the condition
+          number of K.  The F1 rows' x block gains M diag(xi_L) M^T,
+          formed as K - I less the alpha-gamma pairs' share, the only
+          pairs with xi_t < 1.  The rotated rows and the sqrt(mu) I rows
+          of x sum to mu (||M^T x - b||^2 + ||x||^2), b = r_L / rho,
+          which is mu ||L^T x - L^-1 M b||^2 plus a constant: m rows,
+          upper triangular in x.
         * the core holds x, w and the pairs S with 0 < xi_t^2 <=
-          ``LARGE_XI_SQ``.  The rows that see only x are compressed to
-          m + 1 rows by a QR, and the core is solved by one QR of its
-          augmented least-squares rows.
+          ``LARGE_XI_SQ``, and is solved by one QR of its least-squares
+          rows: the whitened F1 rows, the rows that see only x (the
+          beta-beta and xi = 0 rows and the m rows of K's factor), the
+          pairs of S and sqrt(mu) I on w and S.  It has O(m) rows however
+          many large pairs there are.
         """
         hm, c_mat, xi_t = self.hm, self.c_mat, self.xi_t
         m, rows, n_sym = hm.shape[0], self.frame.rows, c_mat.shape[0]
         zero, large = xi_t == 0.0, xi_t**2 > LARGE_XI_SQ
         small = ~(zero | large)
         rows_l, rows_s, xi_l, r2 = rows[large], rows[small], xi_t[large], r[m:]
-        # xi = 0: compress the pairs to k <= m columns
-        u_z, s_z, vt_z = np.zeros((m, 0)), np.zeros(0), np.zeros((0, np.count_nonzero(zero)))
-        if m and vt_z.shape[1]:
-            u_z, s_z, vt_z = _lapack(scipy.linalg.lapack.dgesdd, self.tr[:, zero], full_matrices=0)
-        k, n_s = s_z.size, rows_s.size
+        # xi = 0: tr[:, zero] = R^T Q^T, k = min(m, T_Z) columns
+        n_z = np.count_nonzero(zero)
+        k = min(m, n_z)
+        rt_z, q_z = np.zeros((m, k)), np.zeros((n_z, k))
+        if k:
+            qr_z, tau = _lapack(scipy.linalg.lapack.dgeqrf, self.tr[:, zero].T)[:2]
+            rt_z = np.triu(qr_z[:k]).T
+            q_z = _lapack(scipy.linalg.lapack.dorgqr, qr_z[:, :k], tau)[0]
+        n_s = rows_s.size
         dim = m + k + n_s
-        # large xi: fold each pair's row into its sqrt(mu) row; M^T = c_large / rho
+        # large xi: fold each pair's row into its sqrt(mu) row; M^T = C_L / rho
         rho = np.sqrt(xi_l**2 + mu)
-        cos, c_large = xi_l / rho, c_mat[rows_l]
-        m_t = c_large / rho[:, None]
+        b = r2[rows_l] / rho
+        m_t = c_mat[rows_l]
+        m_t /= rho[:, None]
         kmat = m_t.T @ m_t
+        ag = xi_l != 1.0
+        m_ag = m_t[ag]
+        # the F1 rows over [x | w | S | c] of A u - c, and L^-1 M b, all
+        # whitened by K's factor; x gains M diag(xi_L) M^T, which is
+        # K - I = M M^T less M diag(1 - xi_L) M^T over the xi_t < 1 pairs
+        top = np.empty((m, dim + 2))
+        top[:, :m] = hm + kmat - m_ag.T @ (m_ag * (1.0 - xi_l[ag])[:, None])
         kmat.flat[::m + 1] += 1.0
         chol = scipy.linalg.cho_factor(kmat, lower=True, check_finite=False)[0]
-        # the core over [x | w | S | c], rows [A | c] of A u - c: the F1 rows
-        # without the large pairs, whitened by K's factor, ...
-        core = np.zeros((2 * m + 1 + n_s + dim, dim + 1), order="F")
-        core[:m, :m] = hm + m_t.T @ (c_large * cos[:, None])
-        core[:m, m:m + k] = u_z * s_z
-        core[:m, m + k:dim] = self.tr[:, small]
-        core[:m, dim] = m_t.T @ (cos * r2[rows_l]) - r[:m]
-        core[:m] = top = _solve_triangular(chol, core[:m], lower=1)
-        # ... the R of the rows that see only x (beta-beta, xi = 0 and the
-        # large pairs' rotated rows) and the small pairs' rows, both up to
-        # sign, which leaves A u - c's norm alone, and sqrt(mu) I
-        weight = np.ones(n_sym)
-        weight[rows_l], weight[rows_s] = np.sqrt(mu) / rho, 0.0
-        x_only = np.zeros((max(n_sym, m + 1), m + 1), order="F")
-        np.multiply(c_mat, weight[:, None], out=x_only[:n_sym, :m])
-        np.multiply(r2, weight, out=x_only[:n_sym, m])
-        x_only = _lapack(scipy.linalg.lapack.dgeqrf, x_only, overwrite_a=1)[0]
+        top[:, m:m + k] = rt_z
+        top[:, m + k:dim] = self.tr[:, small]
+        top[:, dim] = m_t.T @ (xi_l * b) - r[:m]
+        top[:, dim + 1] = m_t.T @ b
+        top = _solve_triangular(chol, top, lower=1)
+        # the core's rows: the whitened F1 rows, the weight-1 rows that see
+        # only x (beta-beta and xi = 0), sqrt(mu) [L^T | L^-1 M b], the
+        # small pairs' rows and sqrt(mu) I on w and S
+        weight_one = np.ones(n_sym, dtype=bool)
+        weight_one[rows[~zero]] = False
+        n_one, sqrt_mu = np.count_nonzero(weight_one), np.sqrt(mu)
+        n_x = n_one + m
+        # at least one row, which LAPACK asks of any matrix
+        core = np.zeros((max(m + n_x + 2 * n_s + k, 1), dim + 1), order="F")
+        core[:m] = top[:, :dim + 1]
+        core[m:m + n_one, :m] = c_mat[weight_one]
+        core[m:m + n_one, dim] = r2[weight_one]
         iu, ju, _ = triu_pairs(m)
-        core[m + iu, ju], core[m:2 * m + 1, dim] = x_only[iu, ju], x_only[:m + 1, m]
-        block = core[2 * m + 1:2 * m + 1 + n_s]
+        core[m + n_one + iu, ju] = sqrt_mu * chol[ju, iu]
+        core[m + n_one:m + n_x, dim] = sqrt_mu * top[:, dim + 1]
+        block = core[m + n_x:m + n_x + n_s]
         block[:, :m], block[:, dim] = c_mat[rows_s], r2[rows_s]
         np.fill_diagonal(block[:, m + k:dim], -xi_t[small])
-        np.fill_diagonal(core[2 * m + 1 + n_s:], np.sqrt(mu))
+        np.fill_diagonal(core[m + n_x + n_s:, m:dim], sqrt_mu)
         tri = _lapack(scipy.linalg.lapack.dgeqrf, core, overwrite_a=1)[0]
         sol = _solve_triangular(tri[:dim, :dim], tri[:dim, dim])
         # the large pairs at the solution: K^-1 (F1 rows) = L^-T (whitened rows)
         d = _solve_triangular(chol, top[:, :dim] @ sol - top[:, dim], lower=1, trans=1)
         coeffs = np.empty(xi_t.size)
-        coeffs[zero] = vt_z.T @ sol[m:m + k]
-        coeffs[large] = (cos * (c_large @ sol[:m] - r2[rows_l]) - m_t @ d) / rho
+        coeffs[zero] = q_z @ sol[m:m + k]
+        coeffs[large] = (xi_l * (m_t @ sol[:m] - b) - m_t @ d) / rho
         coeffs[small] = sol[m + k:]
         return np.concatenate([sol[:m], coeffs])
 

@@ -34,8 +34,9 @@ class NlsdpProblem(ABC):
     (a primal vector), so <apply_dg(x, v), S> = <v, adjoint_dg(x, S)>.
     ``apply_hess_lagrangian`` applies the x-Hessian of
     L(x, y) = f(x) + <y, g(x)>.  ``dg_stack(x)`` stacks ``apply_dg`` over
-    the unit vectors; the solver and the checks read the constraint
-    derivative through it.
+    the unit vectors and ``hess_lagrangian(x, y)`` applies the Hessian to
+    them; the solver and the checks read the constraint derivative and
+    Hess_xx L through these two.
     """
 
     @property
@@ -79,6 +80,18 @@ class NlsdpProblem(ABC):
         for i, e in enumerate(np.eye(self.m)):
             stack[i] = self.apply_dg(x, e)
         return stack
+
+    def hess_lagrangian(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Hess_xx L(x, y) as an m x m matrix, column i the Hessian applied to e_i.
+
+        The default makes m ``apply_hess_lagrangian`` calls; a problem that
+        holds its Hessian may return it directly.  Callers do not modify
+        the result.
+        """
+        hess = np.zeros((self.m, self.m))
+        for i, e in enumerate(np.eye(self.m)):
+            hess[:, i] = self.apply_hess_lagrangian(x, y, e)
+        return hess
 
 
 def _finite_sym(a, field: str) -> np.ndarray:
@@ -160,6 +173,11 @@ class AffineQuadraticProblem(NlsdpProblem):
         # g is affine, so the stack is the constant A_1..A_m; a subclass
         # that overrides apply_dg must override this too
         return self.a
+
+    def hess_lagrangian(self, x, y):
+        # f is quadratic and g affine, so Hess_xx L is the constant Q; a
+        # subclass that overrides apply_hess_lagrangian must override this too
+        return self.quad
 
 
 # ---------------------------------------------------------------------------

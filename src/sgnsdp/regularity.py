@@ -491,8 +491,9 @@ def diagnose(problem: NlsdpProblem, z: PrimalDualPoint, zero_tol=None) -> Regula
 
     The checks and the Jacobian of :func:`injectivity_margin` share one
     :class:`TangentFrame`, so the constraint stack and Hess_xx L are
-    built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and m
-    ``apply_hess_lagrangian`` calls.  g(x) is evaluated once, for G(z).
+    built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and one
+    ``hess_lagrangian`` (m ``apply_hess_lagrangian`` calls by default).
+    g(x) is evaluated once, for G(z).
     SONC and SRCQ are settled from S-SOSC, W-SRCQ and CN where those
     decide (:func:`check_sonc`, :func:`check_srcq`), and sampled where
     they cannot.

@@ -193,8 +193,11 @@ def normal_step(
 
 # System order m + T from which lm_direction solves from the Jacobian's
 # blocks (AssembledJacobian.solve_regularized) instead of factoring the
-# dense Gram: the break-even of the two on systems saved from real solves
-# (one BLAS thread, 2-vCPU host) lies between orders 128 and 134.
+# dense Gram.  On systems saved from real far-start solves (one BLAS
+# thread, 2-vCPU host, median over systems of each one's fastest of nine
+# attempts), dense / block took 0.140 / 0.142 ms at order 127, 0.150 /
+# 0.140 at 128, 0.157 / 0.157 at 131, 0.158 / 0.155 at 132 and 0.169 /
+# 0.150 at 135, so the break-even lies between orders 127 and 132.
 STRUCTURED_MIN_ORDER = 128
 
 
@@ -220,9 +223,11 @@ def lm_direction(
       0 < xi_t^2 <= ``kkt.LARGE_XI_SQ``, so neither ``gram`` nor the
       dense ``matrix`` is formed.  It costs O((n_sym + T) m^2 + m^3)
       flops, against O(m (m + T)^2 + n_sym m^2) for the Gram and
-      (m + T)^3 / 3 for its Cholesky, but its sixty-odd numpy and LAPACK
-      calls take about 0.2 ms, so the dense path stays the faster one
-      below the constant.
+      (m + T)^3 / 3 for its Cholesky, but its numpy and LAPACK calls
+      cost about 0.13 ms per attempt even at order 21, where the dense
+      path takes 0.04 ms, so the dense path stays the faster one below
+      the constant.  At order 240 (n = 20, m = 30) an attempt takes
+      about 0.22 ms, against 0.90 ms for the dense path.
 
     An attempt fails when a LAPACK call in it fails or the normal
     equations' residual exceeds 1e-10 max(1, ||J^T r||); it is retried

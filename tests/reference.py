@@ -351,7 +351,7 @@ def normal_dirs_stacked(frame, res):
     return sym(pb @ parts[0] @ pb.T), sym(pb @ parts[1] @ pb.T)
 
 
-def lm_solve_errors(jac, r, mu):
+def lm_solve_errors(jac, r, mu, cholesky=True):
     """Errors of the structured and the dense Cholesky LM solve against QR.
 
     The reference solves the least-squares problem A u ~ b, with
@@ -362,7 +362,8 @@ def lm_solve_errors(jac, r, mu):
     eps (kappa + kappa^2 eta) of the problem, kappa the condition number
     of A and eta = ||A u - b|| / (||A|| ||u||); None when the solution is
     zero.  Propagates the ``LinAlgError`` of a failed Cholesky
-    factorization.
+    factorization; with ``cholesky=False`` the Cholesky solve is skipped
+    and its error is NaN.
     """
     dense = jac.matrix
     dim = dense.shape[1]
@@ -370,8 +371,10 @@ def lm_solve_errors(jac, r, mu):
     target = np.concatenate([-r, np.zeros(dim)])
     qmat, rmat = np.linalg.qr(aug)
     exact = scipy.linalg.solve_triangular(rmat, qmat.T @ target)
-    cho = scipy.linalg.cho_factor(dense.T @ dense + mu * np.eye(dim))
-    by_dense = scipy.linalg.cho_solve(cho, -(dense.T @ r))
+    by_dense = np.full(dim, np.nan)
+    if cholesky:
+        cho = scipy.linalg.cho_factor(dense.T @ dense + mu * np.eye(dim))
+        by_dense = scipy.linalg.cho_solve(cho, -(dense.T @ r))
     scale = np.linalg.norm(exact)
     if scale == 0.0:
         return None

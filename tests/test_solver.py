@@ -74,6 +74,9 @@ class NanHessian(AffineQuadraticProblem):
     def apply_hess_lagrangian(self, x, y, v):
         return np.full(self.m, np.nan)
 
+    def hess_lagrangian(self, x, y):
+        return np.full((self.m, self.m), np.nan)
+
 
 def broken_scalar_boundary():
     base, z = scalar_boundary()
