@@ -28,7 +28,7 @@ min ||J u + r||^2 + mu ||u||^2 is solved from these blocks.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -61,6 +61,25 @@ def _solve_triangular(tri, b, **kwargs):
     return _lapack(scipy.linalg.lapack.dtrtrs, tri, b, **kwargs)[0] if tri.size else b
 
 
+class _cached:
+    """A property computed on first read and then stored in the instance
+    ``__dict__``, where later reads find it before the descriptor.
+
+    ``functools.cached_property`` without its lock, which Python 3.10 and
+    3.11 take on every first read; like it, it writes past a frozen
+    dataclass's ``__setattr__``.
+    """
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 def big_g(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
     """G(z) = g(x) + y, the matrix whose eigenstructure drives everything."""
     return problem.eval_g(z.x) + z.y
@@ -74,7 +93,7 @@ class KktResidual:
     f2: np.ndarray
     ied: IED
 
-    @cached_property
+    @_cached
     def phi(self) -> float:
         return 0.5 * (float((self.f1**2).sum()) + float((self.f2**2).sum()))
 
@@ -83,25 +102,33 @@ class KktResidual:
         return float(np.sqrt(np.sum(self.f1**2) + np.sum(self.f2**2)))
 
 
+def _f1(problem: NlsdpProblem, z: PrimalDualPoint) -> np.ndarray:
+    """F1 = grad f(x) + adjoint_dg(x, y), the first block of the residual."""
+    return problem.grad_f(z.x) + problem.adjoint_dg(z.x, z.y)
+
+
 def residual(
     problem: NlsdpProblem,
     z: PrimalDualPoint,
     zero_tol: float | None = None,
     g_val: np.ndarray | None = None,
+    f1: np.ndarray | None = None,
 ) -> KktResidual:
     """Evaluate the KKT residual; phi(z) is available as ``.phi``.
 
-    ``g_val`` is g(z.x) when the caller has evaluated it already (a
-    retraction does); otherwise it is evaluated here.  Raises
-    :class:`NumericalError` when g(x) has a non-finite entry, before
-    G(z) is formed from it.
+    ``g_val`` is g(z.x) and ``f1`` is :func:`_f1` at ``z`` when the
+    caller has evaluated them already (a retraction evaluates g, and
+    ``solver.slmn`` forms a normal candidate's F1 to screen it);
+    otherwise they are evaluated here.  Raises :class:`NumericalError`
+    when g(x) has a non-finite entry, before G(z) is formed from it.
     """
     if g_val is None:
         g_val = problem.eval_g(z.x)
     if not np.isfinite(g_val).all():
         raise NumericalError("g(x) contains non-finite entries", order=g_val.shape[-1])
     ied = make_ied(g_val + z.y, zero_tol)
-    f1 = problem.grad_f(z.x) + problem.adjoint_dg(z.x, z.y)
+    if f1 is None:
+        f1 = _f1(problem, z)
     f2 = -g_val + project_psd(ied)
     return KktResidual(f1=f1, f2=sym(f2), ied=ied)
 
@@ -134,17 +161,17 @@ class TangentFrame:
     ied: IED
     dg: np.ndarray | None = None
 
-    @cached_property
+    @_cached
     def rows(self) -> np.ndarray:
         """Position of each tangent pair in the ``sym_to_vec`` layout (read-only)."""
         return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[0]
 
-    @cached_property
+    @_cached
     def pairs(self) -> np.ndarray:
         """The tangent pairs (k, l), one row each, in the order of ``rows`` (read-only)."""
         return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[1]
 
-    @cached_property
+    @_cached
     def stack(self) -> np.ndarray:
         """The constraint derivative at ``z``, rotated into the eigenbasis P.
 
@@ -157,12 +184,12 @@ class TangentFrame:
         at = self.ied.basis.T @ dg @ self.ied.basis
         return 0.5 * (at + at.transpose(0, 2, 1))
 
-    @cached_property
+    @_cached
     def c_mat(self) -> np.ndarray:
         """C = sym_to_vec(stack).T, the stack read as n_sym x m columns."""
         return sym_to_vec(self.stack).T
 
-    @cached_property
+    @_cached
     def hess(self) -> np.ndarray:
         """Hess_xx L at ``z`` as an m x m matrix, ``problem.hess_lagrangian(x, y)``:
         m ``apply_hess_lagrangian`` calls unless the problem overrides it."""
@@ -195,7 +222,7 @@ class TangentVector:
     v_x: np.ndarray
     coeffs: np.ndarray
 
-    @cached_property
+    @_cached
     def matrix(self) -> np.ndarray:
         """P (sum_t c_t E_t) P^T, E_t the unit matrix at tangent row t."""
         ied = self.frame.ied
@@ -203,7 +230,7 @@ class TangentVector:
         flat[self.frame.rows] = self.coeffs
         return sym(ied.basis @ vec_to_sym(flat, ied.n) @ ied.basis.T)
 
-    @cached_property
+    @_cached
     def norm(self) -> float:
         return float(np.sqrt((self.v_x**2).sum() + (self.coeffs**2).sum()))
 
@@ -243,7 +270,7 @@ class AssembledJacobian:
     tr: np.ndarray
     xi_t: np.ndarray
 
-    @cached_property
+    @_cached
     def gram(self) -> np.ndarray:
         hm, c_mat, tr, xi_t = self.hm, self.c_mat, self.tr, self.xi_t
         m = hm.shape[0]
@@ -367,7 +394,7 @@ class AssembledJacobian:
         coeffs[small] = sol[m + k:]
         return np.concatenate([sol[:m], coeffs])
 
-    @cached_property
+    @_cached
     def matrix(self) -> np.ndarray:
         """The dense J: the four blocks placed into zeros."""
         m, n_sym, dim_t = self.hm.shape[0], self.c_mat.shape[0], self.xi_t.size
@@ -389,6 +416,25 @@ class AssembledJacobian:
         return float(svals[-1])
 
 
+@lru_cache(maxsize=256)
+def _xi_layout(n: int, p: int, q: int):
+    """The part of the stratum (n, p, q)'s xi_t that its index alone fixes.
+
+    Returns ``base``, xi_t with the alpha-gamma pairs still at zero (1
+    where l is not in gamma, else 0), and ``ag``, the positions of the
+    alpha-gamma pairs, both in the order of the pairs of
+    :func:`spectral.tangent_layout`.  Cached per stratum index, like
+    that layout, so the arrays are read-only.
+    """
+    k, l = tangent_layout(n, p, q)[1].T
+    r = n - q  # first gamma index
+    base = (l < r).astype(float)
+    ag = np.flatnonzero((k < p) & (l >= r))
+    for arr in (base, ag):
+        arr.flags.writeable = False
+    return base, ag
+
+
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
     """Slice the Jacobian blocks from the frame's rotated constraint stack.
 
@@ -403,15 +449,15 @@ def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
     (max(lam_k, 0) - max(lam_l, 0)) / (lam_k - lam_l) at each tangent
     pair (k, l), k <= l, with beta eigenvalues read as zeros: 1 where l
     is not in gamma, lam_k / (lam_k - lam_l) on the alpha-gamma pairs
-    and 0 on the beta-gamma and gamma-gamma pairs.
+    and 0 on the beta-gamma and gamma-gamma pairs.  Only the alpha-gamma
+    quotients depend on the point; the rest and the alpha-gamma mask come
+    from :func:`_xi_layout`'s per-stratum cache.
     """
     ied, c_mat = frame.ied, frame.c_mat
-    k, l = frame.pairs.T
-    r = ied.n - ied.q  # first gamma index
-    xi_t = (l < r).astype(float)
-    ag = (k < ied.p) & (l >= r)
-    lam_k, lam_l = ied.eigenvalues[k[ag]], ied.eigenvalues[l[ag]]
-    xi_t[ag] = lam_k / (lam_k - lam_l)
+    base, ag = _xi_layout(ied.n, ied.p, ied.q)
+    lam = ied.eigenvalues[frame.pairs[ag]]  # (lam_k, lam_l) per alpha-gamma pair
+    xi_t = base.copy()
+    xi_t[ag] = lam[:, 0] / (lam[:, 0] - lam[:, 1])
     return AssembledJacobian(
         frame=frame,
         hm=frame.hess - c_mat.T @ c_mat,

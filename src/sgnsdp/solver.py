@@ -20,6 +20,7 @@ s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
 D-stationary points of phi.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -40,6 +41,7 @@ from .kkt import (
     KktResidual,
     TangentFrame,
     TangentVector,
+    _f1,
     assemble_dF,
     residual,
 )
@@ -139,9 +141,14 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     vanish exactly at KKT pairs.  The beta-beta block of P^T dg(F1) P is
     sum_i F1_i at[i][beta, beta], read from the frame's rotated stack.
     W1 is the NSD part of that block's negative, W2 the PSD part of the
-    negative minus the block of P^T F2 P; each block takes its own
-    eigendecomposition, two single ``dsyevd`` calls being cheaper than
-    one stacked ``np.linalg.eigh`` at these orders.
+    negative minus the block of P^T F2 P.  When |beta| >= 2 each block
+    takes its own eigendecomposition, two single ``dsyevd`` calls being
+    cheaper than one stacked ``np.linalg.eigh`` at these orders.  When
+    |beta| = 1 the blocks are scalars and are clipped at zero directly:
+    a 1 x 1 ``dsyevd`` returns the entry as the eigenvalue and exactly
+    1.0 as the eigenvector, so the clip is its result bit for bit.  A
+    block that is not finite, or whose symmetrization overflows, still
+    goes to ``eig_sym``, which raises for it.
     """
     ied = frame.ied
     n, p, q = ied.n, ied.p, ied.q
@@ -155,10 +162,14 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     m, k = res.f1.size, r - p
     flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
     block1 = -flat.reshape(k, k)
-    basis1, lam1 = eig_sym(sym(block1))
-    basis2, lam2 = eig_sym(sym(block1 - pb.T @ res.f2 @ pb))
-    part1 = sym(basis1 @ (np.minimum(lam1, 0.0)[:, None] * basis1.T))
-    part2 = sym(basis2 @ (np.maximum(lam2, 0.0)[:, None] * basis2.T))
+    block2 = sym(block1 - pb.T @ res.f2 @ pb)
+    if k == 1 and math.isfinite(2.0 * float(block1[0, 0])) and math.isfinite(block2[0, 0]):
+        part1, part2 = np.minimum(block1, 0.0), np.maximum(block2, 0.0)
+    else:
+        basis1, lam1 = eig_sym(sym(block1))
+        basis2, lam2 = eig_sym(block2)
+        part1 = sym(basis1 @ (np.minimum(lam1, 0.0)[:, None] * basis1.T))
+        part2 = sym(basis2 @ (np.maximum(lam2, 0.0)[:, None] * basis2.T))
     return sym(pb @ part1 @ pb.T), sym(pb @ part2 @ pb.T)
 
 
@@ -420,6 +431,13 @@ class SlmnOutcome(NamedTuple):
         return self.kind == "stall"
 
 
+def _f1_merit(problem: NlsdpProblem, z: PrimalDualPoint):
+    """F1 at ``z``, as :func:`residual` forms it, and 0.5 ||F1||^2,
+    which no rounding lets exceed the phi of that residual."""
+    f1 = _f1(problem, z)
+    return f1, 0.5 * float((f1**2).sum())
+
+
 def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     """One descent step from ``state``'s point: best of the two normal
     candidates and the LM step.
@@ -429,10 +447,21 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     among the rest the merit minimizer wins, with ties broken in the
     order lm, normal1, normal2.  If nothing decreases the merit the
     state's point is returned with the stall flag set.
+
+    A normal candidate is screened before its residual: its F1 is formed
+    first, and the candidate is dropped when 0.5 ||F1||^2 is at least
+    the lowest of the state's phi and the merits of the candidates before
+    it.  phi is 0.5 (||F1||^2 + ||F2||^2), and round-to-nearest is
+    monotone, so the candidate's phi would be at least that bound: it
+    could neither decrease the merit strictly nor beat an earlier
+    candidate, which wins ties.  So the screen never changes the winner,
+    and a dropped candidate costs no ``eval_g`` call and no
+    eigendecomposition.  A kept candidate hands its F1 to the residual.
     """
     frame = state.jac.frame
     problem, z, res = frame.problem, frame.z, state.res
     candidates = []
+    best = res.phi
     if state.v_lm is not None and state.v_lm.norm > 0.0:
         dphi = float(state.pulled @ state.v_lm.as_vec())
         try:
@@ -440,6 +469,7 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
             candidates.append(
                 SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm)
             )
+            best = min(best, res_lm.phi)
         except LineSearchFailure:
             pass
     for which, w, kind in ((1, state.w1, "normal1"), (2, state.w2, "normal2")):
@@ -449,8 +479,12 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
             continue
         if cand is None:
             continue
-        cand_res = residual(problem, cand, config.zero_tol)
+        f1, bound = _f1_merit(problem, cand)
+        if bound >= best:
+            continue
+        cand_res = residual(problem, cand, config.zero_tol, f1=f1)
         candidates.append(SlmnOutcome(cand, cand_res, kind, 0, float(frob(cand.y - z.y))))
+        best = min(best, cand_res.phi)
     viable = [c for c in candidates if c.res.phi < res.phi]
     if not viable:
         return SlmnOutcome(z, res, "stall", 0, 0.0)

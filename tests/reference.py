@@ -10,8 +10,9 @@ The reference implementations are the straightforward constructions
 the vectorised library code must match: the stratum Jacobian built
 column by column through ``adjoint_dg`` and :func:`stratum_differential`,
 the regularity quantities built by explicit loops over matrix entries
-in the eigenbasis, the SRCQ probe iterating on full n x n matrices and
-the LM system solved by QR of the dense Jacobian.
+in the eigenbasis, the SRCQ probe iterating on full n x n matrices, the LM system solved
+by QR of the dense Jacobian and the descent step that forms every
+normal candidate's residual.
 They share no code with the library's constraint stack or its Jacobian
 assembly, so agreement is evidence for both.
 """
@@ -29,7 +30,7 @@ from support import (
     tangent_matrix,
 )
 
-from sgnsdp.errors import SgnsdpError
+from sgnsdp.errors import LineSearchFailure, NumericalInconsistency, SgnsdpError
 from sgnsdp.kkt import TangentFrame, assemble_dF, residual
 from sgnsdp.regularity import (
     HEURISTIC_FAILS,
@@ -38,6 +39,7 @@ from sgnsdp.regularity import (
     _definite_margin,
     _null_space,
 )
+from sgnsdp.solver import RHO, SlmnOutcome, armijo_search, normal_step
 from sgnsdp.spectral import (
     frob,
     nsd_part,
@@ -349,6 +351,36 @@ def normal_dirs_stacked(frame, res):
     clipped = np.stack([np.minimum(lam[0], 0.0), np.maximum(lam[1], 0.0)])
     parts = sym(basis @ (clipped[..., None] * np.swapaxes(basis, -1, -2)))
     return sym(pb @ parts[0] @ pb.T), sym(pb @ parts[1] @ pb.T)
+
+
+def slmn_unscreened(state, config):
+    """``solver.slmn`` without its F1 screen: every normal candidate that
+    exists gets its full residual.  ``slmn`` must pick the same outcome,
+    bit for bit.
+    """
+    frame = state.jac.frame
+    problem, z, res = frame.problem, frame.z, state.res
+    candidates = []
+    if state.v_lm is not None and state.v_lm.norm > 0.0:
+        dphi = float(state.pulled @ state.v_lm.as_vec())
+        try:
+            z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
+            candidates.append(SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm))
+        except LineSearchFailure:
+            pass
+    for which, w, kind in ((1, state.w1, "normal1"), (2, state.w2, "normal2")):
+        try:
+            cand = normal_step(frame, w, which)
+        except NumericalInconsistency:
+            continue
+        if cand is None:
+            continue
+        cand_res = residual(problem, cand, config.zero_tol)
+        candidates.append(SlmnOutcome(cand, cand_res, kind, 0, float(frob(cand.y - z.y))))
+    viable = [c for c in candidates if c.res.phi < res.phi]
+    if not viable:
+        return SlmnOutcome(z, res, "stall", 0, 0.0)
+    return min(viable, key=lambda c: c.res.phi)
 
 
 def lm_solve_errors(jac, r, mu, cholesky=True):

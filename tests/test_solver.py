@@ -8,7 +8,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import dir_derivative_phi, lm_solve_errors, normal_dirs_stacked
+from reference import dir_derivative_phi, lm_solve_errors, normal_dirs_stacked, slmn_unscreened
 from support import (
     Oscillatory,
     OverflowingConstraint,
@@ -25,8 +25,15 @@ from support import (
 )
 
 import sgnsdp.solver
-from sgnsdp.errors import InertiaViolation, LineSearchFailure
-from sgnsdp.kkt import AssembledJacobian, TangentFrame, assemble_dF, big_g, residual
+from sgnsdp.errors import InertiaViolation, LineSearchFailure, NumericalError
+from sgnsdp.kkt import (
+    AssembledJacobian,
+    KktResidual,
+    TangentFrame,
+    assemble_dF,
+    big_g,
+    residual,
+)
 from sgnsdp.model import (
     AffineQuadraticProblem,
     PrimalDualPoint,
@@ -50,7 +57,7 @@ from sgnsdp.solver import (
     slmn,
     stationarity_measure,
 )
-from sgnsdp.spectral import default_zero_tol, frob, make_ied, nsd_part, sym
+from sgnsdp.spectral import default_zero_tol, eig_sym, frob, make_ied, nsd_part, sym
 
 
 def scalar_boundary():
@@ -204,6 +211,36 @@ class TestNormalDirections:
         w1, w2 = normal_dirs(frame, res)
         assert np.array_equal(w1, sym(pb @ nsd_part(block1) @ pb.T))
         assert np.array_equal(w2, sym(pb @ psd_part(block2) @ pb.T))
+
+    @pytest.mark.parametrize("n_beta, eig_calls", [(1, 0), (2, 2), (3, 2)])
+    def test_scalar_blocks_take_no_eigendecomposition(self, monkeypatch, n_beta, eig_calls):
+        # at |beta| = 1 the blocks are clipped at zero, which is what a
+        # 1 x 1 dsyevd gives; larger blocks take one dsyevd each
+        problem, z = corrected_random_point(np.random.default_rng(5), n_beta + 2, 4, n_zero=n_beta)
+        res = residual(problem, z)
+        assert res.ied.n_beta == n_beta
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return eig_sym(a)
+
+        monkeypatch.setattr(sgnsdp.solver, "eig_sym", counting)
+        normal_dirs(TangentFrame(problem, z, res.ied), res)
+        assert calls == [(n_beta, n_beta)] * eig_calls
+
+    @pytest.mark.parametrize("scale", [np.inf, 1e308])
+    def test_a_scalar_block_that_is_not_finite_raises(self, scale):
+        # an infinite block, or one whose symmetrization overflows, still
+        # reaches eig_sym and raises there
+        problem, z = corrected_random_point(np.random.default_rng(5), 3, 4, n_zero=1)
+        res = residual(problem, z)
+        frame = TangentFrame(problem, z, res.ied)
+        entries = frame.stack[:, res.ied.p, res.ied.p]
+        f1 = np.zeros(4)
+        f1[np.argmax(np.abs(entries))] = scale / np.abs(entries).max()
+        with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
+            normal_dirs(frame, KktResidual(f1=f1, f2=res.f2, ied=res.ied))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31))
@@ -639,14 +676,18 @@ class TestSlmn:
 
     def test_ties_go_to_lm_then_normal1_then_normal2(self, monkeypatch):
         # the three candidates get merits from stubs; among equal merits
-        # the earlier candidate in the order lm, normal1, normal2 wins
+        # the earlier candidate in the order lm, normal1, normal2 wins.
+        # The normal candidates' merits also reach the F1 screen, either
+        # as its bound, so that the screen drops each normal candidate that
+        # ties, or with a zero bound, so that every candidate reaches the
+        # selection by merit
         problem, z = corrected_random_point(np.random.default_rng(1), 4, 5, n_zero=2)
         config = SolverConfig()
         state = _point_state(problem, z, config)
         assert state.v_lm.norm > 0.0 and frob(state.w1) > 0.0 and frob(state.w2) > 0.0
         low = 0.5 * state.res.phi
 
-        def run(lm_phi, normal_phis):
+        def run(lm_phi, normal_phis, screened):
             lm_res = SimpleNamespace(phi=lm_phi)
             normal_res = [SimpleNamespace(phi=phi) for phi in normal_phis]
             queue = deque(normal_res)
@@ -656,22 +697,45 @@ class TestSlmn:
                     raise LineSearchFailure("stubbed")
                 return z, lm_res, 0
 
+            def f1_merit(problem, z):
+                # the stubbed residual stands in for F1 and comes back from residual
+                stub = queue.popleft()
+                return stub, stub.phi if screened else 0.0
+
             monkeypatch.setattr(sgnsdp.solver, "armijo_search", search)
-            monkeypatch.setattr(sgnsdp.solver, "residual", lambda *args: queue.popleft())
+            monkeypatch.setattr(sgnsdp.solver, "_f1_merit", f1_merit)
+            monkeypatch.setattr(sgnsdp.solver, "residual", lambda *args, f1: f1)
             outcome = slmn(state, config)
             assert not queue
             return outcome, lm_res, normal_res
 
-        outcome, lm_res, _ = run(low, (low, low))
-        assert outcome.kind == "lm" and outcome.res is lm_res
-        outcome, lm_res, _ = run(low, (2.0 * low, low))
-        assert outcome.kind == "lm" and outcome.res is lm_res
-        outcome, _, normal_res = run(2.0 * low, (low, low))
-        assert outcome.kind == "normal1" and outcome.res is normal_res[0]
-        outcome, _, normal_res = run(None, (low, low))
-        assert outcome.kind == "normal1" and outcome.res is normal_res[0]
-        outcome, _, normal_res = run(2.0 * low, (2.0 * low, low))
-        assert outcome.kind == "normal2" and outcome.res is normal_res[1]
+        for screened in (True, False):
+            outcome, lm_res, _ = run(low, (low, low), screened)
+            assert outcome.kind == "lm" and outcome.res is lm_res
+            outcome, lm_res, _ = run(low, (2.0 * low, low), screened)
+            assert outcome.kind == "lm" and outcome.res is lm_res
+            outcome, _, normal_res = run(2.0 * low, (low, low), screened)
+            assert outcome.kind == "normal1" and outcome.res is normal_res[0]
+            outcome, _, normal_res = run(None, (low, low), screened)
+            assert outcome.kind == "normal1" and outcome.res is normal_res[0]
+            outcome, _, normal_res = run(2.0 * low, (2.0 * low, low), screened)
+            assert outcome.kind == "normal2" and outcome.res is normal_res[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**31))
+    def test_screen_picks_what_the_unscreened_loop_picks(self, n_beta, n_rest, m, seed):
+        # the F1 screen only drops candidates that cannot win, so the
+        # outcome is the unscreened loop's to the bit
+        problem, z = corrected_random_point(
+            np.random.default_rng(seed), n_beta + n_rest, m, n_zero=n_beta
+        )
+        config = SolverConfig()
+        state = _point_state(problem, z, config)
+        got, want = slmn(state, config), slmn_unscreened(state, config)
+        assert (got.kind, got.backtracks, got.step_norm) == (want.kind, want.backtracks, want.step_norm)
+        for a, b in ((got.z.x, want.z.x), (got.z.y, want.z.y), (got.res.f1, want.res.f1),
+                     (got.res.f2, want.res.f2), (got.res.ied.basis, want.res.ied.basis)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestCorrect:
