@@ -13,7 +13,12 @@ zero by combining three moves, all housed in the descent step
 * an eigenvalue correction that snaps near-zero eigenvalues of G(z) to
   exact zeros, moving the iterate onto a lower-dimensional stratum, and
   is accepted only when the step from the corrected point strictly
-  decreases the merit.
+  decreases the merit.  It is tried when a nonzero eigenvalue lies
+  within ``delta`` of zero, and also at the iteration after an
+  uncorrected LM step whose line search rejected a trial for leaving
+  the stratum; there the band widens to the smallest nonzero eigenvalue
+  magnitude, so the stratum the rejected trials pointed to is tried at
+  once instead of after the iterate has crawled to its boundary.
 
 Progress is measured by the directional-stationarity proxy
 s(z) = max(||W1||, ||W2||, ||v_LM||), which vanishes exactly at
@@ -308,6 +313,12 @@ def armijo_search(
     Finds the smallest j with
     phi(R_z(rho^j v)) - phi(z) <= eta rho^j phi'(z; v) / 2; inertia
     violations count as failed trials.  Requires a descent direction.
+    Returns the accepted point, its residual, j, and whether any trial
+    raised :class:`InertiaViolation` (left the stratum); a trial
+    rejected with :class:`NumericalError` does not set that flag.
+    :func:`sgn_solve` tries the eigenvalue correction at the next
+    iteration when an uncorrected LM step's search left the stratum,
+    and accepts it, as always, only when the merit strictly falls.
 
     The threshold is measured against half the directional derivative
     because that is the realizable Gauss-Newton decrease: along the LM
@@ -324,17 +335,22 @@ def armijo_search(
     problem = v.frame.problem
     phi0 = res.phi
     step = 1.0
+    left_stratum = False
     for j in range(MAX_BACKTRACKS + 1):
         try:
             trial = retract_point(v, step)
             trial_res = residual(problem, trial, config.zero_tol, trial.g)
-        except (InertiaViolation, NumericalError):
-            # leaving the stratum or overflowing the trial or its
-            # residual all just reject this step size
+        except InertiaViolation:
+            left_stratum = True
+            step *= RHO
+            continue
+        except NumericalError:
+            # overflowing the trial or its residual rejects this step
+            # size too, but says nothing about the stratum
             step *= RHO
             continue
         if trial_res.phi - phi0 <= 0.5 * ETA * step * dphi:
-            return trial, trial_res, j
+            return trial, trial_res, j, left_stratum
         step *= RHO
     raise LineSearchFailure(
         f"no acceptable step within {MAX_BACKTRACKS} backtracks"
@@ -425,6 +441,7 @@ class SlmnOutcome(NamedTuple):
     kind: str                   # lm | normal1 | normal2 | stall
     backtracks: int
     step_norm: float
+    left_stratum: bool = False  # an lm step's search rejected a trial off the stratum
 
     @property
     def stalled(self) -> bool:
@@ -465,9 +482,9 @@ def slmn(state: _PointState, config: SolverConfig) -> SlmnOutcome:
     if state.v_lm is not None and state.v_lm.norm > 0.0:
         dphi = float(state.pulled @ state.v_lm.as_vec())
         try:
-            z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
+            z_lm, res_lm, j, left = armijo_search(res, state.v_lm, dphi, config)
             candidates.append(
-                SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm)
+                SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm, left)
             )
             best = min(best, res_lm.phi)
         except LineSearchFailure:
@@ -500,20 +517,28 @@ def sgn_solve(
     """Run the stratified Gauss-Newton method with correction from ``z0``.
 
     Each outer iteration stops if the stationarity measure is within
-    tolerance, otherwise corrects the iterate, takes the descent step
+    tolerance, otherwise tries the correction, takes the descent step
     from the corrected point if that strictly decreases the merit, and
-    from the uncorrected point otherwise.  The merit sequence is
-    nonincreasing by construction.  Terminates with ``converged``,
-    ``max-iter``, or ``stalled`` when no candidate makes progress.  A
-    step that fails numerically (a singular LM system, an exhausted line
-    search, a trial that leaves the stratum or overflows) is skipped,
-    but a start whose g(x0) or G(z0) has a non-finite entry raises
+    from the uncorrected point otherwise.  The correction is tried with
+    the band ``config.delta`` when some nonzero eigenvalue of G(z) lies
+    within it, and with the band max(``config.delta``,
+    :func:`delta_lower_modulus`) when the previous iteration's accepted
+    step was an uncorrected ``lm`` step whose Armijo search rejected a
+    trial for leaving the stratum (:class:`InertiaViolation`); either
+    way its acceptance test is the one above.  Near a KKT pair the unit
+    LM step keeps the stratum, so the wider band is not tried there.
+    The merit sequence is nonincreasing by construction.  Terminates
+    with ``converged``, ``max-iter``, or ``stalled`` when no candidate
+    makes progress.  A step that fails numerically (a singular LM
+    system, an exhausted line search, a trial that leaves the stratum
+    or overflows) is skipped, but a start whose g(x0) or G(z0) has a non-finite entry raises
     :class:`NumericalError` from its first residual.
     """
     config = config or SolverConfig()
     z = z0
     trace = []
     state = _point_state(problem, z, config)
+    left_stratum = False
     for k in range(config.max_iter):
         s_val = state.stationarity
         if s_val <= config.tol:
@@ -523,11 +548,18 @@ def sgn_solve(
             )
         # The correction only matters when it kills eigenvalues that are
         # currently classified nonzero; a band holding only beta noise
-        # would re-zero what the retraction already keeps at zero.
+        # would re-zero what the retraction already keeps at zero.  After
+        # an LM search that left the stratum, the band widens to the
+        # smallest nonzero eigenvalue's magnitude, the stratum that the
+        # rejected trials pointed to.
         ied = state.res.ied
+        lowest = delta_lower_modulus(ied)
+        band = config.delta
+        if left_stratum and lowest < np.inf:
+            band = max(band, lowest)
         corrected = False
-        if delta_lower_modulus(ied) <= config.delta:
-            z_hat = correct(z, ied, config.delta)
+        if lowest <= band:
+            z_hat = correct(z, ied, band)
             outcome = slmn(_point_state(problem, z_hat, config, prior=state.jac.frame), config)
             if outcome.res.phi < state.res.phi:
                 corrected = True
@@ -562,6 +594,7 @@ def sgn_solve(
                 stationarity=s_val, trace=trace,
             )
         z = outcome.z
+        left_stratum = outcome.left_stratum and not corrected
         state = _point_state(problem, z, config, outcome.res, state.jac.frame)
     return SolveResult(
         status=MAX_ITER, z=z, phi=state.res.phi,

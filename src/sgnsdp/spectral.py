@@ -28,9 +28,11 @@ A single matrix is eigendecomposed by one LAPACK ``dsyevd`` call on its
 lower triangle, the routine and triangle of ``np.linalg.eigh``, whose
 Python wrapper costs as much as the decomposition at the orders the
 solver sees; stacks go through ``np.linalg.eigh``, which loops over them
-faster than Python can.  Every ``scipy.linalg.lapack`` routine that
-the package calls goes through :func:`_lapack`; only its two Cholesky
-factorizations call a wrapper, ``scipy.linalg.cho_factor``.
+faster than Python can.  Where only the inertia matters (the retraction
+onto a stratum without beta) the same call skips the eigenvectors.
+Every ``scipy.linalg.lapack`` routine that the package calls goes
+through :func:`_lapack`; only its two Cholesky factorizations call a
+wrapper, ``scipy.linalg.cho_factor``.
 """
 
 import math
@@ -164,24 +166,47 @@ def eig_sym(a: np.ndarray):
     eigenvalues : (..., n) nonincreasing
     """
     a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise NumericalError(
-            "eigendecomposition input contains non-finite entries",
-            norm=frob(a[np.isfinite(a)]),  # of the finite entries
-            order=a.shape[-1],
-        )
+    _require_finite(a)
     try:
         if a.ndim == 2:
             lam, basis = _lapack(scipy.linalg.lapack.dsyevd, a, compute_v=1, lower=1)
         else:
             lam, basis = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"symmetric eigendecomposition failed: {exc}",
-            norm=frob(a),
-            order=a.shape[-1],
-        ) from exc
+        raise _failed(exc, a) from exc
     return basis[..., ::-1].copy(), lam[..., ::-1].copy()
+
+
+def eigvals_sym(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of one symmetric matrix, sorted nonincreasing.
+
+    One ``dsyevd`` call without eigenvectors, on the lower triangle, with
+    the input checks and failures of :func:`eig_sym`.  Without vectors
+    LAPACK takes another tridiagonal QR variant, so the eigenvalues agree
+    with :func:`eig_sym`'s to rounding, not to the bit.
+    """
+    a = np.asarray(a, dtype=float)
+    _require_finite(a)
+    try:
+        lam = _lapack(scipy.linalg.lapack.dsyevd, a, compute_v=0, lower=1)[0]
+    except np.linalg.LinAlgError as exc:
+        raise _failed(exc, a) from exc
+    return lam[::-1].copy()
+
+
+def _require_finite(a: np.ndarray):
+    if not np.isfinite(a).all():
+        raise NumericalError(
+            "eigendecomposition input contains non-finite entries",
+            norm=frob(a[np.isfinite(a)]),  # of the finite entries
+            order=a.shape[-1],
+        )
+
+
+def _failed(exc: np.linalg.LinAlgError, a: np.ndarray) -> NumericalError:
+    return NumericalError(
+        f"symmetric eigendecomposition failed: {exc}", norm=frob(a), order=a.shape[-1]
+    )
 
 
 def default_zero_tol(eigenvalues: np.ndarray) -> float:
@@ -300,9 +325,27 @@ def retract_fixed_inertia(ied: IED, h: np.ndarray) -> np.ndarray:
     it stands.  Raises :class:`InertiaViolation` when the target no
     longer has ``p`` eigenvalues above the zero tolerance or ``q`` below
     its negative; line searches treat that as a rejected trial.
+
+    On a stratum without beta (p + q = n) every eigenvalue is kept, so
+    the target is returned as it stands and only its eigenvalues are
+    computed, by :func:`eigvals_sym`, for the inertia test.
     """
+    target = ied.matrix + h
+    if ied.p + ied.q == ied.n:
+        _require_inertia(ied, eigvals_sym(target))
+        return target
+    basis, lam = eig_sym(target)
+    _require_inertia(ied, lam)
+    kept = lam.copy()
+    kept[ied.p : ied.n - ied.q] = 0.0
+    return sym(basis @ (kept[:, None] * basis.T))
+
+
+def _require_inertia(ied: IED, lam: np.ndarray):
+    """Raise :class:`InertiaViolation` unless the nonincreasing ``lam``
+    has ``ied.p`` entries above ``ied.zero_tol`` and ``ied.q`` below its
+    negative."""
     p, q, n = ied.p, ied.q, ied.n
-    basis, lam = eig_sym(ied.matrix + h)
     tol = ied.zero_tol
     if p and lam[p - 1] <= tol:
         raise InertiaViolation(
@@ -312,6 +355,3 @@ def retract_fixed_inertia(ied: IED, h: np.ndarray) -> np.ndarray:
         raise InertiaViolation(
             f"retraction target has fewer than {q} negative eigenvalues"
         )
-    kept = lam.copy()
-    kept[p : n - q] = 0.0
-    return sym(basis @ (kept[:, None] * basis.T))

@@ -10,7 +10,8 @@ The reference implementations are the straightforward constructions
 the vectorised library code must match: the stratum Jacobian built
 column by column through ``adjoint_dg`` and :func:`stratum_differential`,
 the regularity quantities built by explicit loops over matrix entries
-in the eigenbasis, the SRCQ probe iterating on full n x n matrices, the LM system solved
+in the eigenbasis, the fixed-inertia retraction by eigendecomposition
+on every stratum, the SRCQ probe iterating on full n x n matrices, the LM system solved
 by QR of the dense Jacobian and the descent step that forms every
 normal candidate's residual.
 They share no code with the library's constraint stack or its Jacobian
@@ -30,7 +31,7 @@ from support import (
     tangent_matrix,
 )
 
-from sgnsdp.errors import LineSearchFailure, NumericalInconsistency, SgnsdpError
+from sgnsdp.errors import InertiaViolation, LineSearchFailure, NumericalInconsistency, SgnsdpError
 from sgnsdp.kkt import TangentFrame, assemble_dF, residual
 from sgnsdp.regularity import (
     HEURISTIC_FAILS,
@@ -41,6 +42,7 @@ from sgnsdp.regularity import (
 )
 from sgnsdp.solver import RHO, SlmnOutcome, armijo_search, normal_step
 from sgnsdp.spectral import (
+    eig_sym,
     frob,
     nsd_part,
     sym,
@@ -333,6 +335,25 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     return (HEURISTIC_HOLDS if worst < 1.0 - alignment_tol else HEURISTIC_FAILS), worst
 
 
+def retract_by_eigendecomposition(ied, h):
+    """``spectral.retract_fixed_inertia`` on every stratum, beta = 0
+    included: eigendecompose G + h, test the inertia, and rebuild from
+    the kept eigenvalues.  On a stratum without beta the library returns
+    G + h itself; it must raise where this does and otherwise return
+    G + h bit for bit.
+    """
+    p, q, n = ied.p, ied.q, ied.n
+    basis, lam = eig_sym(ied.matrix + h)
+    tol = ied.zero_tol
+    if p and lam[p - 1] <= tol:
+        raise InertiaViolation(f"retraction target has fewer than {p} positive eigenvalues")
+    if q and lam[n - q] >= -tol:
+        raise InertiaViolation(f"retraction target has fewer than {q} negative eigenvalues")
+    kept = lam.copy()
+    kept[p : n - q] = 0.0
+    return sym(basis @ (kept[:, None] * basis.T))
+
+
 def normal_dirs_stacked(frame, res):
     """(W1, W2) of ``solver.normal_dirs`` with both beta-beta blocks in
     one stacked ``np.linalg.eigh``; ``normal_dirs`` decomposes them one
@@ -364,8 +385,8 @@ def slmn_unscreened(state, config):
     if state.v_lm is not None and state.v_lm.norm > 0.0:
         dphi = float(state.pulled @ state.v_lm.as_vec())
         try:
-            z_lm, res_lm, j = armijo_search(res, state.v_lm, dphi, config)
-            candidates.append(SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm))
+            z_lm, res_lm, j, left = armijo_search(res, state.v_lm, dphi, config)
+            candidates.append(SlmnOutcome(z_lm, res_lm, "lm", j, RHO**j * state.v_lm.norm, left))
         except LineSearchFailure:
             pass
     for which, w, kind in ((1, state.w1, "normal1"), (2, state.w2, "normal2")):

@@ -259,7 +259,7 @@ class TestCallbackBudget:
             if not dphi < 0:
                 break
             counting.calls["eval_g"] = 0
-            z, _, j = armijo_search(res, state.v_lm, dphi, config)
+            z, _, j, _ = armijo_search(res, state.v_lm, dphi, config)
             assert counting.calls["eval_g"] == j + 1
             backtracks.append(j)
         assert max(backtracks) >= 2

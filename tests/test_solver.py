@@ -541,7 +541,7 @@ class TestArmijo:
         pulled = jac.apply_adjoint(r)
         v, _ = lm_direction(jac, res, r, pulled)
         dphi = float(pulled @ v.as_vec())
-        _, _, j = armijo_search(res, v, dphi, SolverConfig())
+        _, _, j, _ = armijo_search(res, v, dphi, SolverConfig())
         assert j == 0
 
     def test_nondescent_rejected(self):
@@ -569,7 +569,7 @@ class TestArmijo:
             dphi = float(pulled @ v.as_vec())
             if not dphi < 0:
                 break
-            z_new, res_new, j = armijo_search(res, v, dphi, config)
+            z_new, res_new, j, _ = armijo_search(res, v, dphi, config)
             assert res_new.phi < res.phi
             seen_positive_j = seen_positive_j or j >= 1
             z = z_new
@@ -599,7 +599,7 @@ class TestArmijo:
                 dphi = float(pulled @ v.as_vec())
                 if not dphi < 0:
                     break
-                z_new, res_new, j = armijo_search(res, v, dphi, config)
+                z_new, res_new, j, _ = armijo_search(res, v, dphi, config)
                 step = rho**j
                 direct = retract_point(scaled(v, step))
                 for name in ("x", "y", "g"):
@@ -619,6 +619,36 @@ class TestArmijo:
                         assert trial_phi - res.phi > 0.5 * eta * prev * dphi
                 z = z_new
             assert checked >= 1
+
+    @pytest.mark.parametrize("case", ["overflow", "synth30x40"])
+    def test_flags_a_search_that_left_the_stratum(self, case):
+        # the flag is set exactly when a rejected trial raised
+        # InertiaViolation: the overflowing start rejects each far trial
+        # for its non-finite g and leaves it unset
+        if case == "overflow":
+            problem, z = OverflowingConstraint(), point([1.5], [[0.5]])
+        else:
+            problem, z_star = synth_nondegenerate(seed=3001, n=30, m=40)
+            z = _far_start(problem, z_star, 3101)
+        config = SolverConfig()
+        state = _point_state(problem, z, config)
+        v = state.v_lm
+        with np.errstate(invalid="ignore"):  # inf - inf at the overflowing trials
+            _, _, j, left = armijo_search(state.res, v, float(state.pulled @ v.as_vec()), config)
+            rejected = []
+            for i in range(j):
+                try:
+                    trial = retract_point(scaled(v, sgnsdp.solver.RHO**i))
+                    residual(problem, trial, None, trial.g)
+                except (InertiaViolation, NumericalError) as exc:
+                    rejected.append(type(exc))
+                else:
+                    rejected.append(None)  # failed the Armijo test
+        assert j >= 1
+        assert left == (InertiaViolation in rejected)
+        assert left == (case == "synth30x40")
+        if case == "overflow":
+            assert rejected == [NumericalError] * j
 
 
 class TestSlmn:
@@ -695,7 +725,7 @@ class TestSlmn:
             def search(res, v, dphi, cfg):
                 if lm_phi is None:
                     raise LineSearchFailure("stubbed")
-                return z, lm_res, 0
+                return z, lm_res, 0, False
 
             def f1_merit(problem, z):
                 # the stubbed residual stands in for F1 and comes back from residual
@@ -961,3 +991,61 @@ class TestSgnSolve:
         phis = [rec.phi for rec in result.trace]
         assert all(b < a for a, b in zip(phis, phis[1:]))
         assert residual(problem, result.z).norm <= 1e-12
+
+
+TRIGGER_SOLVES = [
+    *[(5, 6, seed, seed) for seed in range(4)],
+    (20, 30, 5000, 5100),
+    (30, 40, 3001, 3101),
+]
+
+
+class TestCorrectionTrigger:
+    @pytest.mark.parametrize("n, m, inst, start", TRIGGER_SOLVES)
+    def test_a_search_that_left_the_stratum_is_followed_by_a_correction(
+        self, n, m, inst, start, monkeypatch
+    ):
+        # every uncorrected lm step whose search rejected a trial for
+        # leaving the stratum is followed by a correction attempt; the
+        # events of each iteration are an optional correct() and one or
+        # two slmn() calls, the second when the correction is rejected
+        events = []
+        real_correct, real_slmn = sgnsdp.solver.correct, sgnsdp.solver.slmn
+
+        def counting_correct(z, ied, delta):
+            events.append(("correct", delta))
+            return real_correct(z, ied, delta)
+
+        def recording_slmn(state, config):
+            outcome = real_slmn(state, config)
+            events.append(("slmn", outcome))
+            return outcome
+
+        monkeypatch.setattr(sgnsdp.solver, "correct", counting_correct)
+        monkeypatch.setattr(sgnsdp.solver, "slmn", recording_slmn)
+        problem, z_star = synth_nondegenerate(seed=inst, n=n, m=m)
+        result = sgn_solve(problem, _far_start(problem, z_star, start))
+
+        stream = iter(events)
+        attempted, left = [], []
+        for rec in result.trace:
+            tag, item = next(stream)
+            tried = tag == "correct"
+            if tried:
+                tag, item = next(stream)
+                if not (rec.step_kind.startswith("corrected-") or rec.step_kind == "correction"):
+                    tag, item = next(stream)
+            assert tag == "slmn"
+            attempted.append(tried)
+            left.append(rec.step_kind == "lm" and item.left_stratum)
+        assert next(stream, None) is None
+        followed = [attempted[k + 1] for k in range(len(left) - 1) if left[k]]
+        assert all(followed)
+        assert result.status == CONVERGED
+        phis = [rec.phi for rec in result.trace] + [result.phi]
+        assert all(b <= a for a, b in zip(phis, phis[1:]))
+        if (n, m, inst) == (30, 40, 3001):
+            # the first search leaves the stratum and the correction that
+            # follows is accepted at once
+            assert left[0] and result.trace[1].step_kind.startswith("corrected-")
+            assert len(result.trace) == 8

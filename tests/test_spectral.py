@@ -3,9 +3,15 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg.lapack
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import TangencyViolation, proj_dir_derivative, stratum_differential, xi_matrix
+from reference import (
+    TangencyViolation,
+    proj_dir_derivative,
+    retract_by_eigendecomposition,
+    stratum_differential,
+    xi_matrix,
+)
 from support import (
     haar_orthogonal,
     normal_project_pi2,
@@ -26,6 +32,7 @@ from sgnsdp.kkt import big_g
 from sgnsdp.model import degenerate_fixture
 from sgnsdp.spectral import (
     eig_sym,
+    eigvals_sym,
     frob,
     make_ied,
     nsd_part,
@@ -140,6 +147,22 @@ class TestEig:
         with pytest.raises(NumericalError, match="info = 2") as err:
             eig_sym(np.eye(3))
         assert err.value.order == 3
+
+    def test_eigenvalues_alone_equal_numpy_eigvalsh_bit_for_bit(self, monkeypatch):
+        # one dsyevd call without vectors, as np.linalg.eigvalsh makes;
+        # non-finite input and a failed call raise as in eig_sym
+        rng = np.random.default_rng(4)
+        for n in range(1, 31):
+            a = sym(rng.standard_normal((n, n)))
+            assert np.array_equal(eigvals_sym(a), np.linalg.eigvalsh(a)[::-1])
+        with pytest.raises(NumericalError) as err:
+            eigvals_sym(np.full((2, 2), np.nan))
+        assert err.value.order == 2
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dsyevd", lambda a, **kwargs: (np.zeros(3), np.eye(3), 2)
+        )
+        with pytest.raises(NumericalError, match="info = 2"):
+            eigvals_sym(np.eye(3))
 
 
 class TestStacks:
@@ -506,6 +529,46 @@ class TestRetraction:
             gap = frob(retract_fixed_inertia(ied, hs) - (a + hs))
             ratios.append(gap / frob(hs) ** 2)
         assert max(ratios) <= 10.0 * min(ratios) + 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6), st.integers(0, 6), st.integers(0, 5), st.floats(0.5, 1.5),
+        st.floats(0.0, 1e-2), st.integers(0, 2**31),
+    )
+    def test_beta_free_retraction_is_the_target_or_the_oracles_violation(
+        self, n, p, k, s, noise, seed
+    ):
+        # steps that move one eigenvalue across zero (s > 1) or near it
+        # (s just below 1), plus a small symmetric perturbation
+        p, k = min(p, n), min(k, n - 1)
+        rng = np.random.default_rng(seed)
+        ied = make_ied(stratum_matrix(rng, n, p, n - p))
+        assert ied.n_beta == 0
+        u = ied.basis[:, k]
+        h = sym(-s * ied.eigenvalues[k] * np.outer(u, u) + noise * rng.standard_normal((n, n)))
+        # eigenvalues without vectors agree with eig_sym's to rounding only,
+        # so a deciding eigenvalue that close to the tolerance is skipped
+        lam = eig_sym(ied.matrix + h)[1]
+        deciding = ([lam[p - 1] - ied.zero_tol] if p else []) + (
+            [lam[p] + ied.zero_tol] if p < n else []
+        )
+        assume(min(abs(d) for d in deciding) > 1e-13 * max(1.0, np.abs(lam).max()))
+        try:
+            want = retract_by_eigendecomposition(ied, h)
+        except InertiaViolation as exc:
+            with pytest.raises(InertiaViolation) as err:
+                retract_fixed_inertia(ied, h)
+            assert str(err.value) == str(exc)
+        else:
+            got = retract_fixed_inertia(ied, h)
+            assert got.tobytes() == (ied.matrix + h).tobytes()
+            assert frob(got - want) <= 1e-12 * max(1.0, frob(want))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_beta_free_retraction_of_a_nonfinite_target_raises(self, bad):
+        ied = make_ied(np.diag([1.0, -1.0]))
+        with pytest.raises(NumericalError):
+            retract_fixed_inertia(ied, np.diag([bad, 0.0]))
 
 
 class TestRotations:
