@@ -17,10 +17,11 @@ frame's one constraint stack is the rotated P^T apply_dg(x, e_i) P of
 matrix residual is read in the rotated coordinates sym_to_vec(P^T F2 P)
 (:meth:`TangentFrame.coords`), and the Jacobian's rows are the m
 residual components followed by those coordinates.  Columns are the m
-primal unit directions, then the T tangent pairs (k, l), which sit at
-the rows ``frame.rows`` of the ``sym_to_vec`` layout.  In these rows the
-xi block is diag(xi_kl) on the tangent rows and zero on the beta-beta
-rows, so the Jacobian is four blocks sliced from the stack
+primal unit directions, then the T tangent pairs (k, l) at the rows
+``frame.rows`` of the ``sym_to_vec`` layout; every pair's class comes
+from the one stratum layout ``frame.layout`` (:func:`tangent_layout`).
+The xi block is diag(xi_kl) on the tangent rows and zero on the
+beta-beta rows, so the Jacobian is four blocks sliced from the stack
 (:class:`AssembledJacobian`) and the rotation is never undone.
 
 ``solver.lm_direction`` says how the LM system
@@ -28,7 +29,6 @@ min ||J u + r||^2 + mu ||u||^2 is solved from these blocks.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +38,7 @@ from .errors import NumericalError
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     IED,
+    StratumLayout,
     _lapack,
     make_ied,
     project_psd,
@@ -162,14 +163,14 @@ class TangentFrame:
     dg: np.ndarray | None = None
 
     @_cached
-    def rows(self) -> np.ndarray:
-        """Position of each tangent pair in the ``sym_to_vec`` layout (read-only)."""
-        return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[0]
+    def layout(self) -> StratumLayout:
+        """The pair classes of the IED's stratum, :func:`spectral.tangent_layout`."""
+        return tangent_layout(self.ied.n, self.ied.p, self.ied.q)
 
     @_cached
-    def pairs(self) -> np.ndarray:
-        """The tangent pairs (k, l), one row each, in the order of ``rows`` (read-only)."""
-        return tangent_layout(self.ied.n, self.ied.p, self.ied.q)[1]
+    def rows(self) -> np.ndarray:
+        """Position of each tangent pair in the ``sym_to_vec`` layout (read-only)."""
+        return self.layout.rows
 
     @_cached
     def stack(self) -> np.ndarray:
@@ -306,9 +307,10 @@ class AssembledJacobian:
         pairs are eliminated in three groups, so that only an m x m
         Cholesky factor and one QR of at most 2m + |S| unknowns remain:
 
-        * xi_t = 0 (the beta-gamma and gamma-gamma pairs): their columns
-          touch only the m F1 rows, so a QR Q R of the transpose of their
-          m x T_Z block trades them for k = min(m, T_Z) columns R^T; the
+        * xi_t = 0 (the layout's ``trailing`` pairs, beta-gamma and
+          gamma-gamma): their columns touch only the m F1 rows, so a QR
+          Q R of the transpose of their m x T_Z block trades them for
+          k = min(m, T_Z) columns R^T; the
           pairs' coefficients are Q w, the rest of their span only adds
           to the regularizer.
         * xi_t^2 > ``LARGE_XI_SQ``: a Givens rotation folds the pair's
@@ -326,13 +328,14 @@ class AssembledJacobian:
         * the core holds x, w and the pairs S with 0 < xi_t^2 <=
           ``LARGE_XI_SQ``, and is solved by one QR of its least-squares
           rows: the whitened F1 rows, the rows that see only x (the
-          beta-beta and xi = 0 rows and the m rows of K's factor), the
+          beta-beta and xi = 0 rows, the trailing rows of the all-gamma
+          neighbour (n, p, n - p), and the m rows of K's factor), the
           pairs of S and sqrt(mu) I on w and S.  It has O(m) rows however
           many large pairs there are.
         """
-        hm, c_mat, xi_t = self.hm, self.c_mat, self.xi_t
-        m, rows, n_sym = hm.shape[0], self.frame.rows, c_mat.shape[0]
-        zero, large = xi_t == 0.0, xi_t**2 > LARGE_XI_SQ
+        hm, c_mat, xi_t, frame = self.hm, self.c_mat, self.xi_t, self.frame
+        m, rows, n, p = hm.shape[0], frame.rows, frame.ied.n, frame.ied.p
+        zero, large = frame.layout.trailing[rows], xi_t**2 > LARGE_XI_SQ
         small = ~(zero | large)
         rows_l, rows_s, xi_l, r2 = rows[large], rows[small], xi_t[large], r[m:]
         # xi = 0: tr[:, zero] = R^T Q^T, k = min(m, T_Z) columns
@@ -368,8 +371,7 @@ class AssembledJacobian:
         # the core's rows: the whitened F1 rows, the weight-1 rows that see
         # only x (beta-beta and xi = 0), sqrt(mu) [L^T | L^-1 M b], the
         # small pairs' rows and sqrt(mu) I on w and S
-        weight_one = np.ones(n_sym, dtype=bool)
-        weight_one[rows[~zero]] = False
+        weight_one = tangent_layout(n, p, n - p).trailing
         n_one, sqrt_mu = np.count_nonzero(weight_one), np.sqrt(mu)
         n_x = n_one + m
         # at least one row, which LAPACK asks of any matrix
@@ -416,25 +418,6 @@ class AssembledJacobian:
         return float(svals[-1])
 
 
-@lru_cache(maxsize=256)
-def _xi_layout(n: int, p: int, q: int):
-    """The part of the stratum (n, p, q)'s xi_t that its index alone fixes.
-
-    Returns ``base``, xi_t with the alpha-gamma pairs still at zero (1
-    where l is not in gamma, else 0), and ``ag``, the positions of the
-    alpha-gamma pairs, both in the order of the pairs of
-    :func:`spectral.tangent_layout`.  Cached per stratum index, like
-    that layout, so the arrays are read-only.
-    """
-    k, l = tangent_layout(n, p, q)[1].T
-    r = n - q  # first gamma index
-    base = (l < r).astype(float)
-    ag = np.flatnonzero((k < p) & (l >= r))
-    for arr in (base, ag):
-        arr.flags.writeable = False
-    return base, ag
-
-
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
     """Slice the Jacobian blocks from the frame's rotated constraint stack.
 
@@ -450,14 +433,14 @@ def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
     pair (k, l), k <= l, with beta eigenvalues read as zeros: 1 where l
     is not in gamma, lam_k / (lam_k - lam_l) on the alpha-gamma pairs
     and 0 on the beta-gamma and gamma-gamma pairs.  Only the alpha-gamma
-    quotients depend on the point; the rest and the alpha-gamma mask come
-    from :func:`_xi_layout`'s per-stratum cache.
+    quotients depend on the point; the rest (``xi_base``) and the
+    alpha-gamma positions (``ag``) come from the frame's one stratum
+    layout, :func:`spectral.tangent_layout`.
     """
-    ied, c_mat = frame.ied, frame.c_mat
-    base, ag = _xi_layout(ied.n, ied.p, ied.q)
-    lam = ied.eigenvalues[frame.pairs[ag]]  # (lam_k, lam_l) per alpha-gamma pair
-    xi_t = base.copy()
-    xi_t[ag] = lam[:, 0] / (lam[:, 0] - lam[:, 1])
+    ied, c_mat, layout = frame.ied, frame.c_mat, frame.layout
+    lam = ied.eigenvalues[layout.pairs[layout.ag]]  # (lam_k, lam_l) per alpha-gamma pair
+    xi_t = layout.xi_base.copy()
+    xi_t[layout.ag] = lam[:, 0] / (lam[:, 0] - lam[:, 1])
     return AssembledJacobian(
         frame=frame,
         hm=frame.hess - c_mat.T @ c_mat,

@@ -340,25 +340,23 @@ SYNTH_RETRIES = 50
 def synth_nondegenerate(seed: int, n: int, m: int):
     """Random affine-constraint instance with a known solution.
 
-    Draws a target constraint matrix with p positive, q negative and at
-    least one zero eigenvalue, splits it into a feasible g(x*) and a
-    complementary multiplier y*, and back-solves the objective data so
-    the KKT residual vanishes at z* = (x*, y*).  Candidates are accepted
-    only when the weak regularity margins at z* clear 1e-6, so local
-    quadratic convergence is in force there; rejection runs through
+    Draws a target constraint matrix with p >= 1 positive, q >= 1 negative
+    and at least one zero eigenvalue (so n >= 3), splits it into a feasible
+    g(x*) and a complementary multiplier y*, and back-solves the objective
+    data so the KKT residual vanishes at z* = (x*, y*).  Candidates are
+    accepted only when the weak regularity margins at z* clear 1e-6, so
+    local quadratic convergence is in force there; rejection runs through
     ``SYNTH_RETRIES`` seeds before giving up.
     """
     from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq
 
-    if m < 1 or n < 2:
-        raise ValueError("need m >= 1 and n >= 2")
+    if m < 1 or n < 3:
+        raise ValueError("need m >= 1 and n >= 3")
     for attempt in range(SYNTH_RETRIES):
         rng = np.random.default_rng(seed + 7919 * attempt)
-        p = int(rng.integers(1, n - 1)) if n > 2 else 1
-        q = int(rng.integers(1, n - p)) if n - p > 1 else 1
-        if p + q >= n:
-            continue
+        p = int(rng.integers(1, n - 1))
+        q = int(rng.integers(1, n - p))
         gauss = rng.standard_normal((n, n))
         pbar, _ = np.linalg.qr(gauss)
         lam = np.zeros(n)

@@ -12,6 +12,12 @@ cross-validation in the tests exploits; :func:`injectivity_margin`
 reads that differential from the same stack, with its matrix rows in the
 same eigenbasis.
 
+The blocks come from :func:`spectral.tangent_layout` by stratum index:
+W-SRCQ and app (S-SOSC's space) exclude the trailing (beta-gamma and
+gamma-gamma) pairs of the frame's stratum (n, p, q), and CN and appl
+(W-SOC's space) are W-SRCQ and app on the all-gamma neighbour
+(n, p, n - p), read in the same eigenbasis.
+
 SONC and SRCQ are settled from the exact checks where those decide
 (:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
 check that settled them:
@@ -57,6 +63,7 @@ from .spectral import (
     nsd_part,
     project_psd,
     sym,
+    tangent_layout,
     triu_pairs,
     vec_to_sym,
 )
@@ -89,21 +96,13 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-def _trailing_pairs(ied, include_bb: bool) -> np.ndarray:
-    """Mask of the bg, gg (and, if ``include_bb``, bb) pairs (i, j), i <= j,
-    in ``np.triu_indices(n)`` order: i in beta u gamma and, unless
-    ``include_bb``, j in gamma."""
+def _constraint_rows(frame: TangentFrame, q: int):
+    """Rows of v -> the trailing (beta-gamma and gamma-gamma) entries of
+    P^T (dg* v) P on the stratum (n, p, q), n and p the frame's.  At
+    q = n - p, the all-gamma neighbour, they include the beta-beta ones."""
+    ied = frame.ied
     iu, ju, _ = triu_pairs(ied.n)
-    mask = iu >= ied.p
-    if not include_bb:
-        mask &= ju >= ied.n - ied.q
-    return mask
-
-
-def _constraint_rows(frame: TangentFrame, include_bb: bool):
-    """Rows of v -> the bg, gg (and, if ``include_bb``, bb) entries of P^T (dg* v) P."""
-    iu, ju, _ = triu_pairs(frame.ied.n)
-    pick = _trailing_pairs(frame.ied, include_bb)
+    pick = tangent_layout(ied.n, ied.p, q).trailing
     return frame.stack[:, iu[pick], ju[pick]].T
 
 
@@ -144,13 +143,15 @@ def _null_space(mat):
 
 def appl_basis(frame: TangentFrame) -> np.ndarray:
     """Orthonormal basis of the primal directions with vanishing
-    beta-beta, beta-gamma and gamma-gamma constraint blocks."""
-    return _null_space(_constraint_rows(frame, include_bb=True))
+    beta-beta, beta-gamma and gamma-gamma constraint blocks: the space
+    of :func:`app_basis` on the all-gamma neighbour (n, p, n - p)."""
+    return _null_space(_constraint_rows(frame, frame.ied.n - frame.ied.p))
 
 
 def app_basis(frame: TangentFrame) -> np.ndarray:
-    """As :func:`appl_basis` with the beta-beta requirement dropped."""
-    return _null_space(_constraint_rows(frame, include_bb=False))
+    """Orthonormal basis of the primal directions with vanishing
+    beta-gamma and gamma-gamma constraint blocks."""
+    return _null_space(_constraint_rows(frame, frame.ied.q))
 
 
 def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
@@ -202,11 +203,14 @@ def check_ssosc(frame: TangentFrame) -> ConditionResult:
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
-def _span_check(frame: TangentFrame, include_bb):
-    """Rank test for dg* R^m + {P B P^T : selected blocks of B zero} = S^n.
+def _span_check(frame: TangentFrame, q: int):
+    """Rank test for dg* R^m + {P B P^T : B zero on the trailing pairs} = S^n.
 
-    In eigenbasis coordinates the second set is spanned by the unit
-    vectors of the free pairs F, so the margin is sigma_{n_sym} of
+    The trailing pairs are those of the stratum (n, p, q), n and p the
+    frame's: W-SRCQ at q = ``ied.q``, and CN, which also holds the
+    beta-beta block at zero, at q = n - p.  In eigenbasis coordinates
+    the second set is spanned by the unit vectors of the other pairs,
+    the free pairs F, so the margin is sigma_{n_sym} of
     X = [C | E_F], C = ``frame.c_mat``, and it is read from a core
     of order at most 2m (Chan's R-SVD: a QR first, then the SVD of the
     small factor).  With K the complementary rows, k = |K| and C_F, C_K
@@ -227,8 +231,7 @@ def _span_check(frame: TangentFrame, include_bb):
     SVD of X.
     """
     ied, m = frame.ied, frame.stack.shape[0]
-    # K, the pairs outside F: bg and gg for W-SRCQ, and bb too for CN
-    comp = _trailing_pairs(ied, not include_bb)
+    comp = tangent_layout(ied.n, ied.p, q).trailing    # K, the pairs outside F
     k = int(np.count_nonzero(comp))
     if k > m:
         return ConditionResult(FAILS, 0.0)
@@ -255,12 +258,13 @@ def _span_check(frame: TangentFrame, include_bb):
 
 def check_wsrcq(frame: TangentFrame) -> ConditionResult:
     """Weak strict Robinson constraint qualification (span includes beta-beta)."""
-    return _span_check(frame, include_bb=True)
+    return _span_check(frame, frame.ied.q)
 
 
 def check_cn(frame: TangentFrame) -> ConditionResult:
-    """Constraint nondegeneracy (beta-beta excluded from the span)."""
-    return _span_check(frame, include_bb=False)
+    """Constraint nondegeneracy (beta-beta excluded from the span): W-SRCQ
+    on the all-gamma neighbour (n, p, n - p), in the same eigenbasis."""
+    return _span_check(frame, frame.ied.n - frame.ied.p)
 
 
 def injectivity_margin(frame: TangentFrame) -> float:

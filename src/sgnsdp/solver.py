@@ -390,7 +390,6 @@ class _PointState:
     w2: np.ndarray
     v_lm: TangentVector | None
     mu: float
-    lm_error: str | None
 
     @property
     def stationarity(self) -> float:
@@ -414,13 +413,9 @@ def _point_state(problem, z, config, res=None, prior=None) -> _PointState:
     w1, w2 = normal_dirs(frame, res)
     try:
         v_lm, mu = lm_direction(jac, res, r, pulled)
-        lm_error = None
-    except LinearSolveFailure as exc:
-        v_lm, mu, lm_error = None, np.nan, str(exc)
-    return _PointState(
-        res=res, jac=jac, pulled=pulled, w1=w1, w2=w2,
-        v_lm=v_lm, mu=mu, lm_error=lm_error,
-    )
+    except LinearSolveFailure:
+        v_lm, mu = None, np.nan
+    return _PointState(res=res, jac=jac, pulled=pulled, w1=w1, w2=w2, v_lm=v_lm, mu=mu)
 
 
 def stationarity_measure(
@@ -531,8 +526,9 @@ def sgn_solve(
     with ``converged``, ``max-iter``, or ``stalled`` when no candidate
     makes progress.  A step that fails numerically (a singular LM
     system, an exhausted line search, a trial that leaves the stratum
-    or overflows) is skipped, but a start whose g(x0) or G(z0) has a non-finite entry raises
-    :class:`NumericalError` from its first residual.
+    or overflows) is skipped, but a start whose g(x0) or G(z0) has a
+    non-finite entry raises :class:`NumericalError` from its first
+    residual.
     """
     config = config or SolverConfig()
     z = z0

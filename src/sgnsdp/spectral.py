@@ -6,10 +6,10 @@ index sets alpha (positive), beta (zero within a tolerance) and gamma
 (negative).  Fixing the sizes ``p = |alpha|`` and ``q = |gamma|`` pins a
 smooth stratum of the symmetric matrices on which the PSD projector is
 differentiable; this module provides that projector, the threshold-free
-NSD part, the tangent pairs of a stratum (the pairs not both in beta,
-cached per stratum index by :func:`tangent_layout`) and a fixed-inertia
-retraction.  The projector's on-stratum differential enters the solver
-only through the xi block of ``kkt.assemble_dF``, diagonal in the
+NSD part, a fixed-inertia retraction and the one layout of a stratum's
+pairs, :func:`tangent_layout`: the only code that classifies pairs by
+the index (n, p, q).  The projector's on-stratum differential enters the
+solver only through the xi block of ``kkt.assemble_dF``, diagonal in the
 eigenbasis and read at the tangent pairs only; the full xi matrix and
 the differential's matrix form are test oracles in ``tests/reference.py``,
 and the tangent/normal projections, a tangent basis, the block-pair
@@ -38,6 +38,7 @@ wrapper, ``scipy.linalg.cho_factor``.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg.lapack
@@ -294,22 +295,39 @@ def nsd_part(a: np.ndarray) -> np.ndarray:
 # tangent structure of the stratum
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def tangent_layout(n: int, p: int, q: int):
-    """The tangent pairs of the stratum with index (n, p, q).
+class StratumLayout(NamedTuple):
+    """The pairs (k, l), k <= l, of a stratum by class (:func:`tangent_layout`)."""
 
-    Returns ``rows``, the position of each pair (k, l), k <= l, not both
-    in beta, in the ``np.triu_indices(n)`` order, and ``pairs``, the (k, l)
-    of each row.  With k <= l, a pair is in beta x beta exactly when
-    k >= p and l < n - q.  Cached per stratum index, so the arrays are
-    read-only.
+    rows: np.ndarray      # triu position of each tangent pair (not both in beta)
+    pairs: np.ndarray     # (k, l) of each tangent pair
+    xi_base: np.ndarray   # per tangent pair: 1 where l is not in gamma, else 0
+    ag: np.ndarray        # positions of the alpha-gamma pairs among the tangent pairs
+    trailing: np.ndarray  # triu mask of the beta-gamma and gamma-gamma pairs
+
+
+@lru_cache(maxsize=256)
+def tangent_layout(n: int, p: int, q: int) -> StratumLayout:
+    """The pair classes of the stratum with index (n, p, q).
+
+    With k <= l, a pair is beta-beta when k >= p and l < n - q, trailing
+    when k >= p and l >= n - q, and alpha-gamma when k < p and
+    l >= n - q; the tangent pairs are those not beta-beta.  ``xi_base``
+    is the projector's divided difference at the tangent pairs with the
+    alpha-gamma ones, the only ones that depend on the point, at zero.
+    On the all-gamma neighbour (n, p, n - p) the beta-beta pairs are
+    trailing too.  Cached per index, so the arrays are read-only.
     """
     iu, ju, _ = triu_pairs(n)
-    rows = np.flatnonzero((iu < p) | (ju >= n - q))
-    pairs = np.stack([iu[rows], ju[rows]], axis=1)
-    for arr in (rows, pairs):
+    r = n - q  # first gamma index
+    rows = np.flatnonzero((iu < p) | (ju >= r))
+    k, l = iu[rows], ju[rows]
+    layout = StratumLayout(
+        rows, np.stack([k, l], axis=1), (l < r).astype(float),
+        np.flatnonzero((k < p) & (l >= r)), (iu >= p) & (ju >= r),
+    )
+    for arr in layout:
         arr.flags.writeable = False
-    return rows, pairs
+    return layout
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def frame_at(problem, z, ied=None) -> TangentFrame:
 def coeffs_from_matrix(frame: TangentFrame, h: np.ndarray) -> np.ndarray:
     """Coefficients of the tangent component of ``h``."""
     ht = frame.ied.basis.T @ h @ frame.ied.basis
-    k, l = frame.pairs[:, 0], frame.pairs[:, 1]
+    k, l = frame.layout.pairs[:, 0], frame.layout.pairs[:, 1]
     return ht[k, l] * np.where(k == l, 1.0, SQRT2)
 
 

@@ -8,6 +8,8 @@ probe, which iterates on the trailing block alone, is compared with the
 full-matrix alternation.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -482,7 +484,7 @@ def test_regularity_margins_match_loop_reference(case):
     problem, z, ied = case
     frame = TangentFrame(problem, z, ied)
     for include_bb in (True, False):
-        rows = _constraint_rows(frame, include_bb)
+        rows = _constraint_rows(frame, ied.n - ied.p if include_bb else ied.q)
         ref_rows = constraint_rows(problem, z, ied, include_bb)
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))
@@ -535,6 +537,27 @@ def test_regularity_margins_match_loop_reference_without_constraints():
     test_regularity_margins_match_loop_reference.hypothesis.inner_test((problem, z, ied))
     frame = TangentFrame(problem, z, ied)
     assert (check_wsrcq(frame).margin, check_cn(frame).margin) == (1.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratum_points())
+def test_cn_is_wsrcq_on_the_all_gamma_neighbour(case):
+    # Neighbouring strata share the eigenbasis and differ in how beta is
+    # read.  Read as gamma, beta-beta joins the trailing pairs, so W-SRCQ
+    # there is CN, bit for bit; each beta index read as alpha frees more
+    # pairs, so the W-SRCQ margin can only grow.
+    problem, z, ied = case
+    n, p = ied.n, ied.p
+    cn = check_cn(TangentFrame(problem, z, ied))
+    neighbour = check_wsrcq(TangentFrame(problem, z, replace(ied, q=n - p)))
+    assert (neighbour.verdict, neighbour.margin.hex()) == (cn.verdict, cn.margin.hex())
+    margins = [
+        check_wsrcq(TangentFrame(problem, z, replace(ied, p=p + k))).margin
+        for k in range(ied.n_beta + 1)
+    ]
+    assert margins[0] == check_wsrcq(TangentFrame(problem, z, ied)).margin
+    assert all(a <= b for a, b in zip(margins, margins[1:])), margins
+    assert cn.margin <= margins[0] <= margins[-1]
 
 
 def _off_complementarity():

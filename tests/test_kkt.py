@@ -123,8 +123,8 @@ class TestFrame:
         # G at the fixture's solution is diag(1, 0, 0, -1): (n, p, q) = (4, 1, 1)
         problem, z_bar = degenerate_fixture()
         frame = TangentFrame(problem, z_bar, residual(problem, z_bar).ied)
-        rows, pairs = tangent_layout(4, 1, 1)
-        assert frame.rows is rows and frame.pairs is pairs
+        layout = tangent_layout(4, 1, 1)
+        assert frame.layout is layout and frame.rows is layout.rows
         assert not frame.rows.flags.writeable
 
     def test_coeff_reconstruction(self):
@@ -184,7 +184,7 @@ class TestAssembledJacobian:
         z = point(np.zeros(2), basis @ (np.array(lam)[:, None] * basis.T))
         frame = TangentFrame(problem, z, make_ied(big_g(problem, z)))
         jac = assemble_dF(frame)
-        k, l = frame.pairs.T
+        k, l = frame.layout.pairs.T
         assert jac.xi_t.tobytes() == xi_matrix(frame.ied)[k, l].tobytes()
         assert jac.c_mat is frame.c_mat
 

@@ -240,5 +240,7 @@ class TestSynth:
             synth_nondegenerate(seed=0, n=5, m=6)
 
     def test_dimension_validation(self):
-        with pytest.raises(ValueError):
-            synth_nondegenerate(seed=0, n=1, m=2)
+        # an instance needs p >= 1, q >= 1 and a zero eigenvalue: n >= 3
+        for n, m in ((1, 2), (2, 2), (3, 0)):
+            with pytest.raises(ValueError, match="need m >= 1 and n >= 3"):
+                synth_nondegenerate(seed=0, n=n, m=m)

@@ -206,13 +206,25 @@ class TestStacks:
             for p in range(n + 1):
                 for q in range(n - p + 1):
                     lam = np.concatenate([np.ones(p), np.zeros(n - p - q), -np.ones(q)])
-                    keep = ~pair_mask(make_ied(np.diag(lam)), ("bb",))
-                    rows, pairs = tangent_layout(n, p, q)
-                    assert tangent_layout(n, p, q)[0] is rows
+                    ied = make_ied(np.diag(lam))
+                    keep = ~pair_mask(ied, ("bb",))
+                    layout = tangent_layout(n, p, q)
+                    assert tangent_layout(n, p, q) is layout
+                    rows, pairs = layout.rows, layout.pairs
                     assert rows.tolist() == np.flatnonzero(keep).tolist()
                     assert pairs.shape == (rows.size, 2)
                     assert pairs.tolist() == np.stack([iu[keep], ju[keep]], axis=1).tolist()
-                    for arr in (rows, pairs):
+                    # xi_base: 1 on the pairs whose l is not in gamma, 0 on the
+                    # alpha-gamma, beta-gamma and gamma-gamma pairs
+                    assert layout.xi_base.dtype == float
+                    gamma_l = pair_mask(ied, ("ag", "bg", "gg"))[keep]
+                    assert layout.xi_base.tolist() == (~gamma_l).astype(float).tolist()
+                    ag = pair_mask(ied, ("ag",))[keep]
+                    assert layout.ag.tolist() == np.flatnonzero(ag).tolist()
+                    assert layout.trailing.tolist() == pair_mask(ied, ("bg", "gg")).tolist()
+                    neighbour = tangent_layout(n, p, n - p).trailing
+                    assert neighbour.tolist() == pair_mask(ied, ("bb", "bg", "gg")).tolist()
+                    for arr in layout:
                         with pytest.raises(ValueError):
                             arr[...] = 0
 
