@@ -157,13 +157,9 @@ class AffineQuadraticProblem(NlsdpProblem):
         return self.a0 + flat.reshape(self.n, self.n)
 
     def apply_dg(self, x, v):
-        if self.m == 0:
-            return np.zeros((self.n, self.n))
         return np.tensordot(np.asarray(v, dtype=float), self.a, axes=1)
 
     def adjoint_dg(self, x, s):
-        if self.m == 0:
-            return np.zeros(0)
         return np.einsum("ijk,jk->i", self.a, s)
 
     def apply_hess_lagrangian(self, x, y, v):

@@ -12,11 +12,13 @@ cross-validation in the tests exploits; :func:`injectivity_margin`
 reads that differential from the same stack, with its matrix rows in the
 same eigenbasis.
 
-The blocks come from :func:`spectral.tangent_layout` by stratum index:
-W-SRCQ and app (S-SOSC's space) exclude the trailing (beta-gamma and
-gamma-gamma) pairs of the frame's stratum (n, p, q), and CN and appl
-(W-SOC's space) are W-SRCQ and app on the all-gamma neighbour
-(n, p, n - p), read in the same eigenbasis.
+The four exact checks read the same rows of C, those at the trailing
+(beta-gamma and gamma-gamma) pairs of a stratum's layout
+(:func:`spectral.tangent_layout`).  W-SRCQ and CN are one span check,
+and S-SOSC and W-SOC one form check on app, the null space of those
+rows, each at two stratum indices: the frame's own (n, p, q), and the
+all-gamma neighbour (n, p, n - p), whose trailing pairs include the
+beta-beta ones, read in the same eigenbasis.
 
 SONC and SRCQ are settled from the exact checks where those decide
 (:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
@@ -49,7 +51,7 @@ builds it with :func:`make_ied`, adaptive unless ``zero_tol`` is given.
 The report echoes all four tolerances.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg.lapack
@@ -58,6 +60,7 @@ from .kkt import TangentFrame, assemble_dF, big_g
 from .model import NlsdpProblem, PrimalDualPoint
 from .spectral import (
     _lapack,
+    eigvals_sym,
     frob,
     make_ied,
     nsd_part,
@@ -97,13 +100,11 @@ class ConditionResult:
 
 
 def _constraint_rows(frame: TangentFrame, q: int):
-    """Rows of v -> the trailing (beta-gamma and gamma-gamma) entries of
-    P^T (dg* v) P on the stratum (n, p, q), n and p the frame's.  At
+    """The rows of C = ``frame.c_mat`` at the trailing (beta-gamma and
+    gamma-gamma) pairs of the stratum (n, p, q), n and p the frame's.  At
     q = n - p, the all-gamma neighbour, they include the beta-beta ones."""
     ied = frame.ied
-    iu, ju, _ = triu_pairs(ied.n)
-    pick = tangent_layout(ied.n, ied.p, q).trailing
-    return frame.stack[:, iu[pick], ju[pick]].T
+    return frame.c_mat[tangent_layout(ied.n, ied.p, q).trailing]
 
 
 def _right_singular(mat, full_matrices=True):
@@ -125,33 +126,15 @@ def _right_singular(mat, full_matrices=True):
     return np.ascontiguousarray(vt), int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def _eigvalsh(mat):
-    """Eigenvalues of the symmetric ``mat``, ascending: one LAPACK
-    ``dsyevd`` call on the lower triangle with the workspace it asks
-    for, the call of ``np.linalg.eigvalsh``, so the same to the bit."""
-    lwork, liwork = _lapack(scipy.linalg.lapack.dsyevd_lwork, mat.shape[0], compute_v=0, lower=1)
-    return _lapack(
-        scipy.linalg.lapack.dsyevd, mat, compute_v=0, lower=1,
-        lwork=int(lwork), liwork=int(liwork),
-    )[0]
-
-
 def _null_space(mat):
     vt, rank = _right_singular(mat)
     return vt[rank:].T
 
 
-def appl_basis(frame: TangentFrame) -> np.ndarray:
-    """Orthonormal basis of the primal directions with vanishing
-    beta-beta, beta-gamma and gamma-gamma constraint blocks: the space
-    of :func:`app_basis` on the all-gamma neighbour (n, p, n - p)."""
-    return _null_space(_constraint_rows(frame, frame.ied.n - frame.ied.p))
-
-
-def app_basis(frame: TangentFrame) -> np.ndarray:
-    """Orthonormal basis of the primal directions with vanishing
-    beta-gamma and gamma-gamma constraint blocks."""
-    return _null_space(_constraint_rows(frame, frame.ied.q))
+def app_basis(frame: TangentFrame, q: int) -> np.ndarray:
+    """Orthonormal basis of the null space of :func:`_constraint_rows`:
+    app at q = ``ied.q``, W-SOC's smaller space at q = n - p."""
+    return _null_space(_constraint_rows(frame, q))
 
 
 def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
@@ -183,24 +166,25 @@ def _definite_margin(eigs: np.ndarray) -> float:
     return -float(min(np.max(eigs), -np.min(eigs)))
 
 
-def check_wsoc(frame: TangentFrame) -> ConditionResult:
-    """Weak second order condition: the reduced form is sign-definite."""
-    basis = appl_basis(frame)
+def _form_check(frame: TangentFrame, q: int, definite: bool) -> ConditionResult:
+    """The second order form on :func:`app_basis` at q is sign-definite
+    (``definite``) or positive definite; the margin is infinite on {0}."""
+    basis = app_basis(frame, q)
     if basis.shape[1] == 0:
         return ConditionResult(HOLDS, np.inf)
-    eigs = _eigvalsh(quad_form_matrix(frame, basis))
-    margin = _definite_margin(eigs)
+    eigs = eigvals_sym(quad_form_matrix(frame, basis))
+    margin = _definite_margin(eigs) if definite else float(np.min(eigs))
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
+
+
+def check_wsoc(frame: TangentFrame) -> ConditionResult:
+    """Weak second order condition: sign-definite on app at q = n - p."""
+    return _form_check(frame, frame.ied.n - frame.ied.p, definite=True)
 
 
 def check_ssosc(frame: TangentFrame) -> ConditionResult:
     """Strong second order sufficient condition: positive definite on app."""
-    basis = app_basis(frame)
-    if basis.shape[1] == 0:
-        return ConditionResult(HOLDS, np.inf)
-    eigs = _eigvalsh(quad_form_matrix(frame, basis))
-    margin = float(np.min(eigs))
-    return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
+    return _form_check(frame, frame.ied.q, definite=False)
 
 
 def _span_check(frame: TangentFrame, q: int):
@@ -230,22 +214,22 @@ def _span_check(frame: TangentFrame, q: int):
     The cost is O(|F| m^2 + m^3), against O(n_sym (m + |F|)^2) for the
     SVD of X.
     """
-    ied, m = frame.ied, frame.stack.shape[0]
-    comp = tangent_layout(ied.n, ied.p, q).trailing    # K, the pairs outside F
-    k = int(np.count_nonzero(comp))
+    ied, (n_sym, m) = frame.ied, frame.c_mat.shape
+    c_k = _constraint_rows(frame, q)     # C_K: K is the trailing pairs
+    k = c_k.shape[0]
     if k > m:
         return ConditionResult(FAILS, 0.0)
-    n_free = comp.size - k
-    c_t = frame.c_mat.T    # m x n_sym
+    n_free = n_sym - k
+    c_f = frame.c_mat[~tangent_layout(ied.n, ied.p, q).trailing]
     r = min(n_free, m)
     core = np.eye(r + k, m + r, k=m, order="F")   # I_r, zeros elsewhere
-    core[r:, :m] = c_t[:, comp].T
+    core[r:, :m] = c_k
     # LAPACK is called directly: at diagnose's usual sizes (m ~ 6) the
     # numpy wrappers cost more than the factorizations themselves
     if n_free <= m:
-        core[:r, :m] = c_t[:, ~comp].T
+        core[:r, :m] = c_f
     elif m:
-        qr = _lapack(scipy.linalg.lapack.dgeqrf, c_t[:, ~comp].T)[0]
+        qr = _lapack(scipy.linalg.lapack.dgeqrf, c_f)[0]
         tri_i, tri_j, _ = triu_pairs(m)
         core[tri_i, tri_j] = qr[tri_i, tri_j]
     margin = 1.0
@@ -344,7 +328,7 @@ def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     :func:`diagnose` runs it only where :func:`check_sonc` cannot settle
     SONC: the form is indefinite on app and beta has two or more indices.
     """
-    basis = app_basis(frame)
+    basis = app_basis(frame, frame.ied.q)
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(SAMPLING_SEED)
@@ -463,18 +447,11 @@ class RegularityReport:
     zero_tol: float
 
     def to_dict(self) -> dict:
-        conditions = {
-            "w_soc": self.w_soc,
-            "w_srcq": self.w_srcq,
-            "constraint_nondegeneracy": self.constraint_nondegeneracy,
-            "s_sosc": self.s_sosc,
-            "sonc": self.sonc,
-            "srcq": self.srcq,
-        }
-        doc = {
-            name: {"verdict": cond.verdict, "margin": float(cond.margin)}
-            for name, cond in conditions.items()
-        }
+        doc = {}
+        for field in fields(self):
+            cond = getattr(self, field.name)
+            if isinstance(cond, ConditionResult):
+                doc[field.name] = {"verdict": cond.verdict, "margin": float(cond.margin)}
         doc["ied"] = {
             "p": self.p,
             "q": self.q,

@@ -28,8 +28,9 @@ A single matrix is eigendecomposed by one LAPACK ``dsyevd`` call on its
 lower triangle, the routine and triangle of ``np.linalg.eigh``, whose
 Python wrapper costs as much as the decomposition at the orders the
 solver sees; stacks go through ``np.linalg.eigh``, which loops over them
-faster than Python can.  Where only the inertia matters (the retraction
-onto a stratum without beta) the same call skips the eigenvectors.
+faster than Python can.  Where only the eigenvalues matter (the inertia
+test of the retraction onto a stratum without beta, and the second order
+form checks of ``regularity``) :func:`eigvals_sym` skips the eigenvectors.
 Every ``scipy.linalg.lapack`` routine that the package calls goes
 through :func:`_lapack`; only its two Cholesky factorizations call a
 wrapper, ``scipy.linalg.cho_factor``.

@@ -37,7 +37,7 @@ from sgnsdp.regularity import (
     HEURISTIC_FAILS,
     HEURISTIC_HOLDS,
     NOT_APPLICABLE,
-    _definite_margin,
+    RANK_TOL,
     _null_space,
 )
 from sgnsdp.solver import RHO, SlmnOutcome, armijo_search, normal_step
@@ -270,12 +270,24 @@ def span_margin(problem, z, ied, include_bb):
 
 
 def second_order_margin(problem, z, ied, include_bb, definite):
-    """W-SOC (``definite``) or SSOSC margin from the reference pieces."""
-    basis = _null_space(constraint_rows(problem, z, ied, include_bb))
+    """W-SOC (``definite``) or SSOSC margin from the reference pieces.
+
+    The null space comes from numpy's full SVD with the library's rank
+    tolerance; W-SOC's margin is min |lambda| when the form is one-signed,
+    else -min(lambda_max, -lambda_min).
+    """
+    rows = constraint_rows(problem, z, ied, include_bb)
+    _, svals, vt = np.linalg.svd(rows)
+    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
+    basis = vt[rank:].T
     if basis.shape[1] == 0:
         return np.inf
     eigs = np.linalg.eigvalsh(quad_form_matrix(problem, z, ied, basis))
-    return _definite_margin(eigs) if definite else float(np.min(eigs))
+    if not definite:
+        return float(eigs[0])
+    if eigs[0] > 0 or eigs[-1] < 0:
+        return float(np.min(np.abs(eigs)))
+    return -float(min(eigs[-1], -eigs[0]))
 
 
 def _project_polar_cone(ied, dt):

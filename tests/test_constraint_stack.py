@@ -77,7 +77,7 @@ from sgnsdp.solver import (
     sgn_solve,
     slmn,
 )
-from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
+from sgnsdp.spectral import make_ied, sym, sym_to_vec, tangent_layout, triu_pairs, vec_to_sym
 
 REL = 1e-12
 
@@ -484,8 +484,11 @@ def test_regularity_margins_match_loop_reference(case):
     problem, z, ied = case
     frame = TangentFrame(problem, z, ied)
     for include_bb in (True, False):
-        rows = _constraint_rows(frame, ied.n - ied.p if include_bb else ied.q)
-        ref_rows = constraint_rows(problem, z, ied, include_bb)
+        q = ied.n - ied.p if include_bb else ied.q
+        rows = _constraint_rows(frame, q)
+        # the library reads the rows of C, in sym_to_vec's sqrt(2)-scaled layout
+        weights = triu_pairs(ied.n)[2][tangent_layout(ied.n, ied.p, q).trailing]
+        ref_rows = weights[:, None] * constraint_rows(problem, z, ied, include_bb)
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))
         assert np.allclose(rows, ref_rows, rtol=0.0, atol=REL * scale)

@@ -178,6 +178,9 @@ class TestDocuments:
         from sgnsdp.spectral import project_psd
 
         assert np.allclose(res.f2, -problem.a0 + project_psd(ied), atol=1e-13)
+        # dg maps R^0 to the zero matrix and its adjoint S^n to R^0
+        assert np.array_equal(problem.apply_dg(z.x, np.zeros(0)), np.zeros((2, 2)))
+        assert np.array_equal(problem.adjoint_dg(z.x, np.eye(2)), np.zeros(0))
 
     def test_point_dimension_mismatch(self):
         with pytest.raises(InputError):

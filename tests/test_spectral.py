@@ -149,12 +149,20 @@ class TestEig:
         assert err.value.order == 3
 
     def test_eigenvalues_alone_equal_numpy_eigvalsh_bit_for_bit(self, monkeypatch):
-        # one dsyevd call without vectors, as np.linalg.eigvalsh makes;
-        # non-finite input and a failed call raise as in eig_sym
+        # one dsyevd call without vectors, the call np.linalg.eigvalsh
+        # makes, but with scipy's default workspace: through order 32 the
+        # results are the same to the bit; above it LAPACK takes the
+        # unblocked tridiagonal reduction, so they agree to rounding.
+        # diagnose's second order forms, of order up to m, reach past 32.
+        # Non-finite input and a failed call raise as in eig_sym.
         rng = np.random.default_rng(4)
-        for n in range(1, 31):
+        for n in range(1, 80):
             a = sym(rng.standard_normal((n, n)))
-            assert np.array_equal(eigvals_sym(a), np.linalg.eigvalsh(a)[::-1])
+            ref = np.linalg.eigvalsh(a)[::-1]
+            if n <= 32:
+                assert np.array_equal(eigvals_sym(a), ref)
+            else:
+                assert np.max(np.abs(eigvals_sym(a) - ref)) <= 1e-14 * np.max(np.abs(ref))
         with pytest.raises(NumericalError) as err:
             eigvals_sym(np.full((2, 2), np.nan))
         assert err.value.order == 2
