@@ -40,6 +40,7 @@ from .spectral import (
     IED,
     StratumLayout,
     _lapack,
+    _require_finite,
     make_ied,
     project_psd,
     sym,
@@ -409,10 +410,12 @@ class AssembledJacobian:
 
     def sigma_min(self) -> float:
         """The smallest singular value of ``matrix``, by LAPACK ``dgesdd``
-        with the workspace it asks for, the call of ``np.linalg.svd``."""
+        with the workspace it asks for, the call of ``np.linalg.svd``; a
+        non-finite entry raises :class:`NumericalError` first."""
         rows, cols = self.matrix.shape
         if cols == 0:
             return np.inf
+        _require_finite(self.matrix)
         lwork = _lapack(scipy.linalg.lapack.dgesdd_lwork, rows, cols, compute_uv=0)[0]
         svals = _lapack(scipy.linalg.lapack.dgesdd, self.matrix, compute_uv=0, lwork=int(lwork))[1]
         return float(svals[-1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailure, InputError
-from .spectral import pack_sym, packed_length, sym, unpack_sym
+from .spectral import pack_sym, packed_length, sym, tangent_layout, unpack_sym
 
 
 @dataclass(frozen=True)
@@ -343,6 +343,12 @@ def synth_nondegenerate(seed: int, n: int, m: int):
     accepted only when the weak regularity margins at z* clear 1e-6, so
     local quadratic convergence is in force there; rejection runs through
     ``SYNTH_RETRIES`` seeds before giving up.
+
+    A stratum with more trailing (beta-gamma and gamma-gamma) pairs than
+    m fails W-SRCQ's dimension count, so it is skipped once p and q are
+    drawn, before the rest is drawn or built; W-SRCQ is checked before
+    W-SOC.  Each attempt has its own generator, so the accepted instances
+    and their random streams are those of building every attempt in full.
     """
     from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq
@@ -353,6 +359,8 @@ def synth_nondegenerate(seed: int, n: int, m: int):
         rng = np.random.default_rng(seed + 7919 * attempt)
         p = int(rng.integers(1, n - 1))
         q = int(rng.integers(1, n - p))
+        if np.count_nonzero(tangent_layout(n, p, q).trailing) > m:
+            continue  # W-SRCQ fails: more trailing rows of C than columns
         gauss = rng.standard_normal((n, n))
         pbar, _ = np.linalg.qr(gauss)
         lam = np.zeros(n)
@@ -361,9 +369,9 @@ def synth_nondegenerate(seed: int, n: int, m: int):
         lam = np.sort(lam)[::-1]
         g_star = sym(pbar @ (np.maximum(lam, 0.0)[:, None] * pbar.T))
         y_star = sym(pbar @ (np.minimum(lam, 0.0)[:, None] * pbar.T))
-        mats = [sym(rng.standard_normal((n, n))) / np.sqrt(n) for _ in range(m)]
+        mats = sym(rng.standard_normal((m, n, n))) / np.sqrt(n)
         primal = rng.standard_normal(m)
-        a0 = g_star - np.tensordot(primal, np.stack(mats), axes=1)
+        a0 = g_star - np.tensordot(primal, mats, axes=1)
         root = rng.standard_normal((m, m)) / np.sqrt(m)
         quad = root @ root.T + 0.5 * np.eye(m)
         adjoint = np.array([np.sum(mat * y_star) for mat in mats])
@@ -374,9 +382,9 @@ def synth_nondegenerate(seed: int, n: int, m: int):
         if np.sqrt(2.0 * res.phi) > 1e-12:
             continue
         frame = TangentFrame(problem, z_star, res.ied)
-        if check_wsoc(frame).margin <= 1e-6:
-            continue
         if check_wsrcq(frame).margin <= 1e-6:
+            continue
+        if check_wsoc(frame).margin <= 1e-6:
             continue
         return problem, z_star
     raise ConstructionFailure(

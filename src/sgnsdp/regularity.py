@@ -127,7 +127,8 @@ def _right_singular(mat, full_matrices=True):
 
 
 def _null_space(mat):
-    vt, rank = _right_singular(mat)
+    # tall or square: the economy Vt holds every right singular vector
+    vt, rank = _right_singular(mat, full_matrices=mat.shape[0] < mat.shape[1])
     return vt[rank:].T
 
 

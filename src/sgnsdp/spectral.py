@@ -199,7 +199,7 @@ def eigvals_sym(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray):
     if not np.isfinite(a).all():
         raise NumericalError(
-            "eigendecomposition input contains non-finite entries",
+            "factorization input contains non-finite entries",
             norm=frob(a[np.isfinite(a)]),  # of the finite entries
             order=a.shape[-1],
         )

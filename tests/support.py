@@ -387,3 +387,15 @@ class OverflowingConstraint(AffineQuadraticProblem):
         if x[0] > 1.5:
             return np.full((1, 1), np.inf)
         return super().eval_g(x)
+
+
+class NanHessian(AffineQuadraticProblem):
+    """c = [0], A0 = diag(1, -1), A = [diag(0, 1)], but Hess_xx L is NaN,
+    as a user's callback may return.  At x = 0, y = 0 app is {0}, so of
+    diagnose's checks only the Jacobian reads the Hessian."""
+
+    def __init__(self):
+        super().__init__(c=[0.0], a0=np.diag([1.0, -1.0]), a_list=[np.diag([0.0, 1.0])])
+
+    def hess_lagrangian(self, x, y):
+        return np.full((self.m, self.m), np.nan)

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from support import NanHessian
 
 from sgnsdp import __version__, cli
 from sgnsdp.cli import TRACE_HEADER, main
 from sgnsdp.model import (
+    PrimalDualPoint,
     degenerate_fixture,
     point_to_dict,
     save_problem,
@@ -278,6 +280,15 @@ class TestDiagnose:
         problem_path, point_path = _overflow_files(tmp_path, 1e307, 100.0)
         with np.errstate(over="ignore"):  # g(x) = 1e307 + 100 * 1e307
             assert main(["diagnose", str(problem_path), str(point_path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nonfinite_jacobian_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a Hessian callback that returns NaN reaches only the Jacobian here
+        monkeypatch.setattr(cli, "load_problem", lambda path: NanHessian())
+        problem_path, point_path = tmp_path / "problem.json", tmp_path / "point.json"
+        save_problem(NanHessian(), problem_path)
+        point_path.write_text(json.dumps(point_to_dict(PrimalDualPoint(np.zeros(1), np.zeros((2, 2))))))
+        assert main(["diagnose", str(problem_path), str(point_path)]) == 4
         assert "non-finite" in capsys.readouterr().err
 
     def test_entries_that_overflow_when_symmetrized_exit_3(self, tmp_path, capsys):

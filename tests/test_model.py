@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -236,6 +237,29 @@ class TestSynth:
             assert residual(problem, z_star).norm <= 1e-12
             assert check_wsoc(frame_at(problem, z_star)).margin > 1e-6
             assert check_wsrcq(frame_at(problem, z_star)).margin > 1e-6
+
+    def test_instances_are_pinned(self):
+        # sha256 of the bytes of c, Q, A0, A_1..A_m, x* and y*, so that an
+        # edit of the generator that changes an instance fails here and
+        # does not silently change every benchmark input (a LAPACK or BLAS
+        # build that rounds the QR or the products differently fails here
+        # too); (5, 6) 1438465119 is the instance behind bench's pinned
+        # seed 1438465101
+        pinned = {
+            (5, 6, 1438465119):
+                "1bfb783fae1d710870158e1887d561239aa9937e5db1e0f2323ac9d495bfb8f6",
+            (20, 30, 5000):
+                "8620a9b6d3837b0aac0fd2a8561414beb0478b7099a30fb1457e8c91aca454a7",
+            (30, 40, 3000):
+                "63bb6967b40b617a3b20b656723eaeb44215a758a23849526822ff68e165866c",
+            (45, 60, 3200):
+                "e4f24a804064f0d682972c334826d69b2f8fa935e3c546a768c2ec601220c715",
+        }
+        for (n, m, seed), digest in pinned.items():
+            problem, z = synth_nondegenerate(seed=seed, n=n, m=m)
+            arrays = (problem.c, problem.quad, problem.a0, problem.a, z.x, z.y)
+            blob = b"".join(a.tobytes() for a in arrays)
+            assert hashlib.sha256(blob).hexdigest() == digest, (n, m, seed)
 
     def test_retry_exhaustion(self, monkeypatch):
         monkeypatch.setattr(sgnsdp.model, "SYNTH_RETRIES", 0)

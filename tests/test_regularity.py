@@ -4,6 +4,7 @@ import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
+    NanHessian,
     degenerate_fixture_curve,
     error_bound_probe,
     frame_at,
@@ -16,7 +17,7 @@ from support import (
 )
 
 import sgnsdp.regularity
-from sgnsdp.errors import ConstructionFailure
+from sgnsdp.errors import ConstructionFailure, NumericalError
 from sgnsdp.kkt import TangentFrame, assemble_dF, big_g, residual
 from sgnsdp.model import (
     AffineQuadraticProblem,
@@ -318,6 +319,13 @@ class TestInjectivity:
             assert (wsoc.holds and wsrcq.holds) == (sigma > margin_tol)
         assert checked >= 12
 
+    def test_nonfinite_jacobian_is_a_numerical_error(self):
+        # app is {0}, so the form checks never read the NaN Hessian; the
+        # Jacobian does, and raises before its SVD sees the NaN
+        problem = NanHessian()
+        with pytest.raises(NumericalError, match="non-finite"):
+            diagnose(problem, PrimalDualPoint(x=np.zeros(1), y=np.zeros((2, 2))))
+
 
 class TestLapackCalls:
     """The diagnose factorizations call LAPACK with the workspace it asks
@@ -333,6 +341,22 @@ class TestLapackCalls:
                     _, svals, vt_np = np.linalg.svd(mat, full_matrices=full)
                     assert np.array_equal(vt, vt_np)
                     assert rank == np.sum(svals > RANK_TOL * svals[0])
+
+    def test_null_space_equals_full_svd_null_space(self):
+        # tall and square inputs take the economy SVD: its null space must
+        # be the full SVD's, also where repeated columns lower the rank
+        rng = np.random.default_rng(1)
+        for cols in range(1, 50, 4):
+            for rows in (1, cols, cols + 3, 2 * cols + 5):
+                for repeated in (0, cols // 2):
+                    mat = rng.standard_normal((rows, cols))
+                    mat[:, cols - repeated:] = mat[:, :repeated]
+                    _, svals, vt = np.linalg.svd(mat, full_matrices=True)
+                    rank = np.sum(svals > RANK_TOL * svals[0])
+                    basis = sgnsdp.regularity._null_space(mat)
+                    assert basis.shape == (cols, cols - rank)
+                    full = vt[rank:].T
+                    assert np.max(np.abs(basis @ basis.T - full @ full.T)) <= 1e-12
 
     def test_sigma_min_equals_numpy_svd(self):
         for seed, (n, m) in enumerate([(4, 5), (5, 6), (20, 30)]):
