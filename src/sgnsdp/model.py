@@ -344,11 +344,11 @@ def synth_nondegenerate(seed: int, n: int, m: int):
     local quadratic convergence is in force there; rejection runs through
     ``SYNTH_RETRIES`` seeds before giving up.
 
-    A stratum with more trailing (beta-gamma and gamma-gamma) pairs than
-    m fails W-SRCQ's dimension count, so it is skipped once p and q are
-    drawn, before the rest is drawn or built; W-SRCQ is checked before
-    W-SOC.  Each attempt has its own generator, so the accepted instances
-    and their random streams are those of building every attempt in full.
+    A stratum with more trailing (beta-gamma and gamma-gamma) pairs K than
+    m fails the first step of W-SRCQ's rank test, K > m, so it is
+    skipped once p and q are drawn, before the rest is built; W-SRCQ is
+    checked before W-SOC.  Each attempt has its own generator, so the accepted
+    instances and their random streams are those of building every attempt in full.
     """
     from .kkt import TangentFrame, residual  # deferred: model is imported by kkt
     from .regularity import check_wsoc, check_wsrcq

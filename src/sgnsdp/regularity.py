@@ -2,23 +2,23 @@
 
 Every check takes a :class:`TangentFrame`, the one handle for a
 primal-dual point z with the IED of G(z) = g(x) + y, and works in the
-frame's eigenbasis P: it slices the frame's one constraint stack,
-P^T apply_dg(x, e_i) P of ``TangentFrame.stack``, or its vector form
-``TangentFrame.c_mat``, by the blocks of the index sets.  Rotation is
-an isometry, so span margins equal those of the unrotated sets.  The
-weak pair (W-SOC, W-SRCQ) is equivalent to injectivity of the
-on-stratum differential of the KKT residual, which is what the
-cross-validation in the tests exploits; :func:`injectivity_margin`
-reads that differential from the same stack, with its matrix rows in the
-same eigenbasis.
+frame's eigenbasis P.  Of the derivative data it reads only Hess_xx L
+(``TangentFrame.hess``) and C = ``TangentFrame.c_mat``, whose row at a
+pair (k, l) maps v to the sym_to_vec coordinate of P^T (dg v) P there;
+it picks rows of C by the pair classes of a stratum's layout
+(:func:`spectral.tangent_layout`).  Rotation is an isometry, so the
+margins equal those of the unrotated sets.  The weak pair (W-SOC,
+W-SRCQ) is equivalent to injectivity of the on-stratum differential of
+the KKT residual, which is what the cross-validation in the tests
+exploits; :func:`injectivity_margin` reads that differential from
+:func:`kkt.assemble_dF`, with its matrix rows in the same eigenbasis.
 
 The four exact checks read the same rows of C, those at the trailing
-(beta-gamma and gamma-gamma) pairs of a stratum's layout
-(:func:`spectral.tangent_layout`).  W-SRCQ and CN are one span check,
-and S-SOSC and W-SOC one form check on app, the null space of those
-rows, each at two stratum indices: the frame's own (n, p, q), and the
-all-gamma neighbour (n, p, n - p), whose trailing pairs include the
-beta-beta ones, read in the same eigenbasis.
+(beta-gamma and gamma-gamma) pairs of a stratum.  W-SRCQ and CN are one
+rank test of those rows, and S-SOSC and W-SOC one form check on app,
+their null space, each at two stratum indices: the frame's own
+(n, p, q), and the all-gamma neighbour (n, p, n - p), whose trailing
+pairs include the beta-beta ones, read in the same eigenbasis.
 
 SONC and SRCQ are settled from the exact checks where those decide
 (:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
@@ -67,7 +67,6 @@ from .spectral import (
     project_psd,
     sym,
     tangent_layout,
-    triu_pairs,
     vec_to_sym,
 )
 
@@ -142,22 +141,15 @@ def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
     """Reduced matrix of the second order form on the span of ``basis``.
 
     The form is <v, Hess_xx L v> plus the curvature term
-    2 sum_{i in alpha, j in gamma} (-lam_j / lam_i) [P^T (dg* v) P]_ij^2,
-    assembled bilinearly from the alpha-gamma block of the rotated
-    constraint stack.
+    sum_{(k, l) alpha-gamma} (-lam_l / lam_k) (C_kl v)^2, C_kl the row of
+    C at the pair, which is sqrt(2) [P^T (dg v) P]_kl.
     """
     if basis.shape[1] == 0:
         return np.zeros((0, 0))
-    p, q, n = frame.ied.p, frame.ied.q, frame.ied.n
-    r = n - q
-    out = basis.T @ frame.hess @ basis
-    if p and q:
-        lam = frame.ied.eigenvalues
-        root = np.sqrt(-lam[r:][None, :] / lam[:p][:, None])
-        scaled = np.einsum("ia,ijk,jk->ajk", basis, frame.stack[:, :p, r:], root)
-        flat = scaled.reshape(basis.shape[1], -1)
-        out += 2.0 * (flat @ flat.T)
-    return sym(out)
+    layout, lam = frame.layout, frame.ied.eigenvalues
+    k, l = layout.pairs[layout.ag].T
+    scaled = np.sqrt(-lam[l] / lam[k])[:, None] * (frame.c_mat[layout.rows[layout.ag]] @ basis)
+    return sym(basis.T @ frame.hess @ basis + scaled.T @ scaled)
 
 
 def _definite_margin(eigs: np.ndarray) -> float:
@@ -189,55 +181,25 @@ def check_ssosc(frame: TangentFrame) -> ConditionResult:
 
 
 def _span_check(frame: TangentFrame, q: int):
-    """Rank test for dg* R^m + {P B P^T : B zero on the trailing pairs} = S^n.
+    """Rank test of the rows C_K of C at the trailing pairs K of the
+    stratum (n, p, q), n and p the frame's: W-SRCQ at q = ``ied.q``, and
+    CN, whose K also holds the beta-beta pairs, at q = n - p.
 
-    The trailing pairs are those of the stratum (n, p, q), n and p the
-    frame's: W-SRCQ at q = ``ied.q``, and CN, which also holds the
-    beta-beta block at zero, at q = n - p.  In eigenbasis coordinates
-    the second set is spanned by the unit vectors of the other pairs,
-    the free pairs F, so the margin is sigma_{n_sym} of
-    X = [C | E_F], C = ``frame.c_mat``, and it is read from a core
-    of order at most 2m (Chan's R-SVD: a QR first, then the SVD of the
-    small factor).  With K the complementary rows, k = |K| and C_F, C_K
-    the rows of C at F and K:
-
-    * k > m: X has fewer than n_sym columns, so the check fails with
-      margin 0 before any factorization;
-    * otherwise, with R_F the r x m triangle of a thin QR of C_F,
-      r = min(|F|, m) (C_F itself when |F| <= m), the margin is
-      sigma_min of the (r + k) x (m + r) core Y = [[R_F, I_r], [C_K, 0]],
-      clamped to 1 when |F| > r; it is 1 when Y is empty.
-
-    This is exact: X X^T = diag(1_F, 0_K) + C C^T.  The subspace
-    S = range(Q_F) + R^K, Q_F the orthonormal QR factor, contains
-    range(C) and is invariant under X X^T, which in that basis is Y Y^T;
-    on the complement of S, C^T vanishes and X X^T is the identity.
-    The cost is O(|F| m^2 + m^3), against O(n_sym (m + |F|)^2) for the
-    SVD of X.
+    dg R^m + {P B P^T : B zero on K} = S^n exactly when no nonzero D
+    living on K has dg* D = 0 (Bonnans and Shapiro 2000), that is, when
+    the |K| rows of C_K are linearly independent.  The margin is
+    min ||dg* D|| over unit D on K, the smallest singular value of C_K:
+    0 when |K| > m, infinite when K is empty.  By Cauchy interlacing it
+    is never below sigma_min of the primal span [C | E_F], E_F the unit
+    vectors of the other pairs, and vanishes exactly when that does.
     """
-    ied, (n_sym, m) = frame.ied, frame.c_mat.shape
-    c_k = _constraint_rows(frame, q)     # C_K: K is the trailing pairs
-    k = c_k.shape[0]
+    c_k = _constraint_rows(frame, q)
+    k, m = c_k.shape
     if k > m:
         return ConditionResult(FAILS, 0.0)
-    n_free = n_sym - k
-    c_f = frame.c_mat[~tangent_layout(ied.n, ied.p, q).trailing]
-    r = min(n_free, m)
-    core = np.eye(r + k, m + r, k=m, order="F")   # I_r, zeros elsewhere
-    core[r:, :m] = c_k
-    # LAPACK is called directly: at diagnose's usual sizes (m ~ 6) the
-    # numpy wrappers cost more than the factorizations themselves
-    if n_free <= m:
-        core[:r, :m] = c_f
-    elif m:
-        qr = _lapack(scipy.linalg.lapack.dgeqrf, c_f)[0]
-        tri_i, tri_j, _ = triu_pairs(m)
-        core[tri_i, tri_j] = qr[tri_i, tri_j]
-    margin = 1.0
-    if core.size:
-        margin = float(_lapack(scipy.linalg.lapack.dgesdd, core, compute_uv=0, overwrite_a=1)[1][-1])
-    if n_free > m:
-        margin = min(1.0, margin)
+    margin = np.inf
+    if k:
+        margin = float(_lapack(scipy.linalg.lapack.dgesdd, c_k, compute_uv=0)[1][-1])
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
@@ -322,10 +284,11 @@ def check_srcq(
 def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     """Sampled second order necessary condition.
 
-    Draws ``SONC_SAMPLES`` directions in the null space of the
-    beta-gamma and gamma-gamma blocks, keeps those whose beta-beta image
-    is PSD, and evaluates the second order form.  A negative kept sample refutes the condition;
-    absence of one is evidence, not proof, hence the heuristic verdicts.
+    Draws ``SONC_SAMPLES`` directions in app, the null space of C's
+    trailing rows, keeps those whose beta-beta image, read from C's
+    beta-beta rows, is PSD, and evaluates the second order form.  A
+    negative kept sample refutes the condition; absence of one is
+    evidence, not proof, hence the heuristic verdicts.
     :func:`diagnose` runs it only where :func:`check_sonc` cannot settle
     SONC: the form is indefinite on app and beta has two or more indices.
     """
@@ -333,16 +296,16 @@ def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(SAMPLING_SEED)
-    p, r = frame.ied.p, frame.ied.n - frame.ied.q
+    n_beta = frame.ied.n_beta
     form = quad_form_matrix(frame, basis)
-    at_bb = frame.stack[:, p:r, p:r]
     coeffs = rng.standard_normal((SONC_SAMPLES, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
-    if r > p:
-        # beta-beta image of each sample direction d = basis @ coeff
-        bb = np.tensordot(coeffs @ basis.T, at_bb, axes=1)
-        eigs = np.linalg.eigvalsh(0.5 * (bb + np.swapaxes(bb, 1, 2)))
+    if n_beta:
+        # beta-beta image of each sample direction d = basis @ coeff; the
+        # beta-beta rows of C are those off the tangent rows
+        c_bb = np.delete(frame.c_mat, frame.layout.rows, axis=0)
+        eigs = np.linalg.eigvalsh(vec_to_sym(coeffs @ (c_bb @ basis).T, n_beta))
         scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
         coeffs = coeffs[np.min(eigs, axis=1) >= -1e-10 * scale]
     if coeffs.shape[0] == 0:

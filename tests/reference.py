@@ -204,13 +204,11 @@ def _rotated_images(problem, z, ied):
     return [ied.basis.T @ problem.apply_dg(z.x, _unit(m, i)) @ ied.basis for i in range(m)]
 
 
-def constraint_rows(problem, z, ied, include_bb):
-    """Rows of v -> selected blocks of P^T (dg* v) P, by a double loop."""
-    m, n = problem.m, ied.n
-    images = _rotated_images(problem, z, ied)
-    rows = []
-    for k in range(n):
-        for l in range(k, n):
+def _trailing_pairs(ied, include_bb):
+    """The pairs (k, l), k <= l, of the trailing block, by a double loop."""
+    pairs = []
+    for k in range(ied.n):
+        for l in range(k, ied.n):
             k_beta, k_gamma = _blocks(ied, k)
             l_beta, l_gamma = _blocks(ied, l)
             if (
@@ -219,8 +217,29 @@ def constraint_rows(problem, z, ied, include_bb):
                 or (l_beta and k_gamma)
                 or (k_gamma and l_gamma)
             ):
-                rows.append([img[k, l] for img in images])
-    return np.asarray(rows) if rows else np.zeros((0, m))
+                pairs.append((k, l))
+    return pairs
+
+
+def constraint_rows(problem, z, ied, include_bb):
+    """Rows of v -> selected blocks of P^T (dg* v) P, by a double loop."""
+    images = _rotated_images(problem, z, ied)
+    rows = [[img[k, l] for img in images] for k, l in _trailing_pairs(ied, include_bb)]
+    return np.asarray(rows) if rows else np.zeros((0, problem.m))
+
+
+def dual_span_margin(problem, z, ied, include_bb):
+    """min ||dg* D|| over unit D on the trailing pairs: the smallest
+    singular value of the sqrt(2)-weighted :func:`constraint_rows`, 0 with
+    more rows than m and infinite with none."""
+    pairs = _trailing_pairs(ied, include_bb)
+    if len(pairs) > problem.m:
+        return 0.0
+    if not pairs:
+        return np.inf
+    weights = np.array([1.0 if k == l else np.sqrt(2.0) for k, l in pairs])
+    rows = weights[:, None] * constraint_rows(problem, z, ied, include_bb)
+    return float(np.linalg.svd(rows, compute_uv=False)[-1])
 
 
 def quad_form_matrix(problem, z, ied, basis):

@@ -299,6 +299,18 @@ class TestDiagnose:
             assert main(argv) == 3
             assert "(field: constraint.A0)" in capsys.readouterr().err
 
+    def test_vacuous_span_margins_print_infinity(self, tmp_path, capsys):
+        # G = A0 = [1] is positive definite (p = n): no pair is trailing,
+        # so W-SRCQ and CN hold vacuously, with infinite margins
+        problem_path, point_path = _overflow_files(tmp_path, 1.0, 0.0)
+        assert main(["diagnose", str(problem_path), str(point_path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert (doc["ied"]["p"], doc["ied"]["q"]) == (1, 0)
+        for name in ("w_srcq", "constraint_nondegeneracy"):
+            assert doc[name] == {"verdict": "holds", "margin": float("inf")}
+        assert out.count('"margin": Infinity') >= 2
+
     def test_deterministic_report(self, reference_files, tmp_path):
         problem_path, point_path = reference_files
         blobs = []

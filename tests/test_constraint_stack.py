@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from reference import (
     assemble_dF_by_columns,
     constraint_rows,
+    dual_span_margin,
     lm_solve_errors,
     second_order_margin,
     span_margin,
@@ -492,9 +493,14 @@ def test_regularity_margins_match_loop_reference(case):
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))
         assert np.allclose(rows, ref_rows, rtol=0.0, atol=REL * scale)
+    # the span margins are min ||dg* D|| over unit D on the trailing
+    # pairs, never below sigma_min of the primal span [C | E_F]
+    for result, include_bb in ((check_wsrcq(frame), False), (check_cn(frame), True)):
+        primal = span_margin(problem, z, ied, include_bb=not include_bb)
+        assert primal <= result.margin + REL * max(1.0, primal), (primal, result.margin)
     pairs = [
-        (check_wsrcq(frame), span_margin(problem, z, ied, include_bb=True)),
-        (check_cn(frame), span_margin(problem, z, ied, include_bb=False)),
+        (check_wsrcq(frame), dual_span_margin(problem, z, ied, include_bb=False)),
+        (check_cn(frame), dual_span_margin(problem, z, ied, include_bb=True)),
         (check_wsoc(frame), second_order_margin(problem, z, ied, True, True)),
         (check_ssosc(frame), second_order_margin(problem, z, ied, False, False)),
     ]
@@ -514,10 +520,10 @@ def _equal_constraints(rng, n, m):
 @pytest.mark.parametrize(
     "n, m, p, q, build",
     [
-        (4, 1, 1, 2, random_problem),       # k > m for both checks
-        (3, 6, 0, 2, random_problem),       # |F| <= m: C_F is the core's top block
-        (4, 3, 4, 0, random_problem),       # G positive definite, |F| > m: margin 1
-        (4, 3, 2, 1, _equal_constraints),   # rank-deficient C_F
+        (4, 1, 1, 2, random_problem),       # K > m for both checks
+        (3, 6, 0, 2, random_problem),       # K <= m for both checks, all pairs for CN
+        (4, 3, 4, 0, random_problem),       # G positive definite: K is empty
+        (4, 3, 2, 1, _equal_constraints),   # two equal columns of C
     ],
     ids=["k-above-m", "free-at-most-m", "positive-definite", "equal-constraints"],
 )
@@ -530,16 +536,16 @@ def test_regularity_margins_match_loop_reference_at_the_edges(n, m, p, q, build)
     test_regularity_margins_match_loop_reference.hypothesis.inner_test((problem, z, ied))
     if p == n:
         frame = TangentFrame(problem, z, ied)
-        assert check_wsrcq(frame).margin == check_cn(frame).margin == 1.0
+        assert check_wsrcq(frame).margin == check_cn(frame).margin == np.inf
 
 
 def test_regularity_margins_match_loop_reference_without_constraints():
-    # m = 0: the core is empty for W-SRCQ (margin 1), and CN has k = 1 > m
+    # m = 0: K is empty for W-SRCQ (margin inf), and CN has |K| = 1 > m
     problem, z = _no_constraints()
     ied = make_ied(big_g(problem, z))
     test_regularity_margins_match_loop_reference.hypothesis.inner_test((problem, z, ied))
     frame = TangentFrame(problem, z, ied)
-    assert (check_wsrcq(frame).margin, check_cn(frame).margin) == (1.0, 0.0)
+    assert (check_wsrcq(frame).margin, check_cn(frame).margin) == (np.inf, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
