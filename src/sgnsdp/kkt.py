@@ -12,16 +12,17 @@ the tangent-space isomorphism is the block operator
 All tangent inner products are taken in (v_x, H) coordinates with the
 Frobenius product on the matrix part.  Everything at a point is kept in
 the eigenbasis P of G(z) that its :class:`TangentFrame` carries: the
-frame's one constraint stack is the rotated P^T apply_dg(x, e_i) P of
-``TangentFrame.stack``, read as columns in ``TangentFrame.c_mat``, the
-matrix residual is read in the rotated coordinates sym_to_vec(P^T F2 P)
-(:meth:`TangentFrame.coords`), and the Jacobian's rows are the m
-residual components followed by those coordinates.  Columns are the m
-primal unit directions, then the T tangent pairs (k, l) at the rows
-``frame.rows`` of the ``sym_to_vec`` layout; every pair's class comes
-from the one stratum layout ``frame.layout`` (:func:`tangent_layout`).
+frame's one rotated form of the constraint derivative is the n_sym x m
+C = ``TangentFrame.c_mat``, whose column i is
+sym_to_vec(P^T apply_dg(x, e_i) P), the matrix residual is read in the
+rotated coordinates sym_to_vec(P^T F2 P) (:meth:`TangentFrame.coords`),
+and the Jacobian's rows are the m residual components followed by
+those coordinates.  Columns are the m primal unit directions, then the
+T tangent pairs (k, l) at the rows ``frame.rows`` of the ``sym_to_vec``
+layout; every pair's class comes from the one stratum layout
+``frame.layout`` (:func:`tangent_layout`).
 The xi block is diag(xi_kl) on the tangent rows and zero on the
-beta-beta rows, so the Jacobian is four blocks sliced from the stack
+beta-beta rows, so the Jacobian is four blocks sliced from C
 (:class:`AssembledJacobian`) and the rotation is never undone.
 
 ``solver.lm_direction`` says how the LM system
@@ -149,13 +150,14 @@ class TangentFrame:
     rotated ``sym_to_vec`` coordinates at the tangent rows ``rows``, the
     pairs (k, l), k <= l, not both in beta.  The frame's eigenbasis P
     (``ied.basis``) is the one coordinate system of the derivative data
-    at ``z``, and the frame is its one cache: the rotated constraint
-    stack, its vector form and Hess_xx L are built on first use, so the
-    Jacobian and every regularity check read the problem once per frame.
-    ``ied`` must decompose G(z).  ``dg``, when given, is the unrotated
-    ``problem.dg_stack(z.x)``, which the stack then rotates instead of
-    reading the problem: the solver hands it from frame to frame while x
-    stays the same.
+    at ``z``, and the frame is its one cache: C = ``c_mat``, the one
+    rotated form of the constraint derivative, and Hess_xx L are built on
+    first use, so the Jacobian, the normal directions and every
+    regularity check read the problem once per frame.  ``ied`` must
+    decompose G(z).  ``dg``, when given, is the unrotated stack
+    ``problem.dg_stack(z.x)``, which C then rotates instead of reading
+    the problem: the solver hands it from frame to frame while x stays
+    the same.
     """
 
     problem: NlsdpProblem
@@ -174,22 +176,17 @@ class TangentFrame:
         return self.layout.rows
 
     @_cached
-    def stack(self) -> np.ndarray:
-        """The constraint derivative at ``z``, rotated into the eigenbasis P.
+    def c_mat(self) -> np.ndarray:
+        """The constraint derivative at ``z`` in the eigenbasis P, as columns.
 
-        The m x n x n stack ``sym(P^T apply_dg(x, e_i) P)`` over the m
-        unit vectors.  It rotates ``dg`` when the frame has it, and
-        otherwise calls ``problem.dg_stack(x)``: m ``apply_dg`` calls
-        unless the problem overrides it.
+        C = sym_to_vec(sym(P^T apply_dg(x, e_i) P)).T over the m unit
+        vectors, n_sym x m, so C v = sym_to_vec(P^T (dg v) P).  It rotates
+        the unrotated stack ``dg`` when the frame has it, and otherwise
+        reads ``problem.dg_stack(x)``: m ``apply_dg`` calls unless the
+        problem overrides it.
         """
         dg = self.problem.dg_stack(self.z.x) if self.dg is None else self.dg
-        at = self.ied.basis.T @ dg @ self.ied.basis
-        return 0.5 * (at + at.transpose(0, 2, 1))
-
-    @_cached
-    def c_mat(self) -> np.ndarray:
-        """C = sym_to_vec(stack).T, the stack read as n_sym x m columns."""
-        return sym_to_vec(self.stack).T
+        return sym_to_vec(sym(self.ied.basis.T @ dg @ self.ied.basis)).T
 
     @_cached
     def hess(self) -> np.ndarray:
@@ -251,7 +248,7 @@ class AssembledJacobian:
     Columns follow (e_1..e_m, tangent pairs); rows are the m residual
     components followed by the rotated coordinates of the matrix
     residual (:meth:`TangentFrame.coords`).  With C = ``frame.c_mat``,
-    the rotated stack read as n_sym x m columns, the blocks are
+    the rotated constraint derivative as n_sym x m columns, the blocks are
 
     * ``hm`` = Hess L - C^T C (m x m), the top-left block;
     * ``c_mat`` = C (n_sym x m), so -C is the bottom-left block;
@@ -422,7 +419,7 @@ class AssembledJacobian:
 
 
 def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
-    """Slice the Jacobian blocks from the frame's rotated constraint stack.
+    """Slice the Jacobian blocks from the frame's rotated constraint derivative C.
 
     A coordinate direction (v_x, H) maps to
     (Hess L v_x - dg(dg* v_x) + dg H, -dg* v_x + xi(H)).  In the frame's

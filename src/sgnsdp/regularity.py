@@ -153,10 +153,10 @@ def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
 
 
 def _definite_margin(eigs: np.ndarray) -> float:
-    """Signed distance to sign-definiteness: positive when one-signed."""
+    """Signed distance to sign-definiteness: positive when one-signed, +0.0 at zero."""
     if np.all(eigs > 0) or np.all(eigs < 0):
         return float(np.min(np.abs(eigs)))
-    return -float(min(np.max(eigs), -np.min(eigs)))
+    return 0.0 - float(min(np.max(eigs), -np.min(eigs)))
 
 
 def _form_check(frame: TangentFrame, q: int, definite: bool) -> ConditionResult:
@@ -285,8 +285,8 @@ def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     """Sampled second order necessary condition.
 
     Draws ``SONC_SAMPLES`` directions in app, the null space of C's
-    trailing rows, keeps those whose beta-beta image, read from C's
-    beta-beta rows, is PSD, and evaluates the second order form.  A
+    trailing rows, keeps those whose beta-beta image, the beta-beta block
+    of vec_to_sym(C d), is PSD, and evaluates the second order form.  A
     negative kept sample refutes the condition; absence of one is
     evidence, not proof, hence the heuristic verdicts.
     :func:`diagnose` runs it only where :func:`check_sonc` cannot settle
@@ -296,16 +296,14 @@ def check_sonc_heuristic(frame: TangentFrame) -> ConditionResult:
     if basis.shape[1] == 0:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)
     rng = np.random.default_rng(SAMPLING_SEED)
-    n_beta = frame.ied.n_beta
+    n, p, r = frame.ied.n, frame.ied.p, frame.ied.n - frame.ied.q
     form = quad_form_matrix(frame, basis)
     coeffs = rng.standard_normal((SONC_SAMPLES, basis.shape[1]))
     norms = np.linalg.norm(coeffs, axis=1)
     coeffs = coeffs[norms > 0.0] / norms[norms > 0.0, None]
-    if n_beta:
-        # beta-beta image of each sample direction d = basis @ coeff; the
-        # beta-beta rows of C are those off the tangent rows
-        c_bb = np.delete(frame.c_mat, frame.layout.rows, axis=0)
-        eigs = np.linalg.eigvalsh(vec_to_sym(coeffs @ (c_bb @ basis).T, n_beta))
+    if r > p:
+        # beta-beta image of each sample direction d = basis @ coeff
+        eigs = np.linalg.eigvalsh(vec_to_sym(coeffs @ (frame.c_mat @ basis).T, n)[:, p:r, p:r])
         scale = np.maximum(1.0, np.max(np.abs(eigs), axis=1))
         coeffs = coeffs[np.min(eigs, axis=1) >= -1e-10 * scale]
     if coeffs.shape[0] == 0:
@@ -435,15 +433,19 @@ def diagnose(problem: NlsdpProblem, z: PrimalDualPoint, zero_tol=None) -> Regula
     """Evaluate every condition at ``z`` and collect the report.
 
     The checks and the Jacobian of :func:`injectivity_margin` share one
-    :class:`TangentFrame`, so the constraint stack and Hess_xx L are
+    :class:`TangentFrame`, so C = ``frame.c_mat`` and Hess_xx L are
     built once: one ``dg_stack`` (m ``apply_dg`` calls by default) and one
     ``hess_lagrangian`` (m ``apply_hess_lagrangian`` calls by default).
+    The Jacobian is built first, so a non-finite entry of either raises
+    :class:`NumericalError` before any check reads them.
     g(x) is evaluated once, for G(z).
     SONC and SRCQ are settled from S-SOSC, W-SRCQ and CN where those
     decide (:func:`check_sonc`, :func:`check_srcq`), and sampled where
     they cannot.
     """
     frame = TangentFrame(problem, z, make_ied(big_g(problem, z), zero_tol))
+    # first: the Jacobian builds C and Hess L and rejects non-finite entries
+    sigma_min_dF = injectivity_margin(frame)
     w_srcq, cn, s_sosc = check_wsrcq(frame), check_cn(frame), check_ssosc(frame)
     return RegularityReport(
         w_soc=check_wsoc(frame),
@@ -452,7 +454,7 @@ def diagnose(problem: NlsdpProblem, z: PrimalDualPoint, zero_tol=None) -> Regula
         s_sosc=s_sosc,
         sonc=check_sonc(frame, s_sosc),
         srcq=check_srcq(frame, w_srcq, cn),
-        sigma_min_dF=injectivity_margin(frame),
+        sigma_min_dF=sigma_min_dF,
         p=frame.ied.p,
         q=frame.ied.q,
         eigenvalues=frame.ied.eigenvalues.copy(),

@@ -58,6 +58,7 @@ from .spectral import (
     frob,
     retract_fixed_inertia,
     sym,
+    vec_to_sym,
 )
 
 
@@ -144,12 +145,12 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
     Both live in the normal space of the stratum (only the beta-beta
     block is nonzero in the eigenbasis); W1 is NSD, W2 is PSD, and both
     vanish exactly at KKT pairs.  The beta-beta block of P^T dg(F1) P is
-    sum_i F1_i at[i][beta, beta], read from the frame's rotated stack.
-    W1 is the NSD part of that block's negative, W2 the PSD part of the
-    negative minus the block of P^T F2 P.  When |beta| >= 2 each block
-    takes its own eigendecomposition, two single ``dsyevd`` calls being
-    cheaper than one stacked ``np.linalg.eigh`` at these orders.  When
-    |beta| = 1 the blocks are scalars and are clipped at zero directly:
+    that of vec_to_sym(C F1), C = ``frame.c_mat``.  W1 is the NSD part
+    of that block's negative, W2 the PSD part of the negative minus the
+    block of P^T F2 P.  When |beta| >= 2 each block takes its own
+    eigendecomposition, two single ``dsyevd`` calls being cheaper than
+    one stacked ``np.linalg.eigh`` at these orders.  When |beta| = 1
+    the blocks are scalars and are clipped at zero directly:
     a 1 x 1 ``dsyevd`` returns the entry as the eigenvalue and exactly
     1.0 as the eigenvector, so the clip is its result bit for bit.  A
     block that is not finite, or whose symmetrization overflows, still
@@ -162,13 +163,9 @@ def normal_dirs(frame: TangentFrame, res: KktResidual):
         zero = np.zeros((n, n))
         return zero, zero.copy()
     pb = ied.basis[:, p:r]
-    # np.tensordot(res.f1, beta-beta blocks, axes=1) without its Python
-    # overhead: the same (1, m) by (m, |beta|^2) product, reshaped
-    m, k = res.f1.size, r - p
-    flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
-    block1 = -flat.reshape(k, k)
+    block1 = -vec_to_sym(frame.c_mat @ res.f1, n)[p:r, p:r]
     block2 = sym(block1 - pb.T @ res.f2 @ pb)
-    if k == 1 and math.isfinite(2.0 * float(block1[0, 0])) and math.isfinite(block2[0, 0]):
+    if r - p == 1 and math.isfinite(2.0 * float(block1[0, 0])) and math.isfinite(block2[0, 0]):
         part1, part2 = np.minimum(block1, 0.0), np.maximum(block2, 0.0)
     else:
         basis1, lam1 = eig_sym(sym(block1))

@@ -395,9 +395,7 @@ def normal_dirs_stacked(frame, res):
     if r == p:
         return np.zeros((n, n)), np.zeros((n, n))
     pb = ied.basis[:, p:r]
-    m, k = res.f1.size, r - p
-    flat = np.dot(res.f1.reshape(1, m), frame.stack[:, p:r, p:r].reshape(m, k * k))
-    block1 = -flat.reshape(k, k)
+    block1 = -vec_to_sym(frame.c_mat @ res.f1, n)[p:r, p:r]
     lam, basis = np.linalg.eigh(sym(np.stack([block1, block1 - pb.T @ res.f2 @ pb])))
     basis, lam = basis[..., ::-1].copy(), lam[..., ::-1].copy()
     clipped = np.stack([np.minimum(lam[0], 0.0), np.maximum(lam[1], 0.0)])

@@ -399,3 +399,17 @@ class NanHessian(AffineQuadraticProblem):
 
     def hess_lagrangian(self, x, y):
         return np.full((self.m, self.m), np.nan)
+
+
+class NanDerivative(AffineQuadraticProblem):
+    """The data of :class:`NanHessian`, but the constraint derivative dg
+    is NaN and Hess_xx L is finite, as a user's callback may return."""
+
+    def __init__(self):
+        super().__init__(c=[0.0], a0=np.diag([1.0, -1.0]), a_list=[np.diag([0.0, 1.0])])
+
+    def apply_dg(self, x, v):
+        return np.full((self.n, self.n), np.nan)
+
+    def dg_stack(self, x):
+        return np.full((self.m, self.n, self.n), np.nan)

@@ -1,8 +1,9 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from support import NanHessian
+from support import NanDerivative, NanHessian
 
 from sgnsdp import __version__, cli
 from sgnsdp.cli import TRACE_HEADER, main
@@ -291,6 +292,16 @@ class TestDiagnose:
         assert main(["diagnose", str(problem_path), str(point_path)]) == 4
         assert "non-finite" in capsys.readouterr().err
 
+    def test_nonfinite_derivative_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a constraint-derivative callback that returns NaN is rejected by
+        # the Jacobian, which diagnose builds before its checks
+        monkeypatch.setattr(cli, "load_problem", lambda path: NanDerivative())
+        problem_path, point_path = tmp_path / "problem.json", tmp_path / "point.json"
+        save_problem(NanDerivative(), problem_path)
+        point_path.write_text(json.dumps(point_to_dict(PrimalDualPoint(np.zeros(1), np.zeros((2, 2))))))
+        assert main(["diagnose", str(problem_path), str(point_path)]) == 4
+        assert "non-finite" in capsys.readouterr().err
+
     def test_entries_that_overflow_when_symmetrized_exit_3(self, tmp_path, capsys):
         # 1e308 + 1e308 overflows in (A + A^T) / 2: the file is at fault
         problem_path, point_path = _overflow_files(tmp_path, 1e308, 10.0)
@@ -310,6 +321,12 @@ class TestDiagnose:
         for name in ("w_srcq", "constraint_nondegeneracy"):
             assert doc[name] == {"verdict": "holds", "margin": float("inf")}
         assert out.count('"margin": Infinity') >= 2
+        # Hess L = 0 on app = R^1: W-SOC's one zero eigenvalue gives a
+        # margin of +0.0, as S-SOSC's does, not -0.0
+        for name in ("w_soc", "s_sosc"):
+            assert doc[name] == {"verdict": "fails", "margin": 0.0}
+            assert math.copysign(1.0, doc[name]["margin"]) == 1.0
+        assert '"margin": -0.0' not in out
 
     def test_deterministic_report(self, reference_files, tmp_path):
         problem_path, point_path = reference_files

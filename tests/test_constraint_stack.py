@@ -217,7 +217,7 @@ class TestCallbackBudget:
         # reads m apply_hess_lagrangian, and m apply_dg unless it keeps
         # the x of the frame before it (the corrected point and a normal
         # step's point do).  normal_dirs reads dg(F1) from the frame's
-        # stack, not from the problem.  g is evaluated once per point: a
+        # C, not from the problem.  g is evaluated once per point: a
         # line-search trial's residual reuses the g(x) of its retraction
         problem, z_bar = degenerate_fixture()
         z0 = point(np.zeros(5), np.zeros((4, 4))) if start == "zeros" else _near_beta_start()
@@ -229,7 +229,7 @@ class TestCallbackBudget:
     def test_correction_attempt_reads_no_apply_dg(self):
         # the corrected point keeps x, so its frame rotates the start
         # frame's unrotated stack instead of calling apply_dg again, and
-        # gets the stack a fresh read gives, bit for bit
+        # gets the C a fresh read gives, bit for bit
         problem, _ = degenerate_fixture()
         counting = CountingProblem(problem)
         config = SolverConfig()
@@ -239,7 +239,7 @@ class TestCallbackBudget:
         corrected = _point_state(counting, z_hat, config, prior=state.jac.frame)
         assert counting.calls["apply_dg"] == before
         fresh = _point_state(problem, z_hat, config)
-        assert np.array_equal(corrected.jac.frame.stack, fresh.jac.frame.stack)
+        assert np.array_equal(corrected.jac.frame.c_mat, fresh.jac.frame.c_mat)
         # over a whole solve only the start and the LM steps, which move
         # x, read the stack
         counting = CountingProblem(problem)
@@ -303,8 +303,8 @@ class TestStack:
         assert np.array_equal(stack, NlsdpProblem.dg_stack(problem, z.x))
         ied = make_ied(big_g(problem, z))
         assert np.array_equal(
-            TangentFrame(problem, z, ied).stack,
-            TangentFrame(CountingProblem(problem), z, ied).stack,
+            TangentFrame(problem, z, ied).c_mat,
+            TangentFrame(CountingProblem(problem), z, ied).c_mat,
         )
 
     @pytest.mark.parametrize(
@@ -328,17 +328,16 @@ class TestStack:
 
     def test_m_zero(self):
         problem, z = corrected_random_point(np.random.default_rng(0), 3, 0)
-        at = TangentFrame(problem, z, make_ied(big_g(problem, z))).stack
-        assert at.shape == (0, 3, 3)
+        c_mat = TangentFrame(problem, z, make_ied(big_g(problem, z))).c_mat
+        assert c_mat.shape == (6, 0)
 
     def test_rotation_and_symmetry(self):
         problem, z = corrected_random_point(np.random.default_rng(1), 5, 4)
         ied = make_ied(big_g(problem, z))
-        at = TangentFrame(problem, z, ied).stack
+        at = vec_to_sym(TangentFrame(problem, z, ied).c_mat.T, problem.n)
         for i in range(problem.m):
             a_i = problem.apply_dg(z.x, np.eye(problem.m)[i])
             assert np.allclose(at[i], ied.basis.T @ a_i @ ied.basis, atol=1e-14)
-        assert np.array_equal(at, at.transpose(0, 2, 1))
 
 
 @settings(max_examples=60, deadline=None)

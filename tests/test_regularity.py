@@ -4,6 +4,7 @@ import scipy.linalg.lapack
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from support import (
+    NanDerivative,
     NanHessian,
     degenerate_fixture_curve,
     error_bound_probe,
@@ -50,7 +51,7 @@ from sgnsdp.regularity import (
     quad_form_matrix,
 )
 from sgnsdp.solver import retract_point
-from sgnsdp.spectral import make_ied, sym, sym_to_vec, vec_to_sym
+from sgnsdp.spectral import make_ied, sym, vec_to_sym
 
 # pinned after first computation at the degenerate fixture's solution
 SIGMA_MIN_REFERENCE = 0.40753645318366233
@@ -335,6 +336,25 @@ class TestInjectivity:
         with pytest.raises(NumericalError, match="non-finite"):
             diagnose(problem, PrimalDualPoint(x=np.zeros(1), y=np.zeros((2, 2))))
 
+    def test_nonfinite_derivative_is_a_numerical_error(self):
+        # the Jacobian is built before the checks, so its finite check
+        # rejects a NaN C before W-SRCQ's rank test factors it
+        with pytest.raises(NumericalError, match="non-finite"):
+            diagnose(NanDerivative(), PrimalDualPoint(x=np.zeros(1), y=np.zeros((2, 2))))
+
+    def test_checks_read_the_jacobians_c(self, monkeypatch):
+        # C is built by the Jacobian, before the first check reads it
+        seen = []
+
+        def spy(frame):
+            seen.append("c_mat" in frame.__dict__)
+            return check_wsrcq(frame)
+
+        monkeypatch.setattr(sgnsdp.regularity, "check_wsrcq", spy)
+        problem, z_bar = degenerate_fixture()
+        diagnose(problem, z_bar)
+        assert seen == [True]
+
 
 class TestLapackCalls:
     """The diagnose factorizations call LAPACK with the workspace it asks
@@ -571,7 +591,7 @@ def test_small_beta_failures_carry_a_certificate(case):
     frame = frame_at(problem, z)
     ied = frame.ied
     trailing = pair_mask(ied, ("bb", "bg", "gg"))
-    _, _, vt = np.linalg.svd(sym_to_vec(frame.stack)[:, trailing])
+    _, _, vt = np.linalg.svd(frame.c_mat[trailing].T)
     coords = np.zeros(trailing.size)
     coords[trailing] = vt[-1]  # m < trailing.sum(): a null vector
     rotated = vec_to_sym(coords, ied.n)
@@ -610,7 +630,7 @@ def test_small_beta_sonc_failures_carry_a_direction(n, n_beta, p, m, seed):
         p, r = frame.ied.p, frame.ied.n - frame.ied.q
         basis = app_basis(frame, frame.ied.q)
         v = basis @ np.linalg.eigh(quad_form_matrix(frame, basis))[1][:, 0]
-        image = np.tensordot(v, frame.stack[:, p:r, p:r], axes=1)
+        image = vec_to_sym(frame.c_mat @ v, frame.ied.n)[p:r, p:r]
         if np.any(image < 0):  # a scalar beta-beta block
             v, image = -v, -image
         assert np.all(image >= 0)

@@ -20,6 +20,7 @@ from support import (
     psd_part,
     random_point,
     random_problem,
+    rotate_within_eigenspaces,
     scaled,
     stratum_matrix,
 )
@@ -57,7 +58,7 @@ from sgnsdp.solver import (
     slmn,
     stationarity_measure,
 )
-from sgnsdp.spectral import default_zero_tol, eig_sym, frob, make_ied, nsd_part, sym
+from sgnsdp.spectral import default_zero_tol, eig_sym, frob, make_ied, nsd_part, sym, vec_to_sym
 
 
 def scalar_boundary():
@@ -206,7 +207,7 @@ class TestNormalDirections:
         frame = TangentFrame(problem, z, ied)
         p, r = ied.p, ied.n - ied.q
         pb = ied.basis[:, p:r]
-        block1 = -np.tensordot(res.f1, frame.stack[:, p:r, p:r], axes=1)
+        block1 = -vec_to_sym(frame.c_mat @ res.f1, ied.n)[p:r, p:r]
         block2 = block1 - pb.T @ res.f2 @ pb
         w1, w2 = normal_dirs(frame, res)
         assert np.array_equal(w1, sym(pb @ nsd_part(block1) @ pb.T))
@@ -236,7 +237,7 @@ class TestNormalDirections:
         problem, z = corrected_random_point(np.random.default_rng(5), 3, 4, n_zero=1)
         res = residual(problem, z)
         frame = TangentFrame(problem, z, res.ied)
-        entries = frame.stack[:, res.ied.p, res.ied.p]
+        entries = vec_to_sym(frame.c_mat.T, res.ied.n)[:, res.ied.p, res.ied.p]
         f1 = np.zeros(4)
         f1[np.argmax(np.abs(entries))] = scale / np.abs(entries).max()
         with pytest.raises(NumericalError), np.errstate(over="ignore", invalid="ignore"):
@@ -253,6 +254,31 @@ class TestNormalDirections:
         w1, w2 = normal_dirs(frame, res)
         ref1, ref2 = normal_dirs_stacked(frame, res)
         assert np.array_equal(w1, ref1) and np.array_equal(w2, ref2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4), st.integers(1, 3), st.integers(1, 6), st.booleans(),
+        st.integers(0, 2**31),
+    )
+    def test_blocks_match_the_unrotated_callback(self, n_beta, n_rest, m, rotate, seed):
+        # the beta-beta block read from C is that of pb^T dg(F1) pb, with
+        # dg(F1) from the problem's own apply_dg, in the IED's eigenbasis
+        # or one re-drawn within its eigenspaces
+        rng = np.random.default_rng(seed)
+        problem, z = corrected_random_point(rng, n_beta + n_rest, m, n_zero=n_beta)
+        res = residual(problem, z)
+        ied = res.ied
+        assume(ied.n_beta == n_beta)
+        if rotate:
+            ied = rotate_within_eigenspaces(ied, seed=seed)
+        p, r = ied.p, ied.n - ied.q
+        pb = ied.basis[:, p:r]
+        block1 = -sym(pb.T @ problem.apply_dg(z.x, res.f1) @ pb)
+        block2 = block1 - sym(pb.T @ res.f2 @ pb)
+        w1, w2 = normal_dirs(TangentFrame(problem, z, ied), res)
+        tol = 1e-12 * max(1.0, frob(block1), frob(block2))
+        assert frob(w1 - pb @ nsd_part(block1) @ pb.T) <= tol
+        assert frob(w2 - pb @ psd_part(block2) @ pb.T) <= tol
 
 
 class TestNormalStep:
