@@ -18,9 +18,9 @@ sym_to_vec(P^T apply_dg(x, e_i) P), the matrix residual is read in the
 rotated coordinates sym_to_vec(P^T F2 P) (:meth:`TangentFrame.coords`),
 and the Jacobian's rows are the m residual components followed by
 those coordinates.  Columns are the m primal unit directions, then the
-T tangent pairs (k, l) at the rows ``frame.rows`` of the ``sym_to_vec``
-layout; every pair's class comes from the one stratum layout
-``frame.layout`` (:func:`tangent_layout`).
+T tangent pairs (k, l) at the rows ``frame.layout.rows`` of the
+``sym_to_vec`` layout; every pair's class comes from that one stratum
+layout (:func:`tangent_layout`).
 The xi block is diag(xi_kl) on the tangent rows and zero on the
 beta-beta rows, so the Jacobian is four blocks sliced from C
 (:class:`AssembledJacobian`) and the rotation is never undone.
@@ -147,17 +147,18 @@ class TangentFrame:
     The solver steps and the regularity checks take the frame alone.
     Coordinates are (v_x, H) with H = apply_dg(x, v_x) + v_y tangent at
     G(z) for an ambient pair (v_x, v_y); the coefficients of H are its
-    rotated ``sym_to_vec`` coordinates at the tangent rows ``rows``, the
-    pairs (k, l), k <= l, not both in beta.  The frame's eigenbasis P
-    (``ied.basis``) is the one coordinate system of the derivative data
-    at ``z``, and the frame is its one cache: C = ``c_mat``, the one
-    rotated form of the constraint derivative, and Hess_xx L are built on
-    first use, so the Jacobian, the normal directions and every
-    regularity check read the problem once per frame.  ``ied`` must
-    decompose G(z).  ``dg``, when given, is the unrotated stack
-    ``problem.dg_stack(z.x)``, which C then rotates instead of reading
-    the problem: the solver hands it from frame to frame while x stays
-    the same.
+    rotated ``sym_to_vec`` coordinates at the tangent rows
+    ``layout.rows``, the pairs (k, l), k <= l, not both in beta.  The
+    frame's eigenbasis P (``ied.basis``) is the one coordinate system of
+    the derivative data at ``z``, and the frame is its one cache:
+    C = ``c_mat``, the one rotated form of the constraint derivative, and
+    Hess_xx L are built on first use, so the Jacobian, the normal
+    directions and every regularity check read the problem once per
+    frame, and the regularity checks keep their SVDs of C's rows in the
+    frame's ``__dict__`` too.  ``ied`` must decompose G(z).  ``dg``,
+    when given, is the unrotated stack ``problem.dg_stack(z.x)``, which C
+    then rotates instead of reading the problem: the solver hands it
+    from frame to frame while x stays the same.
     """
 
     problem: NlsdpProblem
@@ -169,11 +170,6 @@ class TangentFrame:
     def layout(self) -> StratumLayout:
         """The pair classes of the IED's stratum, :func:`spectral.tangent_layout`."""
         return tangent_layout(self.ied.n, self.ied.p, self.ied.q)
-
-    @_cached
-    def rows(self) -> np.ndarray:
-        """Position of each tangent pair in the ``sym_to_vec`` layout (read-only)."""
-        return self.layout.rows
 
     @_cached
     def c_mat(self) -> np.ndarray:
@@ -196,7 +192,7 @@ class TangentFrame:
 
     @property
     def dim_tangent(self) -> int:
-        return self.rows.size
+        return self.layout.rows.size
 
     @property
     def dim(self) -> int:
@@ -226,7 +222,7 @@ class TangentVector:
         """P (sum_t c_t E_t) P^T, E_t the unit matrix at tangent row t."""
         ied = self.frame.ied
         flat = np.zeros(ied.n * (ied.n + 1) // 2)
-        flat[self.frame.rows] = self.coeffs
+        flat[self.frame.layout.rows] = self.coeffs
         return sym(ied.basis @ vec_to_sym(flat, ied.n) @ ied.basis.T)
 
     @_cached
@@ -286,7 +282,7 @@ class AssembledJacobian:
         m = self.hm.shape[0]
         v_x, c = u[:m], u[m:]
         bottom = -(self.c_mat @ v_x)
-        bottom[self.frame.rows] += self.xi_t * c
+        bottom[self.frame.layout.rows] += self.xi_t * c
         return np.concatenate([self.hm @ v_x + self.tr @ c, bottom])
 
     def apply_adjoint(self, w: np.ndarray) -> np.ndarray:
@@ -295,7 +291,7 @@ class AssembledJacobian:
         w1, w2 = w[:m], w[m:]
         return np.concatenate([
             self.hm.T @ w1 - self.c_mat.T @ w2,
-            self.tr.T @ w1 + self.xi_t * w2[self.frame.rows],
+            self.tr.T @ w1 + self.xi_t * w2[self.frame.layout.rows],
         ])
 
     def solve_regularized(self, r: np.ndarray, mu: float) -> np.ndarray:
@@ -332,7 +328,7 @@ class AssembledJacobian:
           many large pairs there are.
         """
         hm, c_mat, xi_t, frame = self.hm, self.c_mat, self.xi_t, self.frame
-        m, rows, n, p = hm.shape[0], frame.rows, frame.ied.n, frame.ied.p
+        m, rows, n, p = hm.shape[0], frame.layout.rows, frame.ied.n, frame.ied.p
         zero, large = frame.layout.trailing[rows], xi_t**2 > LARGE_XI_SQ
         small = ~(zero | large)
         rows_l, rows_s, xi_l, r2 = rows[large], rows[small], xi_t[large], r[m:]
@@ -402,7 +398,7 @@ class AssembledJacobian:
         matrix[:m, :m] = self.hm
         matrix[m:, :m] = -self.c_mat
         matrix[:m, m:] = self.tr
-        matrix[m + self.frame.rows, m + np.arange(dim_t)] = self.xi_t
+        matrix[m + self.frame.layout.rows, m + np.arange(dim_t)] = self.xi_t
         return matrix
 
     def sigma_min(self) -> float:
@@ -445,6 +441,6 @@ def assemble_dF(frame: TangentFrame) -> AssembledJacobian:
         frame=frame,
         hm=frame.hess - c_mat.T @ c_mat,
         c_mat=c_mat,
-        tr=c_mat[frame.rows].T,
+        tr=c_mat[layout.rows].T,
         xi_t=xi_t,
     )

@@ -18,7 +18,9 @@ The four exact checks read the same rows of C, those at the trailing
 rank test of those rows, and S-SOSC and W-SOC one form check on app,
 their null space, each at two stratum indices: the frame's own
 (n, p, q), and the all-gamma neighbour (n, p, n - p), whose trailing
-pairs include the beta-beta ones, read in the same eigenbasis.
+pairs include the beta-beta ones, read in the same eigenbasis.  Each
+such block C_K is factored once per frame and index: the rank test
+reads its singular values and app its right singular vectors.
 
 SONC and SRCQ are settled from the exact checks where those decide
 (:func:`check_sonc`, :func:`check_srcq`), and carry the margin of the
@@ -98,16 +100,8 @@ class ConditionResult:
         return self.verdict in (HOLDS, HEURISTIC_HOLDS)
 
 
-def _constraint_rows(frame: TangentFrame, q: int):
-    """The rows of C = ``frame.c_mat`` at the trailing (beta-gamma and
-    gamma-gamma) pairs of the stratum (n, p, q), n and p the frame's.  At
-    q = n - p, the all-gamma neighbour, they include the beta-beta ones."""
-    ied = frame.ied
-    return frame.c_mat[tangent_layout(ied.n, ied.p, q).trailing]
-
-
 def _right_singular(mat, full_matrices=True):
-    """Right singular vectors (rows) of ``mat`` and its numerical rank.
+    """Singular values, right singular vectors (rows) and numerical rank of ``mat``.
 
     One LAPACK ``dgesdd`` call with the workspace it asks for, the call
     of ``np.linalg.svd``, so the result is the same to the bit; the
@@ -116,25 +110,35 @@ def _right_singular(mat, full_matrices=True):
     """
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
-        return np.eye(cols), 0
+        return np.zeros(0), np.eye(cols), 0
     full = int(full_matrices)
     lwork = _lapack(scipy.linalg.lapack.dgesdd_lwork, rows, cols, full_matrices=full)[0]
     s, vt = _lapack(
         scipy.linalg.lapack.dgesdd, mat, full_matrices=full, lwork=int(lwork)
     )[1:]
-    return np.ascontiguousarray(vt), int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return s, np.ascontiguousarray(vt), int(np.count_nonzero(s > RANK_TOL * s[0]))
 
 
-def _null_space(mat):
-    # tall or square: the economy Vt holds every right singular vector
-    vt, rank = _right_singular(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    return vt[rank:].T
+def _trailing_svd(frame: TangentFrame, q: int):
+    """:func:`_right_singular` of C_K, the rows of C = ``frame.c_mat`` at
+    the trailing pairs K of the stratum (n, p, q), n and p the frame's,
+    once per frame and q: kept in the frame's ``__dict__``, as
+    ``kkt._cached`` keeps a property, with read-only arrays, as every
+    reader shares them.  Tall or square C_K takes the economy SVD, whose
+    Vt holds every right singular vector."""
+    key = f"_trailing_svd_{q}"
+    if key not in frame.__dict__:
+        c_k = frame.c_mat[tangent_layout(frame.ied.n, frame.ied.p, q).trailing]
+        svd = frame.__dict__[key] = _right_singular(c_k, c_k.shape[0] < c_k.shape[1])
+        svd[0].flags.writeable = svd[1].flags.writeable = False
+    return frame.__dict__[key]
 
 
 def app_basis(frame: TangentFrame, q: int) -> np.ndarray:
-    """Orthonormal basis of the null space of :func:`_constraint_rows`:
+    """Orthonormal basis of the null space of C_K (:func:`_trailing_svd`):
     app at q = ``ied.q``, W-SOC's smaller space at q = n - p."""
-    return _null_space(_constraint_rows(frame, q))
+    _, vt, rank = _trailing_svd(frame, q)
+    return vt[rank:].T
 
 
 def quad_form_matrix(frame: TangentFrame, basis) -> np.ndarray:
@@ -181,9 +185,8 @@ def check_ssosc(frame: TangentFrame) -> ConditionResult:
 
 
 def _span_check(frame: TangentFrame, q: int):
-    """Rank test of the rows C_K of C at the trailing pairs K of the
-    stratum (n, p, q), n and p the frame's: W-SRCQ at q = ``ied.q``, and
-    CN, whose K also holds the beta-beta pairs, at q = n - p.
+    """Rank test of C_K (:func:`_trailing_svd`): W-SRCQ at q = ``ied.q``,
+    and CN, whose K also holds the beta-beta pairs, at q = n - p.
 
     dg R^m + {P B P^T : B zero on K} = S^n exactly when no nonzero D
     living on K has dg* D = 0 (Bonnans and Shapiro 2000), that is, when
@@ -193,13 +196,10 @@ def _span_check(frame: TangentFrame, q: int):
     is never below sigma_min of the primal span [C | E_F], E_F the unit
     vectors of the other pairs, and vanishes exactly when that does.
     """
-    c_k = _constraint_rows(frame, q)
-    k, m = c_k.shape
-    if k > m:
+    if np.count_nonzero(tangent_layout(frame.ied.n, frame.ied.p, q).trailing) > frame.problem.m:
         return ConditionResult(FAILS, 0.0)
-    margin = np.inf
-    if k:
-        margin = float(_lapack(scipy.linalg.lapack.dgesdd, c_k, compute_uv=0)[1][-1])
+    svals = _trailing_svd(frame, q)[0]
+    margin = float(svals[-1]) if svals.size else np.inf
     return ConditionResult(HOLDS if margin > DEFAULT_MARGIN_TOL else FAILS, margin)
 
 
@@ -345,7 +345,7 @@ def check_srcq_heuristic(frame: TangentFrame) -> ConditionResult:
         return ConditionResult(NOT_APPLICABLE, np.nan)
     ied = frame.ied
     n, p, n_beta = ied.n, ied.p, ied.n_beta
-    vt, rank = _right_singular(frame.c_mat.T, full_matrices=False)
+    _, vt, rank = _right_singular(frame.c_mat.T, full_matrices=False)
     if rank == vt.shape[1]:
         return ConditionResult(HEURISTIC_HOLDS, 0.0)  # the null space is {0}
     # the range basis as flattened matrices, split at the trailing block

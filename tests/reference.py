@@ -38,7 +38,6 @@ from sgnsdp.regularity import (
     HEURISTIC_HOLDS,
     NOT_APPLICABLE,
     RANK_TOL,
-    _null_space,
 )
 from sgnsdp.solver import RHO, SlmnOutcome, armijo_search, normal_step
 from sgnsdp.spectral import (
@@ -324,7 +323,8 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     """(verdict, margin) of the SRCQ alternating projections on full matrices.
 
     Each alternation projects an n x n eigenbasis iterate onto the null
-    space of the rotated dg* in ``sym_to_vec`` coordinates, then onto the
+    space of the rotated dg* in ``sym_to_vec`` coordinates, taken from
+    numpy's full SVD with the library's rank tolerance, then onto the
     polar cone by a block mask, from the same random starts as the
     library probe.  The restarts run one after another; if ``log`` is a
     list, each restart appends its number of polar-cone projections.
@@ -335,7 +335,9 @@ def srcq_probe(problem, z, ied, restarts=20, seed=0, iterations=300, alignment_t
     n, m = ied.n, problem.m
     images = _rotated_images(problem, z, ied)
     rows = np.array([sym_to_vec(img) for img in images]).reshape(m, n * (n + 1) // 2)
-    null = _null_space(rows)
+    _, svals, vt = np.linalg.svd(rows)
+    rank = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
+    null = vt[rank:].T
     rng = np.random.default_rng(seed)
     log = [] if log is None else log
     worst = 0.0

@@ -59,7 +59,6 @@ from sgnsdp.regularity import (
     NOT_APPLICABLE,
     SAMPLING_SEED,
     SRCQ_ITERATIONS,
-    _constraint_rows,
     check_cn,
     check_sonc_heuristic,
     check_srcq_heuristic,
@@ -485,9 +484,10 @@ def test_regularity_margins_match_loop_reference(case):
     frame = TangentFrame(problem, z, ied)
     for include_bb in (True, False):
         q = ied.n - ied.p if include_bb else ied.q
-        rows = _constraint_rows(frame, q)
-        # the library reads the rows of C, in sym_to_vec's sqrt(2)-scaled layout
-        weights = triu_pairs(ied.n)[2][tangent_layout(ied.n, ied.p, q).trailing]
+        # the library factors the rows of C at the layout's trailing
+        # pairs, in sym_to_vec's sqrt(2)-scaled layout
+        trailing = tangent_layout(ied.n, ied.p, q).trailing
+        rows, weights = frame.c_mat[trailing], triu_pairs(ied.n)[2][trailing]
         ref_rows = weights[:, None] * constraint_rows(problem, z, ied, include_bb)
         assert rows.shape == ref_rows.shape
         scale = max(1.0, np.abs(ref_rows).max(initial=0.0))

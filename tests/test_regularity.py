@@ -51,7 +51,7 @@ from sgnsdp.regularity import (
     quad_form_matrix,
 )
 from sgnsdp.solver import retract_point
-from sgnsdp.spectral import make_ied, sym, vec_to_sym
+from sgnsdp.spectral import make_ied, sym, tangent_layout, vec_to_sym
 
 # pinned after first computation at the degenerate fixture's solution
 SIGMA_MIN_REFERENCE = 0.40753645318366233
@@ -358,7 +358,8 @@ class TestInjectivity:
 
 class TestLapackCalls:
     """The diagnose factorizations call LAPACK with the workspace it asks
-    for, which gives numpy's results to the bit."""
+    for, which gives numpy's results to the bit, and factor each trailing
+    block C_K once."""
 
     def test_right_singular_equals_numpy_svd(self):
         rng = np.random.default_rng(0)
@@ -366,10 +367,10 @@ class TestLapackCalls:
             for rows in (1, cols, cols + 3, 2 * cols + 5):
                 mat = rng.standard_normal((rows, cols))
                 for full in (True, False):
-                    vt, rank = sgnsdp.regularity._right_singular(mat, full)
-                    _, svals, vt_np = np.linalg.svd(mat, full_matrices=full)
-                    assert np.array_equal(vt, vt_np)
-                    assert rank == np.sum(svals > RANK_TOL * svals[0])
+                    svals, vt, rank = sgnsdp.regularity._right_singular(mat, full)
+                    _, svals_np, vt_np = np.linalg.svd(mat, full_matrices=full)
+                    assert np.array_equal(svals, svals_np) and np.array_equal(vt, vt_np)
+                    assert rank == np.sum(svals_np > RANK_TOL * svals_np[0])
 
     def test_null_space_equals_full_svd_null_space(self):
         # tall and square inputs take the economy SVD: its null space must
@@ -380,12 +381,46 @@ class TestLapackCalls:
                 for repeated in (0, cols // 2):
                     mat = rng.standard_normal((rows, cols))
                     mat[:, cols - repeated:] = mat[:, :repeated]
-                    _, svals, vt = np.linalg.svd(mat, full_matrices=True)
-                    rank = np.sum(svals > RANK_TOL * svals[0])
-                    basis = sgnsdp.regularity._null_space(mat)
+                    _, vt, rank = sgnsdp.regularity._right_singular(mat, rows < cols)
+                    _, svals, vt_full = np.linalg.svd(mat, full_matrices=True)
+                    assert rank == np.sum(svals > RANK_TOL * svals[0])
+                    basis, full = vt[rank:].T, vt_full[rank:].T
                     assert basis.shape == (cols, cols - rank)
-                    full = vt[rank:].T
                     assert np.max(np.abs(basis @ basis.T - full @ full.T)) <= 1e-12
+
+    def test_app_is_the_null_space_of_the_trailing_rows(self):
+        # the fixture's C_K is wide (3 x 5) at q = ied.q and tall (6 x 5)
+        # at q = n - p, and synth (5, 6) seed 4008's is square at n - p
+        for problem, z in (degenerate_fixture(), synth_nondegenerate(seed=4008, n=5, m=6)):
+            frame = frame_at(problem, z)
+            n, p = frame.ied.n, frame.ied.p
+            for q in (frame.ied.q, n - p):
+                c_k = frame.c_mat[tangent_layout(n, p, q).trailing]
+                _, svals, vt = np.linalg.svd(c_k, full_matrices=True)
+                rank = np.sum(svals > RANK_TOL * svals[0])
+                basis, full = app_basis(frame, q), vt[rank:].T
+                assert basis.shape == (problem.m, problem.m - rank)
+                assert np.max(np.abs(basis @ basis.T - full @ full.T)) <= 1e-12
+
+    def test_each_trailing_block_is_factored_once(self, monkeypatch):
+        # one dgesdd for sigma_min_dF and one per stratum index: the rank
+        # test and the form check at an index read the same SVD
+        problem, z = synth_nondegenerate(seed=4000, n=5, m=6)
+        calls = []
+
+        def spy(a, *args, _real=scipy.linalg.lapack.dgesdd, **kwargs):
+            calls.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", spy)
+        diagnose(problem, z)
+        assert len(calls) == 3
+        calls.clear()
+        frame = frame_at(problem, z)
+        check_wsrcq(frame), check_ssosc(frame)
+        assert len(calls) == 1
+        # every reader shares the one SVD, so its arrays are read-only
+        assert not app_basis(frame, frame.ied.q).flags.writeable
 
     def test_sigma_min_equals_numpy_svd(self):
         for seed, (n, m) in enumerate([(4, 5), (5, 6), (20, 30)]):
@@ -703,6 +738,24 @@ def test_span_conditions_hold_generically(case):
             assert result.verdict == HOLDS and result.margin > DEFAULT_MARGIN_TOL, (k, result)
         else:
             assert result == ConditionResult(FAILS, 0.0), (k, result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generic_stratum_points())
+def test_injectivity_margin_is_bounded_by_the_wsrcq_margin(case):
+    # unit D on the trailing pairs K is a tangent direction with xi = 0,
+    # which J maps to (C_K^T D, 0): sigma_min_dF <= sigma_min(C_K), the
+    # W-SRCQ margin, and C_K^T has a null vector when K > m
+    problem, z, _ = case
+    frame = frame_at(problem, z)
+    sigma, w_srcq = injectivity_margin(frame), check_wsrcq(frame)
+    matrix = assemble_dF(frame).matrix
+    rounding = 1e-14 * max(1.0, np.linalg.norm(matrix, 2) if matrix.size else 0.0)
+    q = frame.ied.q
+    if frame.ied.n_beta * q + q * (q + 1) // 2 <= problem.m:
+        assert sigma <= w_srcq.margin + rounding, (sigma, w_srcq)
+    else:
+        assert sigma <= rounding, (sigma, rounding)
 
 
 @pytest.mark.parametrize(
